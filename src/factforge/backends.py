@@ -10,14 +10,15 @@ Deterministic mocks make the whole pipeline runnable offline.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import threading
 import time
-from contextlib import contextmanager
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -127,23 +128,61 @@ def nli_fingerprint(profile: BackendProfile, premise: str, hypothesis: str) -> s
     })
 
 
-class _Gated:
-    """Shared concurrency gate: at most max_in_flight calls run at once."""
+# --- bounded fan-out ---------------------------------------------------------
 
-    def __init__(self, profile: BackendProfile):
-        self.profile = profile
-        self._gate = threading.BoundedSemaphore(profile.max_in_flight)
+T = TypeVar("T")
+R = TypeVar("R")
 
-    @contextmanager
-    def _slot(self):
-        with self._gate:
-            yield
+
+def fan_width(backend) -> int:
+    """How many calls to `backend` may run at once: its `max_in_flight`
+    (HTTP backends), else 1, so mocks and other objects run serially."""
+    return getattr(backend, "max_in_flight", 1)
+
+
+def fan_out(fn: Callable[[T], R], items: Iterable[T], width: int) -> list[R]:
+    """`[fn(item) for item in items]` with at most `width` calls running at once.
+
+    Results keep item order. Once a call raises, no further item starts;
+    the calls already running finish, then the error of the earliest
+    failing item is raised. Width 1 runs serially on the calling thread.
+    """
+    items = list(items)
+    if width <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    results: list = [None] * len(items)
+    todo = iter(enumerate(items))
+    failed: tuple[int, BaseException] | None = None
+    with ThreadPoolExecutor(max_workers=min(width, len(items))) as pool:
+        running = {pool.submit(fn, item): i for i, item in itertools.islice(todo, width)}
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                i = running.pop(future)
+                exc = future.exception()
+                if exc is None:
+                    results[i] = future.result()
+                elif failed is None or i < failed[0]:
+                    failed = (i, exc)
+            if failed is None:
+                for i, item in itertools.islice(todo, len(done)):
+                    running[pool.submit(fn, item)] = i
+    if failed is not None:
+        raise failed[1]
+    return results
 
 
 # --- HTTP transport --------------------------------------------------------
 
 
-class _HttpBase(_Gated):
+class _HttpBase:
+    """Shared HTTP client: at most `max_in_flight` requests run at once."""
+
+    def __init__(self, profile: BackendProfile):
+        self.profile = profile
+        self.max_in_flight = profile.max_in_flight
+        self._gate = threading.BoundedSemaphore(profile.max_in_flight)
+
     def _headers(self) -> dict[str, str]:
         import os
 
@@ -178,6 +217,8 @@ class _HttpBase(_Gated):
             except (requests.Timeout, requests.ConnectionError) as exc:
                 last = BackendTimeout(f"{url}: {exc}", fingerprint)
                 continue
+            except requests.RequestException as exc:
+                raise BackendError(f"{url}: {exc}", fingerprint) from exc
             if resp.status_code in (401, 403):
                 raise AuthFailure(f"{url}: HTTP {resp.status_code}", fingerprint)
             if resp.status_code == 429:
@@ -204,7 +245,7 @@ class HttpChatBackend(_HttpBase):
             "messages": list(messages),
             "temperature": self.profile.temperature,
         }
-        with self._slot():
+        with self._gate:
             body = self._post("/chat/completions", payload, fp)
         try:
             content = body["choices"][0]["message"]["content"]
@@ -219,7 +260,7 @@ class HttpEmbeddingBackend(_HttpBase):
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         fp = embedding_fingerprint(self.profile, texts)
         payload = {"model": self.profile.model, "input": list(texts)}
-        with self._slot():
+        with self._gate:
             body = self._post("/embeddings", payload, fp)
         try:
             rows = body["data"]
@@ -242,7 +283,7 @@ class HttpNliBackend(_HttpBase):
             "premise": premise,
             "hypothesis": hypothesis,
         }
-        with self._slot():
+        with self._gate:
             body = self._post("/nli", payload, fp)
         try:
             dist = NliDistribution(
@@ -260,7 +301,7 @@ class HttpNliBackend(_HttpBase):
 # --- mocks -------------------------------------------------------------------
 
 
-class ScriptedChatBackend(_Gated):
+class ScriptedChatBackend:
     """Replays responses keyed by request fingerprint, in order, exhaustibly.
 
     The script is a list of (fingerprint, response) entries; entries that
@@ -269,7 +310,7 @@ class ScriptedChatBackend(_Gated):
     """
 
     def __init__(self, profile: BackendProfile, entries: Iterable[tuple[str, str]]):
-        super().__init__(profile)
+        self.profile = profile
         self._queues: dict[str, list[str]] = {}
         for fp, response in entries:
             self._queues.setdefault(fp, []).append(response)
@@ -287,7 +328,7 @@ class ScriptedChatBackend(_Gated):
 
     def complete(self, messages: Sequence[Mapping[str, str]]) -> str:
         fp = chat_fingerprint(self.profile, messages)
-        with self._slot(), self._lock:
+        with self._lock:
             self.call_history.append(fp)
             queue = self._queues.get(fp)
             if not queue:
@@ -295,43 +336,42 @@ class ScriptedChatBackend(_Gated):
             return queue.pop(0)
 
 
-class SequenceChatBackend(_Gated):
+class SequenceChatBackend:
     """Returns a fixed list of responses in call order, then raises."""
 
     def __init__(self, profile: BackendProfile, responses: Sequence[str]):
-        super().__init__(profile)
+        self.profile = profile
         self._responses = list(responses)
         self._lock = threading.Lock()
         self.call_history: list[str] = []
 
     def complete(self, messages: Sequence[Mapping[str, str]]) -> str:
         fp = chat_fingerprint(self.profile, messages)
-        with self._slot(), self._lock:
+        with self._lock:
             self.call_history.append(fp)
             if not self._responses:
                 raise ScriptExhausted("response sequence exhausted", fp)
             return self._responses.pop(0)
 
 
-class VerdictRuleChatBackend(_Gated):
+class VerdictRuleChatBackend:
     """Answers "Not Factual" when any configured marker substring occurs in
     the last user message, else "Factual". Useful as a deterministic
     stand-in for an LLM judge."""
 
     def __init__(self, profile: BackendProfile, markers: Sequence[str]):
-        super().__init__(profile)
+        self.profile = profile
         self._markers = [m.lower() for m in markers]
 
     def complete(self, messages: Sequence[Mapping[str, str]]) -> str:
-        with self._slot():
-            users = [m["content"] for m in messages if m.get("role") == "user"]
-            haystack = users[-1].lower() if users else ""
-            if any(marker in haystack for marker in self._markers):
-                return "Not Factual"
-            return "Factual"
+        users = [m["content"] for m in messages if m.get("role") == "user"]
+        haystack = users[-1].lower() if users else ""
+        if any(marker in haystack for marker in self._markers):
+            return "Not Factual"
+        return "Factual"
 
 
-class HashedBowEmbedder(_Gated):
+class HashedBowEmbedder:
     """Deterministic bag-of-words embedder.
 
     Each token is hashed (sha256) to a bucket and a sign; token counts
@@ -340,7 +380,7 @@ class HashedBowEmbedder(_Gated):
     """
 
     def __init__(self, profile: BackendProfile, dimension: int = 64, normalize: bool = True):
-        super().__init__(profile)
+        self.profile = profile
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
@@ -360,11 +400,10 @@ class HashedBowEmbedder(_Gated):
         return vec
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        with self._slot():
-            return [self._embed_one(t) for t in texts]
+        return [self._embed_one(t) for t in texts]
 
 
-class RuleNliBackend(_Gated):
+class RuleNliBackend:
     """Rule-based NLI scorer for offline runs.
 
     If the hypothesis occurs as a substring of the premise (both
@@ -379,19 +418,18 @@ class RuleNliBackend(_Gated):
     CONTR = NliDistribution(0.05, 0.05, 0.9)
 
     def __init__(self, profile: BackendProfile, contradictions: Iterable[Sequence[str]] = ()):
-        super().__init__(profile)
+        self.profile = profile
         self._pairs = [(a.lower(), b.lower()) for a, b in contradictions]
 
     def classify(self, premise: str, hypothesis: str) -> NliDistribution:
-        with self._slot():
-            prem = normalize_ws(premise).lower()
-            hyp = normalize_ws(hypothesis).lower()
-            if hyp and hyp in prem:
-                return self.ENT
-            for a, b in self._pairs:
-                if (a in prem and b in hyp) or (b in prem and a in hyp):
-                    return self.CONTR
-            return self.NEUT
+        prem = normalize_ws(premise).lower()
+        hyp = normalize_ws(hypothesis).lower()
+        if hyp and hyp in prem:
+            return self.ENT
+        for a, b in self._pairs:
+            if (a in prem and b in hyp) or (b in prem and a in hyp):
+                return self.CONTR
+        return self.NEUT
 
 
 # --- factory -----------------------------------------------------------------

@@ -149,14 +149,21 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     passages = corpus.read_passages(args.passages)
     if not passages:
         raise FactforgeError(f"no passages found in {args.passages}")
+
+    def attempt(passage):
+        try:
+            return synthgen.generate_record(passage, chat, max_retries)
+        except FactforgeError as exc:
+            return exc
+
     records = []
     failures = 0
-    for passage in passages:
-        try:
-            records.append(synthgen.generate_record(passage, chat, max_retries))
-        except FactforgeError as exc:
+    for passage, result in zip(passages, be.fan_out(attempt, passages, be.fan_width(chat))):
+        if isinstance(result, FactforgeError):
             failures += 1
-            log.warning("dropping passage %s: %s", passage.passage_id, exc)
+            log.warning("dropping passage %s: %s", passage.passage_id, result)
+        else:
+            records.append(result)
     if not records:
         raise FactforgeError("every passage failed generation")
     synthgen.write_records(args.out, records)
@@ -201,30 +208,31 @@ def _cmd_derive(args: argparse.Namespace) -> int:
         rows.extend(p.to_row() for p in pairs)
     elif args.what == "nli":
         mine_neutrals = bool(args.passages and args.nli_backend)
-        neutrals_by_record: dict[str, list[str] | None] = {}
+        neutrals: list[list[str] | None] = [None] * len(valid)
         if mine_neutrals:
             nli = config.backend(args.nli_backend, be.KIND_NLI)
             by_page: dict[str, list[corpus.Passage]] = {}
             for p in corpus.read_passages(args.passages):
                 by_page.setdefault(p.page_id, []).append(p)
-            for record in valid:
+            jobs = []  # (position in valid, claim, candidate pool)
+            for j, record in enumerate(valid):
                 pool = [
                     p
                     for p in by_page.get(record.passage.page_id, [])
                     if p.passage_id != record.passage.passage_id
                 ]
                 if pool:
-                    neutrals_by_record[record.record_id] = [
-                        dataset.mine_neutral_passage(claim, pool, nli).text
-                        for claim in record.outputs.claims
-                    ]
-                else:
-                    neutrals_by_record[record.record_id] = None
-        triplets = []
-        for record in valid:
-            triplets.extend(
-                dataset.derive_nli_triplets(record, neutrals_by_record.get(record.record_id))
+                    neutrals[j] = []
+                    jobs.extend((j, claim, pool) for claim in record.outputs.claims)
+            mined = be.fan_out(
+                lambda job: dataset.mine_neutral_passage(job[1], job[2], nli).text,
+                jobs, be.fan_width(nli),
             )
+            for (j, _, _), text in zip(jobs, mined):
+                neutrals[j].append(text)
+        triplets = []
+        for record, record_neutrals in zip(valid, neutrals):
+            triplets.extend(dataset.derive_nli_triplets(record, record_neutrals))
         rows = [{
             "schema": "nli_triplets",
             "version": 1,
@@ -357,24 +365,36 @@ def _build_judge_system(
     chat,
     base_spec: evalharness.PromptSpec,
     task: str,
+    instances,
     index: PassageIndex | None,
     embedder,
     k: int,
 ):
-    """Wrap a chat judge as a (instance, rng) -> bool verdict system."""
+    """Wrap a chat judge as a (instance, rng) -> bool verdict system.
+
+    Task-1 RAG evidence is retrieved here, once per distinct text, so the
+    seeds share it. When retrieval cannot run, each instance fails.
+    """
+    evidence: dict[str, tuple[str, ...]] = {}
+    no_evidence = "RAG on task 1 needs --index and --embed-backend"
+    rag = task == "1" and base_spec.mode == evalharness.MODE_RAG
+    if rag and index is not None and embedder is not None:
+        texts = list(dict.fromkeys(instance.text for instance in instances))
+        try:
+            for text, query in zip(texts, embedder.embed(texts), strict=True):
+                hits = index.top_k(query, k)
+                evidence[text] = tuple(index.text_of(pid) for pid, _ in hits)
+        except FactforgeError as exc:
+            no_evidence = f"RAG evidence retrieval failed: {exc}"
 
     def system(instance, rng) -> bool:
         spec = base_spec
         if task == "1":
             text = instance.text
             if spec.mode == evalharness.MODE_RAG:
-                if index is None or embedder is None:
-                    raise FactforgeError("RAG on task 1 needs --index and --embed-backend")
-                query = embedder.embed([text])[0]
-                hits = index.top_k(query, k)
-                spec = replace(
-                    spec, evidence=tuple(index.text_of(pid) for pid, _ in hits)
-                )
+                if text not in evidence:
+                    raise FactforgeError(no_evidence)
+                spec = replace(spec, evidence=evidence[text])
         else:
             text = instance.claim
             if spec.mode == evalharness.MODE_RAG:
@@ -435,9 +455,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     task_name = (
         evalharness.TASK_END_TO_END if args.task == "1" else evalharness.TASK_CLAIM_VERIFICATION
     )
-    system = _build_judge_system(chat, spec, args.task, index, embedder, k)
+    system = _build_judge_system(chat, spec, args.task, instances, index, embedder, k)
     report = evalharness.run_benchmark(
-        task_name, system, instances, [seed_base + i for i in range(n_seeds)]
+        task_name, system, instances, [seed_base + i for i in range(n_seeds)],
+        width=be.fan_width(chat),
     )
     Path(args.report).write_text(
         json.dumps(report.to_row(), indent=2, sort_keys=True, ensure_ascii=False) + "\n",

@@ -10,12 +10,14 @@ unigram-overlap easiness score built on ROUGE-1.
 from __future__ import annotations
 
 import random
+import re
 import statistics
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
 
+from .backends import fan_out
 from .errors import FactforgeError, MetricUndefined, UnparseableVerdict
 from .textnorm import tokenize
 
@@ -233,23 +235,28 @@ def build_prompt(spec: PromptSpec, text_to_verify: str) -> list[dict[str, str]]:
     return messages
 
 
+_FACTUAL_WORD = re.compile(r"(?<![\w-])factual(?![\w-])", re.IGNORECASE)
+_NOT_FACTUAL_WORDS = re.compile(r"(?<![\w-])not\s+factual(?![\w-])", re.IGNORECASE)
+
+
 def parse_llm_verdict(raw: str, explain_mode: bool = False) -> bool:
     """Map judge output to a boolean verdict.
 
-    Case-insensitive containment, with "not factual" taking precedence
-    over "factual". In explain mode only the text after the label marker
-    is considered (falling back to the whole output when the marker is
-    absent). Raises UnparseableVerdict when neither token occurs.
+    Case-insensitive whole-word search, with "not factual" taking
+    precedence over "factual"; "factual" inside a longer word (including
+    hyphenated ones such as "non-factual") is no verdict. In explain mode
+    only the text after the label marker is considered (falling back to
+    the whole output when the marker is absent). Raises UnparseableVerdict
+    when neither token occurs.
     """
     scope = raw
     if explain_mode:
         marker_at = raw.find(LABEL_MARKER)
         if marker_at != -1:
             scope = raw[marker_at + len(LABEL_MARKER):]
-    low = scope.lower()
-    if "not factual" in low:
+    if _NOT_FACTUAL_WORDS.search(scope):
         return False
-    if "factual" in low:
+    if _FACTUAL_WORD.search(scope):
         return True
     raise UnparseableVerdict(f"no verdict token in output: {raw[:80]!r}")
 
@@ -319,13 +326,16 @@ def run_benchmark(
     system: VerdictSystem,
     instances: Sequence[Instance],
     seeds: Iterable[int],
+    width: int = 1,
 ) -> EvalReport:
     """Score a verdict system over the instances once per seed.
 
     The system is a callable (instance, rng) -> bool; domain errors it
     raises are caught per instance, counted, and scored as a wrong
-    prediction (unparseable verdicts are tallied separately). The report
-    carries the per-seed runs plus mean and standard deviation.
+    prediction (unparseable verdicts are tallied separately). Up to
+    `width` seeds run at once, each with its own `random.Random(seed)`
+    consumed in instance order. The report carries the per-seed runs, in
+    seed order, plus mean and standard deviation.
     """
     seeds = list(seeds)
     if not seeds:
@@ -338,9 +348,7 @@ def run_benchmark(
             "balanced accuracy undefined: gold labels contain a single class"
         )
 
-    started = time.monotonic()
-    runs = []
-    for seed in seeds:
+    def run_seed(seed: int) -> SeedRun:
         rng = random.Random(seed)
         predictions: list[bool] = []
         n_failed = n_unparseable = 0
@@ -357,20 +365,21 @@ def run_benchmark(
         tp, fn, tn, fp = confusion_counts(predictions, golds)
         recall_true = tp / (tp + fn)
         recall_false = tn / (tn + fp)
-        runs.append(
-            SeedRun(
-                seed=seed,
-                balanced_accuracy=(recall_true + recall_false) / 2,
-                recall_true=recall_true,
-                recall_false=recall_false,
-                true_positive=tp,
-                false_negative=fn,
-                true_negative=tn,
-                false_positive=fp,
-                n_failed=n_failed,
-                n_unparseable=n_unparseable,
-            )
+        return SeedRun(
+            seed=seed,
+            balanced_accuracy=(recall_true + recall_false) / 2,
+            recall_true=recall_true,
+            recall_false=recall_false,
+            true_positive=tp,
+            false_negative=fn,
+            true_negative=tn,
+            false_positive=fp,
+            n_failed=n_failed,
+            n_unparseable=n_unparseable,
         )
+
+    started = time.monotonic()
+    runs = fan_out(run_seed, seeds, width)
     scores = [run.balanced_accuracy for run in runs]
     return EvalReport(
         task=task,

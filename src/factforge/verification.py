@@ -128,16 +128,21 @@ def verify_text(
 ) -> Verdict:
     """Full pipeline verdict for one text.
 
-    Raises UnverifiableText when claim extraction yields nothing.
+    The claims are embedded in one call and ranked on the calling thread;
+    their NLI scans then run concurrently, up to the NLI backend's width
+    (see `backends.fan_width`). Raises UnverifiableText when claim
+    extraction yields nothing.
     """
+    from .backends import fan_out, fan_width
+
     claims = extractor.extract_claims(text)
     if not claims:
         raise UnverifiableText("claim extraction produced zero claims")
-    traces = []
-    for claim in claims:
-        vec = embedder.embed([claim])[0]
-        ranked = index.top_k(vec, k)
-        traces.append(verify_claim(claim, ranked.hits, nli, index.text_of))
+    vecs = embedder.embed(claims)
+    jobs = [(claim, index.top_k(vec, k).hits) for claim, vec in zip(claims, vecs, strict=True)]
+    traces = fan_out(
+        lambda job: verify_claim(job[0], job[1], nli, index.text_of), jobs, fan_width(nli)
+    )
     return Verdict(factual=all(t.decision for t in traces), claim_traces=tuple(traces))
 
 

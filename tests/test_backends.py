@@ -12,7 +12,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+import requests
 
+from factforge import cli, corpus
 from factforge.backends import (
     BackendProfile,
     HashedBowEmbedder,
@@ -26,21 +28,38 @@ from factforge.backends import (
     build_backend,
     chat_fingerprint,
     embedding_fingerprint,
+    fan_out,
+    fan_width,
     load_profiles,
     nli_fingerprint,
     request_fingerprint,
 )
 from factforge.errors import (
     AuthFailure,
+    BackendError,
     BackendTimeout,
     InvalidDistribution,
     MalformedResponse,
     RateLimited,
     ScriptExhausted,
 )
-from factforge.verification import NliLabel
+from factforge.retrieval import index_build
+from factforge.synthgen import build_unified_prompt
+from factforge.verification import (
+    ClaimTrace,
+    NliLabel,
+    ScriptedClaimExtractor,
+    Verdict,
+    verify_text,
+)
 
-from conftest import mock_chat_profile
+from conftest import (
+    mock_chat_profile,
+    synth_embedder,
+    synth_nli,
+    synth_passage,
+    synth_record,
+)
 
 
 # --- profiles ---------------------------------------------------------------
@@ -336,16 +355,19 @@ def test_http_profiles_build_http_backends():
 
 
 class _Recorder:
-    """Scriptable local HTTP endpoint: pops one (status, body) per request."""
+    """Scriptable local HTTP endpoint: pops one (status, body) per request,
+    or, when `responses` is callable, asks it for each recorded request."""
 
     def __init__(self, responses):
-        self.responses = list(responses)
+        self.responses = responses if callable(responses) else list(responses)
         self.requests = []
         self.lock = threading.Lock()
         self.active = 0
         self.max_active = 0
 
-    def next_response(self):
+    def next_response(self, request):
+        if callable(self.responses):
+            return self.responses(request)
         with self.lock:
             if len(self.responses) > 1:
                 return self.responses.pop(0)
@@ -367,15 +389,14 @@ def http_server():
                 try:
                     length = int(self.headers.get("Content-Length", 0))
                     body = json.loads(self.rfile.read(length) or b"{}")
-                    recorder.requests.append(
-                        {
-                            "path": self.path,
-                            "body": body,
-                            "auth": self.headers.get("Authorization"),
-                        }
-                    )
+                    request = {
+                        "path": self.path,
+                        "body": body,
+                        "auth": self.headers.get("Authorization"),
+                    }
+                    recorder.requests.append(request)
                     time.sleep(0.02)
-                    status, payload = recorder.next_response()
+                    status, payload = recorder.next_response(request)
                     data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
                     self.send_response(status)
                     self.send_header("Content-Type", "application/json")
@@ -547,3 +568,173 @@ def test_http_concurrency_respects_max_in_flight(http_server):
     assert results == ["Factual"] * 8
     assert recorder.max_active <= 2
     assert len(recorder.requests) == 8
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        requests.exceptions.InvalidURL("no host in URL"),
+        requests.exceptions.ChunkedEncodingError("connection broken mid-body"),
+    ],
+)
+def test_http_other_request_errors_become_backend_errors(monkeypatch, error):
+    calls = []
+
+    def failing_post(*args, **kwargs):
+        calls.append(args)
+        raise error
+
+    monkeypatch.setattr(requests, "post", failing_post)
+    chat = HttpChatBackend(_http_profile("http://127.0.0.1:9"))
+    messages = [{"role": "user", "content": "x"}]
+    with pytest.raises(BackendError) as info:
+        chat.complete(messages)
+    assert info.value.fingerprint == chat_fingerprint(chat.profile, messages)
+    assert len(calls) == 1
+
+
+# --- bounded fan-out ----------------------------------------------------------
+
+
+def test_fan_out_keeps_order_and_bounds_width():
+    lock = threading.Lock()
+    active = [0, 0]  # running now, most at once
+
+    def square(i):
+        with lock:
+            active[0] += 1
+            active[1] = max(active[1], active[0])
+        time.sleep(0.002 * (i % 3))
+        with lock:
+            active[0] -= 1
+        return i * i
+
+    assert fan_out(square, range(12), 3) == [i * i for i in range(12)]
+    assert active[1] <= 3
+    assert fan_out(square, [], 3) == []
+    assert fan_width(HttpChatBackend(_http_profile("http://127.0.0.1:9", max_in_flight=3))) == 3
+    assert fan_width(synth_nli()) == 1  # mocks run serially
+    assert fan_width(object()) == 1
+
+
+def test_fan_out_failure_stops_new_submissions():
+    lock = threading.Lock()
+    started = []
+
+    def work(i):
+        with lock:
+            started.append(i)
+        if i == 3:
+            raise ValueError(i)
+        time.sleep(0.01)
+        return i
+
+    with pytest.raises(ValueError) as info:
+        fan_out(work, range(10), 2)
+    assert info.value.args == (3,)
+    # width 2: besides the failing item, at most one further item starts
+    assert sorted(started) == list(range(max(started) + 1))
+    assert max(started) <= 4
+
+
+def _scan_oracle(claim, ranked_ids, label_of):
+    """Acceptance check 1's rule: the first non-neutral rank decides."""
+    for rank, pid in enumerate(ranked_ids, 1):
+        label = label_of(pid)
+        if label is not NliLabel.NEUTRAL:
+            return ClaimTrace(claim, label is NliLabel.ENTAILMENT, pid, rank)
+    return ClaimTrace(claim, True, None, len(ranked_ids))
+
+
+def test_verify_text_over_http_is_width_independent(http_server):
+    embedder, nli = synth_embedder(), synth_nli()
+
+    def respond(request):
+        body = request["body"]
+        if request["path"] == "/embeddings":
+            vecs = embedder.embed(body["input"])
+            return 200, {"data": [{"index": i, "embedding": v.tolist()}
+                                  for i, v in enumerate(vecs)]}
+        dist = nli.classify(body["premise"], body["hypothesis"])
+        return 200, {"entailment": dist.p_ent, "neutral": dist.p_neut,
+                     "contradiction": dist.p_contr}
+
+    index = index_build([synth_passage(i) for i in range(20)], embedder)
+    claims = [
+        synth_record(0).outputs.claims[1],
+        synth_record(1).outputs.altered,
+        "Nothing in the corpus speaks of zebras.",
+        synth_record(2).outputs.claims[0],
+    ]
+    extractor = ScriptedClaimExtractor({"text": claims})
+    k = 5
+    verdicts = {}
+    for width in (1, 2):
+        endpoint, recorder = http_server(respond)
+        verdicts[width] = verify_text(
+            "text", extractor, index,
+            HttpEmbeddingBackend(_http_profile(endpoint, kind="embedding",
+                                               max_in_flight=width)),
+            HttpNliBackend(_http_profile(endpoint, kind="nli", max_in_flight=width)),
+            k,
+        )
+        assert sum(r["path"] == "/embeddings" for r in recorder.requests) == 1
+        if width == 2:
+            assert recorder.max_active > 1
+
+    expected = tuple(
+        _scan_oracle(
+            claim,
+            index.top_k(embedder.embed([claim])[0], k).ids,
+            lambda pid, claim=claim: nli.classify(index.text_of(pid), claim).top_label,
+        )
+        for claim in claims
+    )
+    assert [t.decision for t in expected] == [True, False, True, True]
+    assert expected[2].deciding_passage_id is None and expected[2].rank_examined == k
+    assert verdicts[2] == verdicts[1] == Verdict(False, expected)
+    assert verdicts[1] == verify_text("text", extractor, index, embedder, nli, k)
+
+
+def test_generate_over_http_is_width_independent(http_server, tmp_path):
+    passages = [synth_passage(i) for i in range(8)]
+    answers = {
+        build_unified_prompt(p): synth_record(i).outputs.to_step_json()
+        for i, p in enumerate(passages)
+    }
+    never_valid = build_unified_prompt(passages[3])
+    valid_on_retry = build_unified_prompt(passages[5])
+    corpus.write_passages(tmp_path / "passages.jsonl", passages)
+    outputs = {}
+    for width in (1, 4):
+        seen = []
+        lock = threading.Lock()
+
+        def respond(request):
+            prompt = request["body"]["messages"][0]["content"]
+            with lock:
+                seen.append(prompt)
+                first = seen.count(prompt) == 1
+            if prompt == never_valid or (prompt == valid_on_retry and first):
+                content = "no JSON here"
+            else:
+                content = answers[prompt]
+            return 200, {"choices": [{"message": {"content": content}}]}
+
+        endpoint, recorder = http_server(respond)
+        config = tmp_path / f"config{width}.json"
+        config.write_text(json.dumps({"profiles": {"gen": {
+            "kind": "chat", "endpoint": endpoint, "model": "m", "timeout": 5.0,
+            "retry_backoff": 0.0, "max_in_flight": width,
+        }}}))
+        out = tmp_path / f"records{width}.jsonl"
+        assert cli.main(["generate", "--passages", str(tmp_path / "passages.jsonl"),
+                         "--backend", "gen", "--out", str(out), "--config", str(config)]) == 0
+        outputs[width] = out.read_bytes()
+        assert len(recorder.requests) == 8 + 2 + 1  # passage 3 tries 3 times, 5 twice
+        if width == 4:
+            assert recorder.max_active > 1
+    assert outputs[4] == outputs[1]
+    rows = [json.loads(line) for line in outputs[1].splitlines()[1:]]
+    assert [r["record_id"] for r in rows] == [p.passage_id for p in passages if p != passages[3]]
+    assert [r["retries"] for r in rows] == [0, 0, 0, 0, 1, 0, 0]

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import statistics
+import string
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from factforge.errors import MetricUndefined, UnparseableVerdict
 from factforge.evalharness import (
@@ -377,6 +378,25 @@ def test_parse_explain_missing_label_after_marker():
         parse_llm_verdict(f"## EXPLANATION: fine\n\n{LABEL_MARKER} shrug", explain_mode=True)
 
 
+@pytest.mark.parametrize(
+    "raw", ["unfactual", "Nonfactual", "counterfactual", "The text is non-factual."]
+)
+def test_parse_factual_inside_a_longer_word_is_no_verdict(raw):
+    with pytest.raises(UnparseableVerdict):
+        parse_llm_verdict(raw)
+
+
+_NO_FACTUAL = st.text().filter(lambda s: "factual" not in s.casefold())
+_WORD_PART = st.text(alphabet=string.ascii_letters + "-", max_size=6)
+
+
+@given(_NO_FACTUAL, _WORD_PART, _WORD_PART, _NO_FACTUAL)
+def test_parse_factual_only_inside_longer_words_raises(before, prefix, suffix, after):
+    assume(prefix or suffix)
+    with pytest.raises(UnparseableVerdict):
+        parse_llm_verdict(f"{before} {prefix}factual{suffix} {after}")
+
+
 @given(st.booleans())
 def test_verdict_roundtrip(value):
     assert parse_llm_verdict(verdict_to_text(value)) is value
@@ -443,6 +463,10 @@ def test_run_benchmark_seeded_rng_is_deterministic():
     report_a = run_benchmark("end_to_end_factuality", noisy, instances, seeds=[0, 1, 2])
     report_b = run_benchmark("end_to_end_factuality", noisy, instances, seeds=[0, 1, 2])
     assert [r.to_row() for r in report_a.runs] == [r.to_row() for r in report_b.runs]
+    # seeds run concurrently: each keeps its own rng, runs stay in seed order
+    report_c = run_benchmark("end_to_end_factuality", noisy, instances, seeds=[0, 1, 2],
+                             width=3)
+    assert [r.to_row() for r in report_c.runs] == [r.to_row() for r in report_a.runs]
 
     # oracle replay with an identical generator
     accs = []
