@@ -20,7 +20,6 @@ from .backends import (
     ScriptedChatBackend,
     SequenceChatBackend,
     build_backend,
-    load_profiles,
 )
 from .corpus import (
     DEFAULT_STRIDE,
@@ -82,7 +81,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BackendProfile", "HashedBowEmbedder", "RuleNliBackend", "ScriptedChatBackend",
-    "SequenceChatBackend", "build_backend", "load_profiles",
+    "SequenceChatBackend", "build_backend",
     "DEFAULT_STRIDE", "DEFAULT_WINDOW", "Page", "Passage", "page_passages",
     "sample_passage", "split_sentences", "window_passages",
     "NliTriplet", "RetrieverPair", "Task1Instance", "Task2Instance",

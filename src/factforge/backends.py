@@ -1,7 +1,7 @@
 """Model inference backends: chat completion, text embedding, and NLI scoring.
 
-Every call is identified by a fingerprint (hash of the canonicalized
-request), which keys scripted mock replay and is attached to backend
+Every call is identified by a fingerprint (a hash of its kind and wire
+body), which keys scripted mock replay and is attached to backend
 errors. HTTP transports speak the common chat-completions / embeddings
 wire shapes and retry transient failures with exponential backoff.
 Deterministic mocks make the whole pipeline runnable offline.
@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import logging
+import os
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -87,45 +88,23 @@ class BackendProfile:
         return cls(name=name, **dict(row))
 
 
-def load_profiles(path: str | Path) -> dict[str, BackendProfile]:
-    """Read a JSON config file mapping profile names to profile settings."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    table = raw.get("profiles", raw) if isinstance(raw, dict) else None
-    if not isinstance(table, dict):
-        raise ValueError("config must be a JSON object with a 'profiles' table")
-    return {name: BackendProfile.from_dict(name, row) for name, row in table.items()}
-
-
 def request_fingerprint(payload: Mapping[str, Any]) -> str:
     """Stable 16-hex-digit hash of a canonicalized request payload."""
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def chat_fingerprint(profile: BackendProfile, messages: Sequence[Mapping[str, str]]) -> str:
-    return request_fingerprint({
-        "kind": KIND_CHAT,
+def _chat_body(profile: BackendProfile, messages: Sequence[Mapping[str, str]]) -> dict:
+    return {
         "model": profile.model,
-        "temperature": profile.temperature,
         "messages": list(messages),
-    })
+        "temperature": profile.temperature,
+    }
 
 
-def embedding_fingerprint(profile: BackendProfile, texts: Sequence[str]) -> str:
-    return request_fingerprint({
-        "kind": KIND_EMBEDDING,
-        "model": profile.model,
-        "texts": list(texts),
-    })
-
-
-def nli_fingerprint(profile: BackendProfile, premise: str, hypothesis: str) -> str:
-    return request_fingerprint({
-        "kind": KIND_NLI,
-        "model": profile.model,
-        "premise": premise,
-        "hypothesis": hypothesis,
-    })
+def chat_fingerprint(profile: BackendProfile, messages: Sequence[Mapping[str, str]]) -> str:
+    """The fingerprint a chat call to `profile` carries, over HTTP or from a mock."""
+    return request_fingerprint({"kind": KIND_CHAT, **_chat_body(profile, messages)})
 
 
 # --- bounded fan-out ---------------------------------------------------------
@@ -176,7 +155,11 @@ def fan_out(fn: Callable[[T], R], items: Iterable[T], width: int) -> list[R]:
 
 
 class _HttpBase:
-    """Shared HTTP client: at most `max_in_flight` requests run at once."""
+    """Shared HTTP client: at most `max_in_flight` requests run at once.
+
+    Each subclass names its backend `kind` and URL `path`, builds the wire
+    body and decodes the reply in `_decode(reply, body)`.
+    """
 
     def __init__(self, profile: BackendProfile):
         self.profile = profile
@@ -184,8 +167,6 @@ class _HttpBase:
         self._gate = threading.BoundedSemaphore(profile.max_in_flight)
 
     def _headers(self) -> dict[str, str]:
-        import os
-
         headers = {"Content-Type": "application/json"}
         if self.profile.auth_env:
             key = os.environ.get(self.profile.auth_env)
@@ -196,11 +177,27 @@ class _HttpBase:
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def _post(self, path: str, payload: Mapping[str, Any], fingerprint: str) -> Any:
+    def _call(self, body: dict[str, Any]):
+        """Send one request and decode its reply. The fingerprint is the hash
+        of kind + wire body; every failure is a BackendError carrying it."""
+        fp = request_fingerprint({"kind": self.kind, **body})
+        with self._gate:
+            reply = self._post(body, fp)
+        try:
+            return self._decode(reply, body)
+        except BackendError as exc:
+            exc.fingerprint = fp
+            raise
+        except (LookupError, TypeError, AttributeError, ValueError) as exc:
+            raise MalformedResponse(
+                f"{self.path}: unexpected reply shape: {type(exc).__name__}: {exc}", fp
+            ) from exc
+
+    def _post(self, payload: Mapping[str, Any], fingerprint: str) -> Any:
         """POST with up to MAX_RETRIES retries on transient failures."""
         import requests
 
-        url = self.profile.endpoint.rstrip("/") + path
+        url = self.profile.endpoint.rstrip("/") + self.path
         headers = self._headers()
         last: BackendError | None = None
         for attempt in range(MAX_RETRIES + 1):
@@ -238,64 +235,54 @@ class _HttpBase:
 
 
 class HttpChatBackend(_HttpBase):
+    kind, path = KIND_CHAT, "/chat/completions"
+
     def complete(self, messages: Sequence[Mapping[str, str]]) -> str:
-        fp = chat_fingerprint(self.profile, messages)
-        payload = {
-            "model": self.profile.model,
-            "messages": list(messages),
-            "temperature": self.profile.temperature,
-        }
-        with self._gate:
-            body = self._post("/chat/completions", payload, fp)
-        try:
-            content = body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
-            raise MalformedResponse("chat response missing choices[0].message.content", fp)
+        return self._call(_chat_body(self.profile, messages))
+
+    @staticmethod
+    def _decode(reply: Any, body: Mapping[str, Any]) -> str:
+        content = reply["choices"][0]["message"]["content"]
         if not isinstance(content, str):
-            raise MalformedResponse("chat content is not a string", fp)
+            raise MalformedResponse("chat content is not a string")
         return content
 
 
 class HttpEmbeddingBackend(_HttpBase):
+    kind, path = KIND_EMBEDDING, "/embeddings"
+
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        fp = embedding_fingerprint(self.profile, texts)
-        payload = {"model": self.profile.model, "input": list(texts)}
-        with self._gate:
-            body = self._post("/embeddings", payload, fp)
-        try:
-            rows = body["data"]
-            rows = sorted(rows, key=lambda r: r.get("index", 0))
-            vecs = [np.asarray(r["embedding"], dtype=np.float64) for r in rows]
-        except (KeyError, TypeError, ValueError):
-            raise MalformedResponse("embedding response missing data[].embedding", fp)
-        if len(vecs) != len(texts):
+        return self._call({"model": self.profile.model, "input": list(texts)})
+
+    @staticmethod
+    def _decode(reply: Any, body: Mapping[str, Any]) -> list[np.ndarray]:
+        rows = sorted(reply["data"], key=lambda r: r.get("index", 0))
+        vecs = [np.asarray(r["embedding"], dtype=np.float64) for r in rows]
+        if any(v.ndim != 1 for v in vecs):
+            raise MalformedResponse("an embedding is not a flat list of numbers")
+        if len(vecs) != len(body["input"]):
             raise MalformedResponse(
-                f"asked for {len(texts)} embeddings, got {len(vecs)}", fp
+                f"asked for {len(body['input'])} embeddings, got {len(vecs)}"
             )
         return vecs
 
 
 class HttpNliBackend(_HttpBase):
+    kind, path = KIND_NLI, "/nli"
+
     def classify(self, premise: str, hypothesis: str) -> NliDistribution:
-        fp = nli_fingerprint(self.profile, premise, hypothesis)
-        payload = {
-            "model": self.profile.model,
-            "premise": premise,
-            "hypothesis": hypothesis,
-        }
-        with self._gate:
-            body = self._post("/nli", payload, fp)
+        return self._call(
+            {"model": self.profile.model, "premise": premise, "hypothesis": hypothesis}
+        )
+
+    @staticmethod
+    def _decode(reply: Any, body: Mapping[str, Any]) -> NliDistribution:
         try:
-            dist = NliDistribution(
-                p_ent=float(body["entailment"]),
-                p_neut=float(body["neutral"]),
-                p_contr=float(body["contradiction"]),
+            return NliDistribution(
+                *(float(reply[label]) for label in ("entailment", "neutral", "contradiction"))
             )
-        except (KeyError, TypeError) as exc:
-            raise MalformedResponse(f"NLI response missing label fields: {exc}", fp)
         except ValueError as exc:
-            raise InvalidDistribution(str(exc), fp)
-        return dist
+            raise InvalidDistribution(str(exc))
 
 
 # --- mocks -------------------------------------------------------------------
@@ -453,6 +440,8 @@ def build_backend(profile: BackendProfile, base_dir: str | Path | None = None):
     mock = opts.get("mock", "")
     if profile.kind == KIND_CHAT:
         if mock == "script":
+            if "script" not in opts:
+                raise ValueError(f"profile {profile.name!r}: the script mock needs 'script'")
             script = Path(opts["script"])
             if base_dir is not None and not script.is_absolute():
                 script = Path(base_dir) / script

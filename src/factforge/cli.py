@@ -10,9 +10,11 @@ One executable with subcommands covering the whole pipeline:
     eval      task instances -> benchmark report (chat judge)
 
 Every subcommand accepts --config (JSON file with backend profiles and
-defaults), --seed, and --dry-run (print the resolved plan, touch nothing).
-Flags beat config values, which beat built-in defaults. Logs go to stderr;
-data goes to files. Exit codes: 0 success, 1 domain error, 2 usage error.
+defaults) and --dry-run (print every settled argument as a JSON plan,
+touch nothing); ingest, derive and eval also take --seed. Each setting is
+settled once, before the subcommand runs: the flag wins, then the config
+value, then the built-in default. Logs go to stderr; data goes to files.
+Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ log = logging.getLogger("factforge")
 
 DEFAULT_MAX_RETRIES = 2
 DEFAULT_SEEDS = 5
+DEFAULT_TOP_K = 30
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,15 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise FactforgeError("config file must hold a JSON object")
         profile_rows = raw.get("profiles", {})
-        profiles = {
-            name: be.BackendProfile.from_dict(name, row)
-            for name, row in profile_rows.items()
-        }
+        if not isinstance(profile_rows, dict):
+            raise FactforgeError("config 'profiles' must map profile names to settings")
+        try:
+            profiles = {
+                name: be.BackendProfile.from_dict(name, row)
+                for name, row in profile_rows.items()
+            }
+        except (TypeError, ValueError) as exc:
+            raise FactforgeError(f"{path}: {exc}") from exc
         defaults = {k: v for k, v in raw.items() if k != "profiles"}
         return cls(profiles=profiles, defaults=defaults, base_dir=Path(path).parent)
 
@@ -73,57 +81,63 @@ class RunConfig:
             raise FactforgeError(
                 f"profile {name!r} has kind {profile.kind!r}, expected {kind!r}"
             )
-        return be.build_backend(profile, base_dir=self.base_dir)
+        try:
+            return be.build_backend(profile, base_dir=self.base_dir)
+        except ValueError as exc:
+            raise FactforgeError(str(exc)) from exc
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    if args.config:
-        return RunConfig.load(args.config)
-    return RunConfig()
+# The settings of each subcommand, as (attribute, config key, default, type).
+# A flag of that attribute wins, then the config value, then the default.
+SETTINGS: dict[str, tuple[tuple[str, str, Any, type], ...]] = {
+    "ingest": (
+        ("window", "window", corpus.DEFAULT_WINDOW, int),
+        ("stride", "stride", corpus.DEFAULT_STRIDE, int),
+        ("seed", "seed", 0, int),
+    ),
+    "generate": (("max_retries", "max_retries", DEFAULT_MAX_RETRIES, int),),
+    "derive": (("ratio", "ratio", dataset.SPLIT_RATIO, float), ("seed", "seed", 0, int)),
+    "index": (),
+    "verify": (("k", "top_k", DEFAULT_TOP_K, int),),
+    "eval": (
+        ("seeds", "seeds", DEFAULT_SEEDS, int),
+        ("seed", "seed", 0, int),
+        ("top_k", "top_k", DEFAULT_TOP_K, int),
+        ("token_budget", "token_budget", None, int),
+        ("evidence_separator", "evidence_separator",
+         evalharness.DEFAULT_EVIDENCE_SEPARATOR, str),
+    ),
+}
 
 
-def _resolve(flag_value, config: RunConfig, key: str, fallback):
-    if flag_value is not None:
-        return flag_value
-    if key in config.defaults:
-        return config.defaults[key]
-    return fallback
-
-
-def _emit_plan(command: str, plan: dict[str, Any]) -> int:
-    print(dumps_canonical({"command": command, "plan": plan}))
-    return 0
+def _settle(args: argparse.Namespace, config: RunConfig) -> None:
+    for attr, key, default, kind in SETTINGS[args.command]:
+        value = getattr(args, attr, None)
+        if value is None:
+            value = config.defaults.get(key, default)
+        if value is not None:
+            try:
+                value = kind(value)
+            except (TypeError, ValueError) as exc:
+                raise FactforgeError(f"config value {key!r}: {exc}") from exc
+        setattr(args, attr, value)
 
 
 # --- subcommand implementations --------------------------------------------------
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    window = int(_resolve(args.window, config, "window", corpus.DEFAULT_WINDOW))
-    stride = int(_resolve(args.stride, config, "stride", corpus.DEFAULT_STRIDE))
-    seed = int(_resolve(args.seed, config, "seed", 0))
-    plan = {
-        "pages": args.pages,
-        "out": args.out,
-        "window": window,
-        "stride": stride,
-        "sample_per_page": bool(args.sample_per_page),
-        "seed": seed,
-    }
-    if args.dry_run:
-        return _emit_plan("ingest", plan)
+def _cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
     pages = corpus.read_pages(args.pages)
     passages = []
     skipped = 0
     for page in pages:
         if args.sample_per_page:
             try:
-                passages.append(corpus.sample_passage(page, seed, window, stride))
+                passages.append(corpus.sample_passage(page, args.seed, args.window, args.stride))
             except FactforgeError:
                 skipped += 1
         else:
-            passages.extend(corpus.page_passages(page, window, stride))
+            passages.extend(corpus.page_passages(page, args.window, args.stride))
     count = corpus.write_passages(args.out, passages)
     log.info(
         "ingested %d pages into %d passages (%d skipped) -> %s",
@@ -132,19 +146,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    max_retries = int(
-        _resolve(args.max_retries, config, "max_retries", DEFAULT_MAX_RETRIES)
-    )
-    plan = {
-        "passages": args.passages,
-        "backend": args.backend,
-        "max_retries": max_retries,
-        "out": args.out,
-    }
-    if args.dry_run:
-        return _emit_plan("generate", plan)
+def _cmd_generate(args: argparse.Namespace, config: RunConfig) -> int:
     chat = config.backend(args.backend, be.KIND_CHAT)
     passages = corpus.read_passages(args.passages)
     if not passages:
@@ -152,7 +154,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
     def attempt(passage):
         try:
-            return synthgen.generate_record(passage, chat, max_retries)
+            return synthgen.generate_record(passage, chat, args.max_retries)
         except FactforgeError as exc:
             return exc
 
@@ -174,29 +176,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _split_for_derive(records, args: argparse.Namespace, config: RunConfig):
-    if not args.split:
-        return records
-    ratio = float(_resolve(args.ratio, config, "ratio", dataset.SPLIT_RATIO))
-    seed = int(_resolve(args.seed, config, "seed", 0))
-    train, val = dataset.split_train_val(records, ratio, seed)
-    return train if args.split == "train" else val
-
-
-def _cmd_derive(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    plan = {
-        "records": args.records,
-        "what": args.what,
-        "out": args.out,
-        "split": args.split,
-        "passages": args.passages,
-        "nli_backend": args.nli_backend,
-    }
-    if args.dry_run:
-        return _emit_plan("derive", plan)
+def _cmd_derive(args: argparse.Namespace, config: RunConfig) -> int:
     records = synthgen.read_records(args.records)
-    records = _split_for_derive(records, args, config)
+    if args.split:
+        train, val = dataset.split_train_val(records, args.ratio, args.seed)
+        records = train if args.split == "train" else val
     valid = [r for r in records if r.validation.ok]
     if len(valid) < len(records):
         log.info("skipping %d records with hard validation failures", len(records) - len(valid))
@@ -254,11 +238,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_index(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    plan = {"passages": args.passages, "backend": args.backend, "out": args.out}
-    if args.dry_run:
-        return _emit_plan("index", plan)
+def _cmd_index(args: argparse.Namespace, config: RunConfig) -> int:
     embedder = config.backend(args.backend, be.KIND_EMBEDDING)
     passages = corpus.read_passages(args.passages)
     index = index_build(passages, embedder)
@@ -287,18 +267,7 @@ def _parse_backend_spec(spec: str) -> dict[str, str]:
     return roles
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    k = int(_resolve(args.k, config, "top_k", 30))
-    plan = {
-        "text": args.text,
-        "index": args.index,
-        "backends": args.backends,
-        "k": k,
-        "trace": args.trace,
-    }
-    if args.dry_run:
-        return _emit_plan("verify", plan)
+def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     roles = _parse_backend_spec(args.backends)
     extractor = ChatClaimExtractor(config.backend(roles["extractor"], be.KIND_CHAT))
     embedder = config.backend(roles["embedder"], be.KIND_EMBEDDING)
@@ -312,9 +281,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not text.strip():
         raise FactforgeError("no text to verify")
 
-    verdict = verify_text(text, extractor, index, embedder, nli, k)
+    verdict = verify_text(text, extractor, index, embedder, nli, args.k)
     rows: list[dict[str, Any]] = [
-        {"schema": "verification_trace", "version": 1, "k": k}
+        {"schema": "verification_trace", "version": 1, "k": args.k}
     ]
     for trace in verdict.claim_traces:
         rows.append({
@@ -407,29 +376,7 @@ def _build_judge_system(
     return system
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    n_seeds = int(_resolve(args.seeds, config, "seeds", DEFAULT_SEEDS))
-    seed_base = int(_resolve(args.seed, config, "seed", 0))
-    k = int(_resolve(None, config, "top_k", 30))
-    token_budget = _resolve(args.token_budget, config, "token_budget", None)
-    separator = _resolve(None, config, "evidence_separator", evalharness.DEFAULT_EVIDENCE_SEPARATOR)
-    plan = {
-        "task": args.task,
-        "mode": args.mode,
-        "instances": args.instances,
-        "backend": args.backend,
-        "seeds": n_seeds,
-        "seed": seed_base,
-        "report": args.report,
-        "few_shot": args.few_shot,
-        "index": args.index,
-        "embed_backend": args.embed_backend,
-        "token_budget": token_budget,
-    }
-    if args.dry_run:
-        return _emit_plan("eval", plan)
-
+def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     instances = _load_instances(args.instances, args.task)
     if not instances:
         raise FactforgeError(f"no instances found in {args.instances}")
@@ -437,8 +384,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     spec = evalharness.PromptSpec(
         mode=args.mode,
         few_shot_examples=_load_few_shot(args.few_shot),
-        token_budget=int(token_budget) if token_budget is not None else None,
-        evidence_separator=separator,
+        token_budget=args.token_budget,
+        evidence_separator=args.evidence_separator,
         system_slot=not args.no_system_slot,
     )
     index = PassageIndex.load(args.index) if args.index else None
@@ -455,9 +402,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     task_name = (
         evalharness.TASK_END_TO_END if args.task == "1" else evalharness.TASK_CLAIM_VERIFICATION
     )
-    system = _build_judge_system(chat, spec, args.task, instances, index, embedder, k)
+    system = _build_judge_system(chat, spec, args.task, instances, index, embedder, args.top_k)
     report = evalharness.run_benchmark(
-        task_name, system, instances, [seed_base + i for i in range(n_seeds)],
+        task_name, system, instances, [args.seed + i for i in range(args.seeds)],
         width=be.fan_width(chat),
     )
     Path(args.report).write_text(
@@ -466,7 +413,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     )
     log.info(
         "balanced accuracy %.4f +/- %.4f over %d seeds -> %s",
-        report.balanced_accuracy, report.balanced_accuracy_std, n_seeds, args.report,
+        report.balanced_accuracy, report.balanced_accuracy_std, args.seeds, args.report,
     )
     return 0
 
@@ -477,11 +424,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file with backend profiles and defaults")
-    common.add_argument("--seed", type=int, default=None, help="base random seed")
     common.add_argument(
         "--dry-run", action="store_true",
-        help="print the resolved plan as JSON and do nothing",
+        help="print every settled argument as a JSON plan and do nothing",
     )
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None, help="base random seed")
 
     parser = argparse.ArgumentParser(
         prog="factforge",
@@ -490,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[common], help="split pages into passage windows")
+    p = sub.add_parser("ingest", parents=[seeded], help="split pages into passage windows")
     p.add_argument("--pages", required=True, help="page record file or directory")
     p.add_argument("--out", required=True, help="output passage file")
     p.add_argument("--window", type=int, default=None, help="sentences per passage")
@@ -508,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("derive", parents=[common], help="derive training data or task instances")
+    p = sub.add_parser("derive", parents=[seeded], help="derive training data or task instances")
     p.add_argument("--records", required=True)
     p.add_argument("--what", required=True, choices=["retriever", "nli", "task1", "task2"])
     p.add_argument("--out", required=True)
@@ -538,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True, help="output trace file")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("eval", parents=[common], help="run an LLM judge over task instances")
+    p = sub.add_parser("eval", parents=[seeded], help="run an LLM judge over task instances")
     p.add_argument("--task", required=True, choices=["1", "2"])
     p.add_argument("--mode", required=True, choices=list(evalharness.MODES))
     p.add_argument("--instances", required=True)
@@ -557,14 +505,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except FactforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+        config = RunConfig.load(args.config) if args.config else RunConfig()
+        _settle(args, config)
+        if args.dry_run:
+            plan = {k: v for k, v in vars(args).items() if k not in ("command", "func", "dry_run")}
+            print(dumps_canonical({"command": args.command, "plan": plan}))
+            return 0
+        return args.func(args, config)
+    except (FactforgeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,17 +27,15 @@ from factforge.backends import (
     VerdictRuleChatBackend,
     build_backend,
     chat_fingerprint,
-    embedding_fingerprint,
     fan_out,
     fan_width,
-    load_profiles,
-    nli_fingerprint,
     request_fingerprint,
 )
 from factforge.errors import (
     AuthFailure,
     BackendError,
     BackendTimeout,
+    FactforgeError,
     InvalidDistribution,
     MalformedResponse,
     RateLimited,
@@ -91,7 +89,7 @@ def test_load_profiles(tmp_path):
     }
     path = tmp_path / "backends.json"
     path.write_text(json.dumps(config))
-    profiles = load_profiles(path)
+    profiles = cli.RunConfig.load(path).profiles
     assert set(profiles) == {"judge", "embed"}
     assert profiles["judge"].model == "m"
     assert profiles["embed"].transport == "mock"
@@ -102,8 +100,10 @@ def test_profiles_never_hold_keys(tmp_path):
     config = {"profiles": {"judge": {"kind": "chat", "api_key": "sk-123"}}}
     path = tmp_path / "backends.json"
     path.write_text(json.dumps(config))
-    with pytest.raises(ValueError):
-        load_profiles(path)
+    with pytest.raises(FactforgeError) as exc:
+        cli.RunConfig.load(path)
+    assert "api_key" in str(exc.value)
+    assert "sk-123" not in str(exc.value)
 
 
 # --- fingerprints ------------------------------------------------------------
@@ -132,10 +132,19 @@ def test_chat_fingerprint_sensitivity():
     assert base != chat_fingerprint(warm, msgs)
 
 
-def test_kind_separation():
-    profile = BackendProfile(name="m", kind="embedding", transport="mock")
-    nli_profile = BackendProfile(name="m", kind="nli", transport="mock")
-    assert embedding_fingerprint(profile, ["t"]) != nli_fingerprint(nli_profile, "t", "t")
+def test_fingerprints_are_pinned(http_server):
+    # script files key on these values, so they must not drift
+    profile = BackendProfile(name="m", kind="chat", transport="mock", model="judge-1")
+    assert chat_fingerprint(profile, [{"role": "user", "content": "hello"}]) == "059c0f9a12ae3a77"
+    endpoint, _ = http_server([(200, b"not json")])
+    chat = HttpChatBackend(_http_profile(endpoint, model="judge-1"))
+    nli = HttpNliBackend(_http_profile(endpoint, kind="nli", model="nli-1"))
+    with pytest.raises(MalformedResponse) as info:
+        chat.complete([{"role": "user", "content": "hello"}])
+    assert info.value.fingerprint == "059c0f9a12ae3a77"
+    with pytest.raises(MalformedResponse) as info:
+        nli.classify("premise text", "hypothesis text")
+    assert info.value.fingerprint == "1d56b550aca870c4"
 
 
 # --- scripted chat mock ---------------------------------------------------------
@@ -554,6 +563,47 @@ def test_http_nli_invalid_distribution(http_server):
     nli = HttpNliBackend(_http_profile(endpoint, kind="nli"))
     with pytest.raises(InvalidDistribution):
         nli.classify("p", "h")
+
+
+def _failing_call(endpoint, kind):
+    """Make one `kind` call on "t" that fails; return its error's fingerprint."""
+    backend = build_backend(_http_profile(endpoint, kind=kind, model="m"))
+    call = {"chat": lambda: backend.complete([{"role": "user", "content": "t"}]),
+            "embedding": lambda: backend.embed(["t"]),
+            "nli": lambda: backend.classify("t", "t")}[kind]
+    with pytest.raises(BackendError) as info:
+        call()
+    return info.value.fingerprint
+
+
+def test_kind_separation(http_server):
+    endpoint, _ = http_server([(200, b"not json")])
+    fingerprints = {kind: _failing_call(endpoint, kind) for kind in ("chat", "embedding", "nli")}
+    assert len(set(fingerprints.values())) == 3
+
+
+@pytest.mark.parametrize("kind", ["embedding", "nli"])
+@pytest.mark.parametrize("reply", [(500, {}), (200, {"unexpected": "shape"})])
+def test_http_errors_carry_kind_and_wire_body_fingerprint(http_server, kind, reply):
+    endpoint, recorder = http_server([reply])
+    fingerprint = _failing_call(endpoint, kind)
+    assert recorder.requests
+    for request in recorder.requests:
+        assert fingerprint == request_fingerprint({"kind": kind, **request["body"]})
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"data": [[0.1, 0.2]]},  # rows are not objects
+        {"data": [{"index": 0, "embedding": [[1.0, 2.0]]}]},  # a 2-D embedding
+    ],
+)
+def test_http_malformed_embedding_rows(http_server, body):
+    endpoint, _ = http_server([(200, body)])
+    emb = HttpEmbeddingBackend(_http_profile(endpoint, kind="embedding"))
+    with pytest.raises(MalformedResponse):
+        emb.embed(["a"])
 
 
 def test_http_concurrency_respects_max_in_flight(http_server):

@@ -196,6 +196,63 @@ def test_missing_pages_file_is_domain_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_dry_run_plan_holds_every_settled_argument(ws, capsys):
+    cfg = ws["dir"] / "settled.json"
+    cfg.write_text(json.dumps({"ratio": 0.5, "seed": 7, "top_k": 9,
+                               "evidence_separator": " | "}))
+    assert run(["derive", "--records", "r", "--what", "task1", "--out", "o",
+                "--split", "val", "--config", cfg, "--dry-run"]) == 0
+    plan = json.loads(capsys.readouterr().out)["plan"]
+    assert (plan["ratio"], plan["seed"], plan["split"]) == (0.5, 7, "val")
+    assert run(["eval", "--task", "1", "--mode", "zs", "--instances", "i",
+                "--backend", "judge", "--report", "r", "--config", cfg, "--dry-run"]) == 0
+    plan = json.loads(capsys.readouterr().out)["plan"]
+    assert (plan["top_k"], plan["evidence_separator"], plan["seed"]) == (9, " | ", 7)
+    assert plan["seeds"] == 5 and plan["token_budget"] is None
+
+
+@pytest.mark.parametrize("command", ["generate", "index", "verify"])
+def test_seed_is_offered_only_where_it_changes_the_run(command):
+    args = {
+        "generate": ["--passages", "p", "--backend", "gen", "--out", "o"],
+        "index": ["--passages", "p", "--backend", "embed", "--out", "o"],
+        "verify": ["--text", "t", "--index", "i", "--trace", "o",
+                   "--backends", "extractor=gen,embedder=embed,nli=nli"],
+    }[command]
+    assert run([command, *args, "--dry-run"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run([command, *args, "--seed", 1, "--dry-run"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "change, command",
+    [
+        (lambda c: c["profiles"]["gen"].update(api_key="sk-1"), "generate"),
+        (lambda c: c.update(profiles=[]), "ingest"),
+        (lambda c: c.update(window="abc"), "ingest"),
+        (lambda c: c["profiles"]["gen"]["options"].update(mock="wat"), "generate"),
+        (lambda c: c["profiles"]["gen"]["options"].pop("script"), "generate"),
+    ],
+    ids=["unknown-profile-key", "profiles-not-a-table", "non-numeric-default", "unknown-mock",
+         "script-mock-without-file"],
+)
+def test_config_faults_are_domain_errors(ws, capsys, change, command):
+    config = json.loads(ws["config"].read_text())
+    change(config)
+    cfg = ws["dir"] / "faulty.json"
+    cfg.write_text(json.dumps(config))
+    args = {
+        "generate": ["--passages", ws["pages"], "--backend", "gen"],
+        "ingest": ["--pages", ws["pages"]],
+    }[command]
+    assert run([command, *args, "--out", ws["dir"] / "o.jsonl", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not (ws["dir"] / "o.jsonl").exists()
+
+
 # --- ingest ------------------------------------------------------------------------
 
 
