@@ -32,7 +32,7 @@ from .errors import (
     RateLimited,
     ScriptExhausted,
 )
-from .jsonlio import iter_jsonl
+from .jsonlio import read_records
 from .textnorm import normalize_ws, tokenize
 from .verification import NliDistribution
 
@@ -288,6 +288,14 @@ class HttpNliBackend(_HttpBase):
 # --- mocks -------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ScriptEntry:
+    """One row of a chat script file."""
+
+    fingerprint: str
+    response: str
+
+
 class ScriptedChatBackend:
     """Replays responses keyed by request fingerprint, in order, exhaustibly.
 
@@ -306,12 +314,8 @@ class ScriptedChatBackend:
 
     @classmethod
     def from_file(cls, profile: BackendProfile, path: str | Path) -> "ScriptedChatBackend":
-        entries = [
-            (row["fingerprint"], row["response"])
-            for row in iter_jsonl(path)
-            if "fingerprint" in row
-        ]
-        return cls(profile, entries)
+        entries = read_records(path, ScriptEntry)
+        return cls(profile, ((e.fingerprint, e.response) for e in entries))
 
     def complete(self, messages: Sequence[Mapping[str, str]]) -> str:
         fp = chat_fingerprint(self.profile, messages)

@@ -30,15 +30,21 @@ from typing import Any, Mapping, Sequence
 from . import backends as be
 from . import corpus, dataset, evalharness, synthgen
 from .errors import FactforgeError
-from .jsonlio import dumps_canonical, read_records, write_jsonl
+from .jsonlio import dumps_canonical, read_records, to_row, write_jsonl
 from .retrieval import PassageIndex, index_build
-from .verification import ChatClaimExtractor, verify_text
+from .verification import DEFAULT_TOP_K, ChatClaimExtractor, verify_text
 
 log = logging.getLogger("factforge")
 
-DEFAULT_MAX_RETRIES = 2
 DEFAULT_SEEDS = 5
-DEFAULT_TOP_K = 30
+
+# The header schema of each `derive --what` output file.
+DERIVED_SCHEMAS = {
+    "retriever": "retriever_pairs",
+    "nli": "nli_triplets",
+    "task1": "task1_instances",
+    "task2": "task2_instances",
+}
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,7 @@ SETTINGS: dict[str, tuple[tuple[str, str, Any, type], ...]] = {
         ("stride", "stride", corpus.DEFAULT_STRIDE, int),
         ("seed", "seed", 0, int),
     ),
-    "generate": (("max_retries", "max_retries", DEFAULT_MAX_RETRIES, int),),
+    "generate": (("max_retries", "max_retries", synthgen.DEFAULT_MAX_RETRIES, int),),
     "derive": (("ratio", "ratio", dataset.SPLIT_RATIO, float), ("seed", "seed", 0, int)),
     "index": (),
     "verify": (("k", "top_k", DEFAULT_TOP_K, int),),
@@ -185,11 +191,10 @@ def _cmd_derive(args: argparse.Namespace, config: RunConfig) -> int:
     if len(valid) < len(records):
         log.info("skipping %d records with hard validation failures", len(records) - len(valid))
 
-    rows: list[dict[str, Any]]
+    header: dict[str, Any] = {"schema": DERIVED_SCHEMAS[args.what], "version": 1}
+    items: list[Any]
     if args.what == "retriever":
-        pairs = [p for r in valid for p in dataset.derive_retriever_pairs(r)]
-        rows = [{"schema": "retriever_pairs", "version": 1, "count": len(pairs)}]
-        rows.extend(p.to_row() for p in pairs)
+        items = [p for r in valid for p in dataset.derive_retriever_pairs(r)]
     elif args.what == "nli":
         mine_neutrals = bool(args.passages and args.nli_backend)
         neutrals: list[list[str] | None] = [None] * len(valid)
@@ -214,26 +219,17 @@ def _cmd_derive(args: argparse.Namespace, config: RunConfig) -> int:
             )
             for (j, _, _), text in zip(jobs, mined):
                 neutrals[j].append(text)
-        triplets = []
+        items = []
         for record, record_neutrals in zip(valid, neutrals):
-            triplets.extend(dataset.derive_nli_triplets(record, record_neutrals))
-        rows = [{
-            "schema": "nli_triplets",
-            "version": 1,
-            "count": len(triplets),
-            "neutrals_mined": mine_neutrals,
-        }]
-        rows.extend(t.to_row() for t in triplets)
+            items.extend(dataset.derive_nli_triplets(record, record_neutrals))
+        header["neutrals_mined"] = mine_neutrals
     elif args.what == "task1":
-        instances = dataset.build_task1(valid)
-        rows = [{"schema": "task1_instances", "version": 1, "count": len(instances)}]
-        rows.extend(i.to_row() for i in instances)
+        items = dataset.build_task1(valid)
     else:
-        instances2 = dataset.build_task2(valid)
-        rows = [{"schema": "task2_instances", "version": 1, "count": len(instances2)}]
-        rows.extend(i.to_row() for i in instances2)
+        items = dataset.build_task2(valid)
+    header["count"] = len(items)
 
-    n = write_jsonl(args.out, rows) - 1
+    n = write_jsonl(args.out, [header, *map(to_row, items)]) - 1
     log.info("derived %d %s rows -> %s", n, args.what, args.out)
     return 0
 
@@ -282,18 +278,11 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
         raise FactforgeError("no text to verify")
 
     verdict = verify_text(text, extractor, index, embedder, nli, args.k)
-    rows: list[dict[str, Any]] = [
-        {"schema": "verification_trace", "version": 1, "k": args.k}
-    ]
-    for trace in verdict.claim_traces:
-        rows.append({
-            "claim": trace.claim,
-            "decision": trace.decision,
-            "deciding_passage_id": trace.deciding_passage_id,
-            "rank_examined": trace.rank_examined,
-        })
-    rows.append({"factual": verdict.factual})
-    write_jsonl(args.trace, rows)
+    write_jsonl(args.trace, [
+        {"schema": "verification_trace", "version": 1, "k": args.k},
+        *map(to_row, verdict.claim_traces),
+        {"factual": verdict.factual},
+    ])
     log.info(
         "verdict: %s (%d claims) -> %s",
         "factual" if verdict.factual else "not factual",
@@ -303,31 +292,23 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class FewShotExample:
+    """One row of a few-shot example file; task-1 instance rows fit it."""
+
+    text: str
+    label: bool
+
+
 def _load_few_shot(path: str | None) -> tuple[tuple[str, bool], ...]:
     if not path:
         return ()
-    from .jsonlio import iter_jsonl
-
-    examples = [
-        (row["text"], bool(row["label"]))
-        for row in iter_jsonl(path)
-        if "text" in row
-    ]
-    return tuple(examples)
+    return tuple((ex.text, bool(ex.label)) for ex in read_records(path, FewShotExample))
 
 
 def _load_instances(path: str, task: str):
-    if task == "1":
-        return [
-            dataset.Task1Instance.from_row(row)
-            for row in read_records(path)
-            if "text" in row
-        ]
-    return [
-        dataset.Task2Instance.from_row(row)
-        for row in read_records(path)
-        if "claim" in row
-    ]
+    cls = dataset.Task1Instance if task == "1" else dataset.Task2Instance
+    return read_records(path, cls, DERIVED_SCHEMAS[f"task{task}"])
 
 
 def _build_judge_system(
@@ -408,7 +389,7 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         width=be.fan_width(chat),
     )
     Path(args.report).write_text(
-        json.dumps(report.to_row(), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+        json.dumps(to_row(report), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
     log.info(
@@ -526,3 +507,7 @@ def entrypoint() -> None:
         format="%(levelname)s %(name)s: %(message)s",
     )
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

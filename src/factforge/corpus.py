@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DuplicatePageId, EmptyPageError
-from .jsonlio import iter_jsonl, write_jsonl
+from .errors import DuplicatePageId, EmptyPageError, MalformedRecord
+from .jsonlio import from_row, iter_jsonl, read_records, to_row, write_jsonl
 from .textnorm import normalize_ws
 
 log = logging.getLogger(__name__)
@@ -42,12 +42,11 @@ class Page:
     page_id: str
     title: str
     text: str
-    popularity_rank: int | None = None
 
     def __post_init__(self) -> None:
         if not self.page_id:
             raise ValueError("page_id must be non-empty")
-        if not self.text.strip():
+        if not isinstance(self.text, str) or not self.text.strip():
             raise ValueError(f"page {self.page_id!r} has empty text")
 
 
@@ -64,23 +63,6 @@ class Passage:
     def text(self) -> str:
         """Sentences joined with single spaces."""
         return " ".join(self.sentences)
-
-    def to_row(self) -> dict:
-        return {
-            "passage_id": self.passage_id,
-            "page_id": self.page_id,
-            "start": self.start,
-            "sentences": list(self.sentences),
-        }
-
-    @classmethod
-    def from_row(cls, row: dict) -> "Passage":
-        return cls(
-            passage_id=row["passage_id"],
-            page_id=row["page_id"],
-            start=int(row["start"]),
-            sentences=tuple(row["sentences"]),
-        )
 
 
 def passage_id_for(page_id: str, start: int) -> str:
@@ -189,21 +171,11 @@ def sample_passage(
 # --- page and passage file I/O -------------------------------------------------
 
 
-def _page_from_row(row: dict) -> Page:
-    rank = row.get("popularity_rank")
-    return Page(
-        page_id=str(row["page_id"]),
-        title=str(row.get("title", "")),
-        text=str(row["text"]),
-        popularity_rank=int(rank) if rank is not None else None,
-    )
-
-
 def read_pages(path: str | Path) -> list[Page]:
     """Load pages from a record file or a directory of single-record files.
 
-    Records with empty text are skipped with a warning; duplicate page ids
-    are an error.
+    Records without a page id or text are skipped with a warning; a missing
+    title reads as empty; duplicate page ids are an error.
     """
     import json
 
@@ -221,11 +193,13 @@ def read_pages(path: str | Path) -> list[Page]:
     pages: list[Page] = []
     seen: set[str] = set()
     for row in rows:
-        if "schema" in row and "page_id" not in row:
-            continue
+        if isinstance(row, dict):
+            if "schema" in row and "page_id" not in row:
+                continue  # a header row
+            row = {"title": "", **row}
         try:
-            page = _page_from_row(row)
-        except ValueError as exc:
+            page = from_row(Page, row)
+        except (MalformedRecord, ValueError) as exc:
             log.warning("skipping unusable page record: %s", exc)
             continue
         if page.page_id in seen:
@@ -236,8 +210,8 @@ def read_pages(path: str | Path) -> list[Page]:
 
 
 def write_passages(path: str | Path, passages: Iterable[Passage]) -> int:
-    return write_jsonl(path, (p.to_row() for p in passages))
+    return write_jsonl(path, map(to_row, passages))
 
 
 def read_passages(path: str | Path) -> list[Passage]:
-    return [Passage.from_row(row) for row in iter_jsonl(path) if "passage_id" in row]
+    return read_records(path, Passage)

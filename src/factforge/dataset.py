@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import Passage
-from .errors import NoCandidatePassages, NotEnoughRecords
+from .errors import InvalidRecord, NoCandidatePassages, NotEnoughRecords
 from .synthgen import ResourceRecord
 from .verification import NliBackend, NliLabel
 
@@ -46,27 +46,12 @@ class RetrieverPair:
     record_id: str
     pairing_kind: str
 
-    def to_row(self) -> dict[str, Any]:
-        return {
-            "claim": self.claim,
-            "passage_text": self.passage_text,
-            "record_id": self.record_id,
-            "pairing_kind": self.pairing_kind,
-        }
-
 
 @dataclass(frozen=True)
 class NliTriplet:
     premise: str
     hypothesis: str
     label: NliLabel
-
-    def to_row(self) -> dict[str, Any]:
-        return {
-            "premise": self.premise,
-            "hypothesis": self.hypothesis,
-            "label": self.label.value,
-        }
 
 
 @dataclass(frozen=True)
@@ -78,18 +63,6 @@ class Task1Instance:
     origin: str  # "factual" or "unfactual"
     record_id: str
 
-    def to_row(self) -> dict[str, Any]:
-        return {
-            "text": self.text,
-            "label": self.label,
-            "origin": self.origin,
-            "record_id": self.record_id,
-        }
-
-    @classmethod
-    def from_row(cls, row: Mapping[str, Any]) -> "Task1Instance":
-        return cls(row["text"], bool(row["label"]), row["origin"], row["record_id"])
-
 
 @dataclass(frozen=True)
 class Task2Instance:
@@ -100,22 +73,10 @@ class Task2Instance:
     label: bool
     record_id: str
 
-    def to_row(self) -> dict[str, Any]:
-        return {
-            "claim": self.claim,
-            "evidence": self.evidence,
-            "label": self.label,
-            "record_id": self.record_id,
-        }
-
-    @classmethod
-    def from_row(cls, row: Mapping[str, Any]) -> "Task2Instance":
-        return cls(row["claim"], row["evidence"], bool(row["label"]), row["record_id"])
-
 
 def _require_valid(record: ResourceRecord) -> None:
     if record.validation.hard_failures:
-        raise ValueError(
+        raise InvalidRecord(
             f"record {record.record_id!r} has hard validation failures: "
             f"{list(record.validation.hard_failures)}"
         )

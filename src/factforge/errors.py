@@ -15,6 +15,10 @@ class DimensionMismatch(FactforgeError):
     """Vector dimensionality disagrees with what the index or batch expects."""
 
 
+class MalformedRecord(FactforgeError):
+    """A row of an artifact file does not fit its record type or schema."""
+
+
 # --- corpus ---------------------------------------------------------------
 
 class EmptyPageError(FactforgeError):
@@ -57,6 +61,10 @@ class ExhaustedRetries(FactforgeError):
 
 
 # --- dataset ---------------------------------------------------------------
+
+class InvalidRecord(FactforgeError):
+    """A record with hard validation failures was given where a valid one is needed."""
+
 
 class NotEnoughRecords(FactforgeError):
     """A split needs at least two records to be meaningful."""

@@ -286,20 +286,6 @@ class SeedRun:
     n_failed: int
     n_unparseable: int
 
-    def to_row(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "balanced_accuracy": self.balanced_accuracy,
-            "recall_true": self.recall_true,
-            "recall_false": self.recall_false,
-            "true_positive": self.true_positive,
-            "false_negative": self.false_negative,
-            "true_negative": self.true_negative,
-            "false_positive": self.false_positive,
-            "n_failed": self.n_failed,
-            "n_unparseable": self.n_unparseable,
-        }
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -309,16 +295,6 @@ class EvalReport:
     balanced_accuracy_std: float
     runs: tuple[SeedRun, ...]
     runtime_seconds: float
-
-    def to_row(self) -> dict[str, Any]:
-        return {
-            "task": self.task,
-            "n_instances": self.n_instances,
-            "balanced_accuracy": self.balanced_accuracy,
-            "balanced_accuracy_std": self.balanced_accuracy_std,
-            "runs": [run.to_row() for run in self.runs],
-            "runtime_seconds": self.runtime_seconds,
-        }
 
 
 def run_benchmark(

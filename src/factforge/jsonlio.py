@@ -1,14 +1,28 @@
-"""Line-delimited JSON reading and writing.
+"""Line-delimited JSON reading and writing, and the one row codec for records.
 
 Rows are serialized with sorted keys and compact separators so that
 identical data always produces identical bytes.
+
+Every artifact row is a frozen dataclass record mapped field by field:
+`to_row` turns nested records into rows, tuples into lists and enums into
+their values; `from_row` reverses that. A record file may start with a
+header row (any object carrying a "schema" key); every other row is one
+record.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import json
+import typing
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, TypeVar
+
+from .errors import MalformedRecord
+
+R = TypeVar("R")
 
 
 def dumps_canonical(row: dict[str, Any]) -> str:
@@ -34,18 +48,123 @@ def iter_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
                 yield json.loads(line)
 
 
-def read_records(path: str | Path, schema: str | None = None) -> list[dict[str, Any]]:
-    """Read a record file, skipping a leading header row if present.
+# --- the row codec ---------------------------------------------------------------
 
-    A header row is any object carrying a "schema" key. When `schema` is
-    given and a header exists, the names must agree.
+Codec = Callable[[Any], Any]
+
+
+def _is_record(hint: Any) -> bool:
+    return isinstance(hint, type) and dataclasses.is_dataclass(hint)
+
+
+def _decode_list(item: Codec | None) -> Codec:
+    def decode(value: Any) -> tuple:
+        if not isinstance(value, list):
+            raise MalformedRecord(f"expected a list, got {type(value).__name__}")
+        return tuple(value) if item is None else tuple(item(v) for v in value)
+    return decode
+
+
+def _decode_enum(cls: type[enum.Enum]) -> Codec:
+    def decode(value: Any) -> enum.Enum:
+        try:
+            return cls(value)
+        except ValueError:
+            raise MalformedRecord(f"{value!r} is not a {cls.__name__}") from None
+    return decode
+
+
+def _codecs(hint: Any) -> tuple[Codec | None, Codec | None]:
+    """(encode, decode) for one field type; None means the value passes as is."""
+    if _is_record(hint):
+        return to_row, functools.partial(from_row, hint)
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return (lambda v: v.value), _decode_enum(hint)
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        if _is_record(item):
+            return (lambda v: [to_row(x) for x in v]), _decode_list(functools.partial(from_row, item))
+        return list, _decode_list(None)
+    return None, None
+
+
+class _Plan(NamedTuple):
+    encoders: tuple[tuple[str, Codec | None], ...]  # every field, in order
+    required: tuple[str, ...]  # fields without a default
+    optional: tuple[str, ...]
+    decoders: tuple[tuple[str, Codec], ...]
+
+
+@functools.cache
+def _plan(cls: type) -> _Plan:
+    """How each field of a record type is written and read, built once per type."""
+    hints = typing.get_type_hints(cls)
+    encoders, required, optional, decoders = [], [], [], []
+    for f in dataclasses.fields(cls):
+        encode, decode = _codecs(hints[f.name])
+        encoders.append((f.name, encode))
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            required.append(f.name)
+        else:
+            optional.append(f.name)
+        if decode is not None:
+            decoders.append((f.name, decode))
+    return _Plan(tuple(encoders), tuple(required), tuple(optional), tuple(decoders))
+
+
+def to_row(record: Any) -> dict[str, Any]:
+    """The row of a record: field name to value."""
+    row = {}
+    for name, encode in _plan(type(record)).encoders:
+        value = getattr(record, name)
+        row[name] = value if encode is None else encode(value)
+    return row
+
+
+def from_row(cls: type[R], row: Any) -> R:
+    """Rebuild a `cls` record from its row.
+
+    A missing field without a default, a tuple field that is not a list
+    and a record field that is not an object are MalformedRecord; absent
+    fields with a default take it; extra keys are ignored.
     """
-    rows = list(iter_jsonl(path))
-    if rows and "schema" in rows[0]:
-        header = rows[0]
-        if schema is not None and header["schema"] != schema:
-            raise ValueError(
-                f"expected schema {schema!r}, file declares {header['schema']!r}"
-            )
-        return rows[1:]
-    return rows
+    if not isinstance(row, dict):
+        raise MalformedRecord(f"expected an object, got {type(row).__name__}")
+    plan = _plan(cls)
+    try:
+        kwargs = {name: row[name] for name in plan.required}
+    except KeyError as exc:
+        raise MalformedRecord(f"missing field {exc.args[0]!r}") from None
+    for name in plan.optional:
+        if name in row:
+            kwargs[name] = row[name]
+    for name, decode in plan.decoders:
+        if name in kwargs:
+            try:
+                kwargs[name] = decode(kwargs[name])
+            except MalformedRecord as exc:
+                raise MalformedRecord(f"field {name!r}: {exc}") from None
+    return cls(**kwargs)
+
+
+def read_records(path: str | Path, cls: type[R], schema: str | None = None) -> list[R]:
+    """Read a record file of `cls` rows, skipping a leading header row.
+
+    When `schema` is given and the file has a header, the names must agree.
+    A row that does not fit `cls` raises MalformedRecord naming the file,
+    the row number (the header is row 1) and the field.
+    """
+    records: list[R] = []
+    for n, row in enumerate(iter_jsonl(path), 1):
+        if n == 1 and isinstance(row, dict) and "schema" in row:
+            if schema is not None and row["schema"] != schema:
+                raise MalformedRecord(
+                    f"{path}: field 'schema': expected {schema!r}, "
+                    f"file declares {row['schema']!r}"
+                )
+            continue
+        try:
+            records.append(from_row(cls, row))
+        except MalformedRecord as exc:
+            raise MalformedRecord(f"{path} row {n}: {cls.__name__} {exc}") from None
+    return records

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import ast
 import json
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable
 
+from . import jsonlio
 from .corpus import Passage
 from .errors import ExhaustedRetries, MalformedOutput, MissingKey, TypeMismatch
+from .jsonlio import to_row, write_jsonl
 from .textnorm import normalize_for_match, unigram_jaccard
 
 CLAIM_WORD_LIMIT = 15
@@ -39,8 +41,13 @@ WARN_ORIGINAL_FUZZY_MATCH = "original_matched_fuzzily"
 WARN_DUPLICATE_CLAIMS = "duplicate_claims"
 
 
-UNIFIED_PROMPT_INSTRUCTIONS = """\
-Step 1 - Claim extraction: From the input passage, extract a comprehensive set of claims. These claims must be atomic, i.e. semantically-coherent pieces of text that do not require further subdivision, and self-contained, i.e. not requiring additional context to be verified. Note that each claim must be short, using 15 words at most. Do not use "..." to truncate them. The ordering of the extracted claims must follow the logical flow expressed in the original text. Use a noun as the subject in the claim (avoid pronouns). All the claims that are featured in the input text must be reported in the list.
+DEFAULT_MAX_RETRIES = 2
+
+# Step 1 of the generation prompt; claim extraction for verification reuses it.
+CLAIM_EXTRACTION_INSTRUCTIONS = """\
+Step 1 - Claim extraction: From the input passage, extract a comprehensive set of claims. These claims must be atomic, i.e. semantically-coherent pieces of text that do not require further subdivision, and self-contained, i.e. not requiring additional context to be verified. Note that each claim must be short, using 15 words at most. Do not use "..." to truncate them. The ordering of the extracted claims must follow the logical flow expressed in the original text. Use a noun as the subject in the claim (avoid pronouns). All the claims that are featured in the input text must be reported in the list."""
+
+UNIFIED_PROMPT_INSTRUCTIONS = CLAIM_EXTRACTION_INSTRUCTIONS + """
 
 Step 2 - Claim falsification: From the output of Step 1, subtly alter one claim, in order to introduce a critical factual inaccuracy. Such claim must be the most relevant for the input text. It is forbidden to change dates, years, numbers and person/location/organization/etc. names. It is also forbidden to provide naive negative transformations of verbs, e.g., was -> was not, did -> did not. This step, i.e., Step 2, returns a pair containing the altered claim along with the original one.
 
@@ -77,25 +84,6 @@ class StepOutputs:
     def falsified_pair(self) -> tuple[str, str]:
         """(altered claim, original claim)."""
         return (self.altered, self.original)
-
-    def to_row(self) -> dict[str, Any]:
-        return {
-            "claims": list(self.claims),
-            "altered": self.altered,
-            "original": self.original,
-            "factual_text": self.factual_text,
-            "unfactual_text": self.unfactual_text,
-        }
-
-    @classmethod
-    def from_row(cls, row: Mapping[str, Any]) -> "StepOutputs":
-        return cls(
-            claims=tuple(row["claims"]),
-            altered=row["altered"],
-            original=row["original"],
-            factual_text=row["factual_text"],
-            unfactual_text=row["unfactual_text"],
-        )
 
     def to_step_json(self) -> str:
         """Serialize in the step_1..step_4 shape the generation prompt asks for."""
@@ -185,13 +173,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.hard_failures
 
-    def to_row(self) -> dict[str, Any]:
-        return {"hard_failures": list(self.hard_failures), "warnings": list(self.warnings)}
-
-    @classmethod
-    def from_row(cls, row: Mapping[str, Any]) -> "ValidationReport":
-        return cls(tuple(row.get("hard_failures", ())), tuple(row.get("warnings", ())))
-
 
 def validate_record(passage: Passage | str, outputs: StepOutputs) -> ValidationReport:
     """Check step outputs against the structural rules of the synthesis task.
@@ -271,25 +252,6 @@ class ResourceRecord:
                 best_i, best = i, score
         return best_i if best >= FUZZY_MATCH_THRESHOLD else None
 
-    def to_row(self) -> dict[str, Any]:
-        return {
-            "record_id": self.record_id,
-            "passage": self.passage.to_row(),
-            "outputs": self.outputs.to_row(),
-            "validation": self.validation.to_row(),
-            "retries": self.retries,
-        }
-
-    @classmethod
-    def from_row(cls, row: Mapping[str, Any]) -> "ResourceRecord":
-        return cls(
-            record_id=row["record_id"],
-            passage=Passage.from_row(row["passage"]),
-            outputs=StepOutputs.from_row(row["outputs"]),
-            validation=ValidationReport.from_row(row["validation"]),
-            retries=int(row.get("retries", 0)),
-        )
-
 
 RECORDS_SCHEMA = "synthesis_records"
 RECORDS_VERSION = 1
@@ -300,23 +262,17 @@ def records_header() -> dict[str, Any]:
 
 
 def write_records(path, records: Iterable[ResourceRecord]) -> int:
-    from .jsonlio import write_jsonl
-
-    rows: list[dict[str, Any]] = [records_header()]
-    rows.extend(r.to_row() for r in records)
-    return write_jsonl(path, rows) - 1
+    return write_jsonl(path, [records_header(), *map(to_row, records)]) - 1
 
 
 def read_records(path) -> list[ResourceRecord]:
-    from .jsonlio import read_records as read_rows
-
-    return [ResourceRecord.from_row(row) for row in read_rows(path, RECORDS_SCHEMA)]
+    return jsonlio.read_records(path, ResourceRecord, RECORDS_SCHEMA)
 
 
 def generate_record(
     passage: Passage,
     chat,
-    max_retries: int = 2,
+    max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> ResourceRecord:
     """Run the four-step synthesis for one passage.
 

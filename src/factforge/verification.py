@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .errors import UnverifiableText
+from .synthgen import CLAIM_EXTRACTION_INSTRUCTIONS, extract_first_object
 
 DEFAULT_TOP_K = 30
 
@@ -148,17 +149,6 @@ def verify_text(
 
 # --- claim extractors -----------------------------------------------------------
 
-CLAIM_EXTRACTION_INSTRUCTIONS = (
-    "Step 1 - Claim extraction: From the input passage, extract a comprehensive "
-    "set of claims. These claims must be atomic, i.e. semantically-coherent pieces "
-    "of text that do not require further subdivision, and self-contained, i.e. not "
-    "requiring additional context to be verified. Note that each claim must be "
-    "short, using 15 words at most. Do not use \"...\" to truncate them. The "
-    "ordering of the extracted claims must follow the logical flow expressed in "
-    "the original text. Use a noun as the subject in the claim (avoid pronouns). "
-    "All the claims that are featured in the input text must be reported in the list."
-)
-
 _EXTRACTION_OUTPUT_FORMAT = (
     "Output format: Return the output in a JSON with the following format: "
     "{ 'step_1': List[str]}. The output must be a valid JSON, thus try to avoid "
@@ -184,8 +174,6 @@ class ChatClaimExtractor:
         self._chat = chat_backend
 
     def extract_claims(self, text: str) -> list[str]:
-        from .synthgen import extract_first_object
-
         raw = self._chat.complete(
             [{"role": "user", "content": build_claim_extraction_prompt(text)}]
         )

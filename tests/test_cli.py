@@ -10,6 +10,7 @@ import pytest
 from factforge.backends import BackendProfile, chat_fingerprint
 from factforge.cli import main
 from factforge.corpus import Page, Passage, page_passages, sample_passage
+from factforge.jsonlio import to_row
 from factforge.synthgen import build_unified_prompt
 from factforge.verification import build_claim_extraction_prompt
 
@@ -320,7 +321,7 @@ def test_generate_drops_unscripted_passages(pipeline, capsys):
     rows = _rows(pipeline["passages"])
     mixed = d / "mixed.jsonl"
     mixed.write_text(
-        "\n".join(json.dumps(r) for r in rows + [rogue.to_row()]) + "\n"
+        "\n".join(json.dumps(r) for r in rows + [to_row(rogue)]) + "\n"
     )
     out = d / "partial.jsonl"
     code = run(["generate", "--passages", mixed, "--backend", "gen",
@@ -575,3 +576,101 @@ def test_eval_report_is_deterministic_modulo_runtime(pipeline):
     for rep in reports:
         rep.pop("runtime_seconds")
     assert reports[0] == reports[1]
+
+
+# --- malformed artifact files ------------------------------------------------------
+
+
+def _write_rows(path: Path, rows: list[dict]) -> Path:
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return path
+
+
+def _drop(row: dict, key: str) -> dict:
+    return {k: v for k, v in row.items() if k != key}
+
+
+def _bad_passages(p, key, value=None):
+    rows = _rows(p["passages"])
+    rows[1] = _drop(rows[1], key) if value is None else {**rows[1], key: value}
+    return _write_rows(p["dir"] / "bad_passages.jsonl", rows)
+
+
+def _eval_argv(instances, task="1", mode="zs"):
+    return ["eval", "--task", task, "--mode", mode, "--instances", instances,
+            "--backend", "judge", "--seeds", 1, "--report", "r.json"]
+
+
+def _case_index_without_start(p):
+    bad = _bad_passages(p, "start")
+    return ["index", "--passages", bad, "--backend", "embed", "--out", "i.bin"], bad, "start"
+
+
+def _case_index_sentences_not_a_list(p):
+    bad = _bad_passages(p, "sentences", "Abc.")
+    return ["index", "--passages", bad, "--backend", "embed", "--out", "i.bin"], bad, "sentences"
+
+
+def _case_derive_record_without_passage(p):
+    rows = _rows(p["records"])
+    rows[1] = _drop(rows[1], "passage")
+    bad = _write_rows(p["dir"] / "bad_records.jsonl", rows)
+    return ["derive", "--records", bad, "--what", "retriever", "--out", "o.jsonl"], bad, "passage"
+
+
+def _case_derive_from_task1_file(p):
+    task1 = _derive_task(p, "task1")
+    return ["derive", "--records", task1, "--what", "retriever", "--out", "o.jsonl"], task1, "schema"
+
+
+def _case_eval_instance_without_origin(p):
+    rows = _rows(_derive_task(p, "task1"))
+    rows[2] = _drop(rows[2], "origin")
+    bad = _write_rows(p["dir"] / "bad_task1.jsonl", rows)
+    return _eval_argv(bad), bad, "origin"
+
+
+def _case_eval_task1_file_as_task2(p):
+    task1 = _derive_task(p, "task1")
+    return _eval_argv(task1, task="2"), task1, "schema"
+
+
+def _case_eval_few_shot_without_label(p):
+    shots = _write_rows(p["dir"] / "bad_shots.jsonl", [{"text": "An example."}])
+    argv = _eval_argv(_derive_task(p, "task1"), mode="fs") + ["--few-shot", shots]
+    return argv, shots, "label"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _case_index_without_start,
+        _case_index_sentences_not_a_list,
+        _case_derive_record_without_passage,
+        _case_derive_from_task1_file,
+        _case_eval_instance_without_origin,
+        _case_eval_task1_file_as_task2,
+        _case_eval_few_shot_without_label,
+    ],
+    ids=lambda case: case.__name__.removeprefix("_case_"),
+)
+def test_malformed_artifacts_are_domain_errors(pipeline, capsys, monkeypatch, case):
+    monkeypatch.chdir(pipeline["dir"])
+    argv, bad_file, field_name = case(pipeline)
+    capsys.readouterr()
+    assert run(argv + ["--config", pipeline["config"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert bad_file.name in err and repr(field_name) in err
+    assert "Traceback" not in err
+
+
+def test_ingest_skips_page_row_without_text(ws, caplog):
+    rows = _rows(ws["pages"])
+    rows[1] = _drop(rows[1], "text")
+    pages = _write_rows(ws["dir"] / "bad_pages.jsonl", rows)
+    out = ws["dir"] / "out.jsonl"
+    with caplog.at_level("WARNING"):
+        assert run(["ingest", "--pages", pages, "--out", out, "--sample-per-page"]) == 0
+    assert "unusable page record" in caplog.text and "'text'" in caplog.text
+    assert len(_rows(out)) == ws["n_pages"] - 1

@@ -205,8 +205,7 @@ def test_blank_page_rejected_at_construction():
 def test_page_required_fields():
     with pytest.raises(ValueError):
         Page("", "t", "text here")
-    page = Page("p", "t", "text here", popularity_rank=3)
-    assert page.popularity_rank == 3
+    assert Page("p", "t", "text here").title == "t"
 
 
 def test_pages_roundtrip_and_duplicate_detection(tmp_path):
@@ -220,7 +219,6 @@ def test_pages_roundtrip_and_duplicate_detection(tmp_path):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     pages = read_pages(path)
     assert [p.page_id for p in pages] == ["a", "b"]
-    assert pages[1].popularity_rank == 7
 
     path.write_text("\n".join(json.dumps(r) for r in rows + [rows[0]]) + "\n")
     with pytest.raises(DuplicatePageId):

@@ -15,7 +15,8 @@ from factforge.dataset import (
     mine_neutral_passage,
     split_train_val,
 )
-from factforge.errors import NoCandidatePassages, NotEnoughRecords
+from factforge.errors import InvalidRecord, NoCandidatePassages, NotEnoughRecords
+from factforge.jsonlio import to_row
 from factforge.verification import NliLabel
 
 from conftest import synth_nli, synth_passage, synth_record, synth_records
@@ -95,7 +96,7 @@ def test_nli_neutral_length_mismatch_rejected():
 
 def test_nli_triplet_row_uses_label_value():
     t = NliTriplet("p", "h", NliLabel.ENTAILMENT)
-    assert t.to_row()["label"] == NliLabel.ENTAILMENT.value
+    assert to_row(t)["label"] == NliLabel.ENTAILMENT.value
 
 
 # --- neutral mining ------------------------------------------------------------------
@@ -171,6 +172,17 @@ def test_tasks_skip_invalid_records():
     )
     assert len(build_task1([broken, records[1]])) == 2
     assert len(build_task2([broken, records[1]])) == 2
+
+
+@pytest.mark.parametrize("derive", [derive_retriever_pairs, derive_nli_triplets])
+def test_derivations_reject_records_with_hard_failures(derive):
+    from dataclasses import replace
+
+    from factforge.synthgen import ValidationReport
+
+    broken = replace(synth_record(0), validation=ValidationReport(("empty_claims",)))
+    with pytest.raises(InvalidRecord, match="empty_claims"):
+        derive(broken)
 
 
 # --- train/val split -------------------------------------------------------------------

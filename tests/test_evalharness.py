@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from factforge.errors import MetricUndefined, UnparseableVerdict
+from factforge.jsonlio import to_row
 from factforge.evalharness import (
     DEFAULT_EVIDENCE_SEPARATOR,
     EXPLAIN_INSTRUCTIONS,
@@ -462,11 +463,11 @@ def test_run_benchmark_seeded_rng_is_deterministic():
 
     report_a = run_benchmark("end_to_end_factuality", noisy, instances, seeds=[0, 1, 2])
     report_b = run_benchmark("end_to_end_factuality", noisy, instances, seeds=[0, 1, 2])
-    assert [r.to_row() for r in report_a.runs] == [r.to_row() for r in report_b.runs]
+    assert [to_row(r) for r in report_a.runs] == [to_row(r) for r in report_b.runs]
     # seeds run concurrently: each keeps its own rng, runs stay in seed order
     report_c = run_benchmark("end_to_end_factuality", noisy, instances, seeds=[0, 1, 2],
                              width=3)
-    assert [r.to_row() for r in report_c.runs] == [r.to_row() for r in report_a.runs]
+    assert [to_row(r) for r in report_c.runs] == [to_row(r) for r in report_a.runs]
 
     # oracle replay with an identical generator
     accs = []
@@ -525,7 +526,7 @@ def test_report_row_is_json_ready():
     instances = _instances()
     system = _OracleSystem({i.text: i.label for i in instances})
     report = run_benchmark("claim_verification", system, instances, seeds=[3])
-    row = report.to_row()
+    row = to_row(report)
     assert row["task"] == "claim_verification"
     assert row["n_instances"] == 6
     assert isinstance(row["runs"], list)

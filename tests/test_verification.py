@@ -221,6 +221,22 @@ def test_extraction_prompt_shape():
     assert "'step_1': List[str]" in prompt
 
 
+def test_prompt_bytes_are_pinned():
+    import hashlib
+
+    from factforge.synthgen import build_unified_prompt
+
+    def digest(prompt: str) -> str:
+        return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+
+    assert digest(build_claim_extraction_prompt("x")) == (
+        "280a468abf5437744f1db143ee584b01c9e7347089aba1b3f4718a76d72a1dc8"
+    )
+    assert digest(build_unified_prompt("x")) == (
+        "c5120103bd13234d67a8c1c486f7d057c2830376330628c13649143b94efa16d"
+    )
+
+
 def test_extraction_instructions_match_first_generation_step():
     from factforge.synthgen import UNIFIED_PROMPT_INSTRUCTIONS
 
