@@ -30,7 +30,7 @@ from typing import Any, Mapping, Sequence
 from . import backends as be
 from . import corpus, dataset, evalharness, synthgen
 from .errors import FactforgeError
-from .jsonlio import dumps_canonical, read_records, to_row, write_jsonl
+from .jsonlio import atomic_write, dumps_canonical, read_records, to_row, write_jsonl
 from .retrieval import PassageIndex, index_build
 from .verification import DEFAULT_TOP_K, ChatClaimExtractor, verify_text
 
@@ -303,7 +303,7 @@ class FewShotExample:
 def _load_few_shot(path: str | None) -> tuple[tuple[str, bool], ...]:
     if not path:
         return ()
-    return tuple((ex.text, bool(ex.label)) for ex in read_records(path, FewShotExample))
+    return tuple((ex.text, ex.label) for ex in read_records(path, FewShotExample))
 
 
 def _load_instances(path: str, task: str):
@@ -388,10 +388,8 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         task_name, system, instances, [args.seed + i for i in range(args.seeds)],
         width=be.fan_width(chat),
     )
-    Path(args.report).write_text(
-        json.dumps(to_row(report), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    with atomic_write(args.report, encoding="utf-8") as fh:
+        fh.write(json.dumps(to_row(report), indent=2, sort_keys=True, ensure_ascii=False) + "\n")
     log.info(
         "balanced accuracy %.4f +/- %.4f over %d seeds -> %s",
         report.balanced_accuracy, report.balanced_accuracy_std, args.seeds, args.report,

@@ -1,7 +1,8 @@
 """Line-delimited JSON reading and writing, and the one row codec for records.
 
 Rows are serialized with sorted keys and compact separators so that
-identical data always produces identical bytes.
+identical data always produces identical bytes, and files are written
+atomically (temporary file, then rename).
 
 Every artifact row is a frozen dataclass record mapped field by field:
 `to_row` turns nested records into rows, tuples into lists and enums into
@@ -12,13 +13,16 @@ record.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import functools
 import json
+import os
+import threading
 import typing
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import MalformedRecord
 
@@ -29,10 +33,26 @@ def dumps_canonical(row: dict[str, Any]) -> str:
     return json.dumps(row, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+@contextlib.contextmanager
+def atomic_write(path: str | Path, mode: str = "w", **kwargs: Any) -> Iterator[IO]:
+    """Open a temporary file beside `path` for writing. It replaces `path`
+    only when the block ends without an error; otherwise it is removed and
+    the previous file, if any, stays as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict[str, Any]]) -> int:
-    """Write rows to path, one JSON object per line. Returns the row count."""
+    """Write rows to path atomically, one JSON object per line. Returns the
+    row count."""
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         for row in rows:
             fh.write(dumps_canonical(row))
             fh.write("\n")
@@ -40,12 +60,26 @@ def write_jsonl(path: str | Path, rows: Iterable[dict[str, Any]]) -> int:
     return n
 
 
-def iter_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
+def iter_jsonl(path: str | Path) -> Iterator[Any]:
+    """Yield the JSON value of each non-blank line. A line that is not JSON
+    raises MalformedRecord naming the file and the row (non-blank lines
+    count from 1, as in `read_records`); a file that is not UTF-8 raises it
+    naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        n = 0
+        try:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                n += 1
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecord(f"{path} row {n}: not JSON: {exc}") from None
+                yield row
+        except UnicodeDecodeError as exc:
+            raise MalformedRecord(f"{path}: not UTF-8 text: {exc}") from None
 
 
 # --- the row codec ---------------------------------------------------------------
@@ -65,6 +99,12 @@ def _decode_list(item: Codec | None) -> Codec:
     return decode
 
 
+def _decode_bool(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise MalformedRecord(f"expected true or false, got {value!r}")
+    return value
+
+
 def _decode_enum(cls: type[enum.Enum]) -> Codec:
     def decode(value: Any) -> enum.Enum:
         try:
@@ -76,6 +116,8 @@ def _decode_enum(cls: type[enum.Enum]) -> Codec:
 
 def _codecs(hint: Any) -> tuple[Codec | None, Codec | None]:
     """(encode, decode) for one field type; None means the value passes as is."""
+    if hint is bool:
+        return None, _decode_bool
     if _is_record(hint):
         return to_row, functools.partial(from_row, hint)
     if isinstance(hint, type) and issubclass(hint, enum.Enum):
@@ -124,8 +166,9 @@ def to_row(record: Any) -> dict[str, Any]:
 def from_row(cls: type[R], row: Any) -> R:
     """Rebuild a `cls` record from its row.
 
-    A missing field without a default, a tuple field that is not a list
-    and a record field that is not an object are MalformedRecord; absent
+    A missing field without a default, a tuple field that is not a list,
+    a bool field that is not true or false and a record field that is not
+    an object are MalformedRecord; absent
     fields with a default take it; extra keys are ignored.
     """
     if not isinstance(row, dict):

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CorruptIndexFile, DimensionMismatch, DuplicatePassageId, EmptyIndex
+from .jsonlio import atomic_write
 
 _MAGIC = b"FFIX"
 _VERSION = 1
@@ -118,9 +119,10 @@ class PassageIndex:
 
         Layout: header (magic, version, dimension, count), then one record
         per passage: length-prefixed id bytes, length-prefixed text bytes,
-        then dimension little-endian float32 values.
+        then dimension little-endian float32 values. The file is replaced
+        atomically.
         """
-        with open(path, "wb") as fh:
+        with atomic_write(path, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, _VERSION, self.dimension, len(self._ids)))
             for pid, text, row in zip(self._ids, self._texts, self._matrix):
                 id_bytes = pid.encode("utf-8")

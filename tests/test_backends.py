@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import math
+import os
+import socket
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
-import requests
 
 from factforge import cli, corpus
 from factforge.backends import (
@@ -360,12 +365,20 @@ def test_http_profiles_build_http_backends():
     assert isinstance(build_backend(mk("nli")), HttpNliBackend)
 
 
+@pytest.mark.parametrize("endpoint", ["", "file:///tmp", "ftp://localhost/x"])
+def test_http_profiles_need_an_http_endpoint(endpoint):
+    profile = BackendProfile(name="h", kind="chat", endpoint=endpoint)
+    with pytest.raises(ValueError, match="http:// or https://"):
+        build_backend(profile)
+
+
 # --- HTTP transport against a local server ----------------------------------------
 
 
 class _Recorder:
     """Scriptable local HTTP endpoint: pops one (status, body) per request,
-    or, when `responses` is callable, asks it for each recorded request."""
+    or, when `responses` is callable, asks it for each recorded request. A
+    reply may carry a third item, a dict of extra headers to send."""
 
     def __init__(self, responses):
         self.responses = responses if callable(responses) else list(responses)
@@ -397,19 +410,24 @@ def http_server():
                     recorder.max_active = max(recorder.max_active, recorder.active)
                 try:
                     length = int(self.headers.get("Content-Length", 0))
-                    body = json.loads(self.rfile.read(length) or b"{}")
+                    raw = self.rfile.read(length)
                     request = {
                         "path": self.path,
-                        "body": body,
+                        "body": json.loads(raw or b"{}"),
+                        "raw": raw,
+                        "content_type": self.headers.get("Content-Type"),
                         "auth": self.headers.get("Authorization"),
+                        "at": time.monotonic(),
                     }
                     recorder.requests.append(request)
                     time.sleep(0.02)
-                    status, payload = recorder.next_response(request)
+                    status, payload, *extra = recorder.next_response(request)
                     data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
                     self.send_response(status)
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(data)))
+                    for name, value in (extra[0] if extra else {}).items():
+                        self.send_header(name, value)
                     self.end_headers()
                     self.wfile.write(data)
                 finally:
@@ -623,24 +641,140 @@ def test_http_concurrency_respects_max_in_flight(http_server):
 @pytest.mark.parametrize(
     "error",
     [
-        requests.exceptions.InvalidURL("no host in URL"),
-        requests.exceptions.ChunkedEncodingError("connection broken mid-body"),
+        http.client.InvalidURL("nonnumeric port: 'x'"),
+        http.client.IncompleteRead(b"partial body", 10),
     ],
 )
 def test_http_other_request_errors_become_backend_errors(monkeypatch, error):
     calls = []
 
-    def failing_post(*args, **kwargs):
+    def failing_open(*args, **kwargs):
         calls.append(args)
         raise error
 
-    monkeypatch.setattr(requests, "post", failing_post)
     chat = HttpChatBackend(_http_profile("http://127.0.0.1:9"))
+    monkeypatch.setattr(chat._opener, "open", failing_open)
     messages = [{"role": "user", "content": "x"}]
     with pytest.raises(BackendError) as info:
         chat.complete(messages)
     assert info.value.fingerprint == chat_fingerprint(chat.profile, messages)
     assert len(calls) == 1
+
+
+def test_http_refused_connection_retries_then_times_out(monkeypatch):
+    with socket.socket() as probe:  # a loopback port nobody listens on
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    chat = HttpChatBackend(_http_profile(f"http://127.0.0.1:{port}"))
+    attempts = []
+    real_open = chat._opener.open
+
+    def counting_open(*args, **kwargs):
+        attempts.append(args)
+        return real_open(*args, **kwargs)
+
+    monkeypatch.setattr(chat._opener, "open", counting_open)
+    with pytest.raises(BackendTimeout):
+        chat.complete([{"role": "user", "content": "x"}])
+    assert len(attempts) == 4  # initial try plus three retries
+
+
+def test_http_slow_reply_times_out(http_server):
+    def slow(request):
+        time.sleep(0.5)
+        return 200, _CHAT_OK
+
+    endpoint, recorder = http_server(slow)
+    chat = HttpChatBackend(_http_profile(endpoint, timeout=0.1))
+    with pytest.raises(BackendTimeout):
+        chat.complete([{"role": "user", "content": "x"}])
+    assert len(recorder.requests) == 4
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [(204, b""), (307, b"", {"Location": "/chat/completions/elsewhere"})],
+    ids=["204", "307"],
+)
+def test_http_other_statuses_are_malformed_without_retry(http_server, reply):
+    endpoint, recorder = http_server([reply, (200, _CHAT_OK)])
+    chat = HttpChatBackend(_http_profile(endpoint))
+    with pytest.raises(MalformedResponse, match=f"HTTP {reply[0]}"):
+        chat.complete([{"role": "user", "content": "x"}])
+    assert [r["path"] for r in recorder.requests] == ["/chat/completions"]
+
+
+def test_http_proxy_is_read_from_the_environment_when_built(http_server, monkeypatch):
+    proxy, recorder = http_server([(200, _CHAT_OK)])
+    for name in ("http_proxy", "no_proxy", "NO_PROXY", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", proxy)
+    chat = HttpChatBackend(_http_profile("http://127.0.0.1:9"))
+    monkeypatch.delenv("HTTP_PROXY")
+    assert chat.complete([{"role": "user", "content": "x"}]) == "Factual"
+    # a proxy is sent the absolute URL of the target
+    assert [r["path"] for r in recorder.requests] == ["http://127.0.0.1:9/chat/completions"]
+
+
+def test_http_request_body_bytes_are_pinned(http_server):
+    endpoint, recorder = http_server([(200, _CHAT_OK)])
+    chat = HttpChatBackend(_http_profile(endpoint))
+    chat.complete([{"role": "user", "content": "h\u00e9llo"}])
+    assert recorder.requests[0]["raw"] == (
+        b'{"model": "test-model", "messages": [{"role": "user", "content": "h\\u00e9llo"}], '
+        b'"temperature": 0.0}'
+    )
+    assert recorder.requests[0]["content_type"] == "application/json"
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, timeout, least, most",
+    [
+        (429, "1", 5.0, 1.0, 3.0),
+        (503, "1", 5.0, 1.0, 3.0),
+        (429, "3600", 0.3, 0.3, 2.0),  # never longer than the timeout
+        (503, "Wed, 21 Oct 2015 07:28:00 GMT", 5.0, 0.0, 0.5),  # HTTP-date: backoff
+        (429, "1.5", 5.0, 0.0, 0.5),  # not delay-seconds: backoff
+    ],
+    ids=["429", "503", "capped", "http-date", "malformed"],
+)
+def test_http_retry_after_delays_the_retry(http_server, status, retry_after, timeout,
+                                           least, most):
+    endpoint, recorder = http_server(
+        [(status, {}, {"Retry-After": retry_after}), (200, _CHAT_OK)])
+    chat = HttpChatBackend(_http_profile(endpoint, timeout=timeout, retry_backoff=0.01))
+    assert chat.complete([{"role": "user", "content": "x"}]) == "Factual"
+    first, second = recorder.requests
+    assert least <= second["at"] - first["at"] < most
+
+
+def test_http_calls_run_without_requests_installed(http_server):
+    replies = {
+        "/chat/completions": _CHAT_OK,
+        "/embeddings": {"data": [{"index": 0, "embedding": [0.6, 0.8]}]},
+        "/nli": {"entailment": 0.8, "neutral": 0.15, "contradiction": 0.05},
+    }
+    endpoint, recorder = http_server(lambda request: (200, replies[request["path"]]))
+    script = (
+        "import sys\n"
+        "sys.modules['requests'] = None\n"
+        "from factforge.backends import BackendProfile, build_backend\n"
+        "def backend(kind):\n"
+        "    return build_backend(BackendProfile(name=kind, kind=kind, endpoint=sys.argv[1]))\n"
+        "print(backend('chat').complete([{'role': 'user', 'content': 'x'}]))\n"
+        "print(backend('embedding').embed(['x'])[0].tolist())\n"
+        "print(backend('nli').classify('p', 'h').top_label.value)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    for name in ("http_proxy", "HTTP_PROXY"):
+        env.pop(name, None)
+    done = subprocess.run([sys.executable, "-c", script, endpoint],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split("\n")[:3] == ["Factual", "[0.6, 0.8]", "ENT"]
+    assert len(recorder.requests) == 3
 
 
 # --- bounded fan-out ----------------------------------------------------------

@@ -674,3 +674,34 @@ def test_ingest_skips_page_row_without_text(ws, caplog):
         assert run(["ingest", "--pages", pages, "--out", out, "--sample-per-page"]) == 0
     assert "unusable page record" in caplog.text and "'text'" in caplog.text
     assert len(_rows(out)) == ws["n_pages"] - 1
+
+
+def _case_index_line_not_json(p):
+    lines = p["passages"].read_text().splitlines(keepends=True)
+    lines[1] = '{"passage_id": broken\n'
+    bad = p["dir"] / "bad_json.jsonl"
+    bad.write_text("".join(lines))
+    return ["index", "--passages", bad, "--backend", "embed", "--out", "i.bin"], bad, ["row 2"]
+
+
+def _case_eval_label_is_a_string(p):
+    rows = _rows(_derive_task(p, "task1"))
+    rows[2] = {**rows[2], "label": "false"}
+    bad = _write_rows(p["dir"] / "bad_labels.jsonl", rows)
+    return _eval_argv(bad), bad, ["row 3", "'label'"]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_case_index_line_not_json, _case_eval_label_is_a_string],
+    ids=lambda case: case.__name__.removeprefix("_case_"),
+)
+def test_unreadable_rows_name_file_and_row(pipeline, capsys, monkeypatch, case):
+    monkeypatch.chdir(pipeline["dir"])
+    argv, bad_file, names = case(pipeline)
+    capsys.readouterr()
+    assert run(argv + ["--config", pipeline["config"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and bad_file.name in err
+    assert all(name in err for name in names), err
+    assert "Traceback" not in err

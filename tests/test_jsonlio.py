@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +12,8 @@ from factforge.corpus import Passage
 from factforge.dataset import NliTriplet, RetrieverPair, Task1Instance, Task2Instance
 from factforge.errors import MalformedRecord
 from factforge.evalharness import EvalReport, SeedRun
-from factforge.jsonlio import from_row, read_records, to_row, write_jsonl
+from factforge.jsonlio import from_row, iter_jsonl, read_records, to_row, write_jsonl
+from factforge.retrieval import PassageIndex
 from factforge.synthgen import ResourceRecord, StepOutputs, ValidationReport
 from factforge.verification import ClaimTrace, NliLabel
 
@@ -120,6 +122,52 @@ def test_absent_fields_take_their_defaults_and_extra_keys_are_ignored():
 def test_rows_that_do_not_fit_are_malformed(cls, row, field):
     with pytest.raises(MalformedRecord, match=repr(field)):
         from_row(cls, row)
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_bool_fields_take_only_json_booleans(value):
+    row = {"text": "t", "record_id": "r", "origin": "o"}
+    assert from_row(Task1Instance, {**row, "label": False}).label is False
+    with pytest.raises(MalformedRecord, match="'label'"):
+        from_row(Task1Instance, {**row, "label": value})
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [(b'{"a": broken', r"rows\.jsonl row 2: not JSON"),
+     (b'{"a": "\xff"}', r"rows\.jsonl: not UTF-8")],
+    ids=["syntax", "not-utf8"],
+)
+def test_a_line_that_is_not_json_names_the_file(tmp_path, line, message):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": 1}\n\n' + line + b"\n")
+    with pytest.raises(MalformedRecord, match=message):
+        list(iter_jsonl(path))
+
+
+def _rows_then_failure():
+    yield {"a": 1}
+    raise RuntimeError("failed halfway")
+
+
+@pytest.mark.parametrize("writer", ["write_jsonl", "PassageIndex.save"])
+def test_a_write_that_fails_halfway_leaves_the_previous_file(tmp_path, writer):
+    path = tmp_path / "artifact"
+    if writer == "write_jsonl":
+        write = lambda: write_jsonl(path, [{"a": 0}])
+        fail = lambda: write_jsonl(path, _rows_then_failure())
+    else:
+        vectors = np.eye(2, dtype=np.float32)
+        write = lambda: PassageIndex(["a", "b"], ["one", "two"], vectors).save(path)
+        # a lone surrogate cannot be encoded, so the second record fails
+        fail = lambda: PassageIndex(["a", "b"], ["one", "\ud800"], vectors).save(path)
+    write()
+    before = path.read_bytes()
+    assert list(tmp_path.iterdir()) == [path]
+    with pytest.raises((RuntimeError, UnicodeEncodeError)):
+        fail()
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_read_records_checks_the_header_and_names_file_row_and_field(tmp_path):
