@@ -170,9 +170,14 @@ class _HttpBase:
         self.max_in_flight = profile.max_in_flight
         self._gate = threading.BoundedSemaphore(profile.max_in_flight)
         self._url = profile.endpoint.rstrip("/") + self.path
-        # Reads HTTP(S)_PROXY from the environment once, here; urllib checks
-        # NO_PROXY per call, and only when a proxy is set.
-        self._opener = urllib.request.build_opener()
+        # Only proxy, HTTP and HTTPS handlers: no redirect is followed and no
+        # status becomes an HTTPError, so every reply comes back to `_post`.
+        # ProxyHandler reads HTTP(S)_PROXY from the environment once, here;
+        # urllib checks NO_PROXY per call, and only when a proxy is set.
+        self._opener = urllib.request.OpenerDirector()
+        for handler in (urllib.request.ProxyHandler(), urllib.request.HTTPHandler(),
+                        urllib.request.HTTPSHandler()):
+            self._opener.add_handler(handler)
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -211,7 +216,6 @@ class _HttpBase:
         loopback with 5 ms of server latency).
         """
         import http.client
-        import urllib.error
         import urllib.request
 
         url = self._url
@@ -232,11 +236,8 @@ class _HttpBase:
                 request = urllib.request.Request(url, data, headers)
                 with self._opener.open(request, timeout=self.profile.timeout) as resp:
                     status, raw = resp.status, resp.read()
-            except urllib.error.HTTPError as exc:
-                exc.close()
-                status, raw = exc.code, b""
-                if status in (429, 503):
-                    asked = _retry_after(exc.headers.get("Retry-After"))
+                    if status in (429, 503):
+                        asked = _retry_after(resp.headers.get("Retry-After"))
             except OSError as exc:  # URLError, timeouts, refused or reset connections
                 last = BackendTimeout(f"{url}: {exc}", fingerprint)
                 continue

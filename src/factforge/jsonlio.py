@@ -36,13 +36,17 @@ def dumps_canonical(row: dict[str, Any]) -> str:
 @contextlib.contextmanager
 def atomic_write(path: str | Path, mode: str = "w", **kwargs: Any) -> Iterator[IO]:
     """Open a temporary file beside `path` for writing. It replaces `path`
-    only when the block ends without an error; otherwise it is removed and
-    the previous file, if any, stays as it was."""
+    only when the block ends without an error, and only after its bytes
+    are on disk; otherwise it is removed and the previous file, if any,
+    stays as it was. The rename replaces a symlink at `path` rather than
+    writing through it, and the new file gets the default mode."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from factforge import cli, corpus
+from factforge import backends, cli, corpus
 from factforge.backends import (
     BackendProfile,
     HashedBowEmbedder,
@@ -412,6 +413,7 @@ def http_server():
                     length = int(self.headers.get("Content-Length", 0))
                     raw = self.rfile.read(length)
                     request = {
+                        "method": self.command,
                         "path": self.path,
                         "body": json.loads(raw or b"{}"),
                         "raw": raw,
@@ -433,6 +435,8 @@ def http_server():
                 finally:
                     with recorder.lock:
                         recorder.active -= 1
+
+            do_GET = do_POST  # record a followed redirect too
 
             def log_message(self, *args):
                 pass
@@ -691,17 +695,17 @@ def test_http_slow_reply_times_out(http_server):
     assert len(recorder.requests) == 4
 
 
-@pytest.mark.parametrize(
-    "reply",
-    [(204, b""), (307, b"", {"Location": "/chat/completions/elsewhere"})],
-    ids=["204", "307"],
-)
-def test_http_other_statuses_are_malformed_without_retry(http_server, reply):
-    endpoint, recorder = http_server([reply, (200, _CHAT_OK)])
-    chat = HttpChatBackend(_http_profile(endpoint))
-    with pytest.raises(MalformedResponse, match=f"HTTP {reply[0]}"):
+@pytest.mark.parametrize("status", [204, 301, 302, 303, 307, 308])
+def test_http_other_statuses_are_malformed_without_retry(http_server, monkeypatch, status):
+    monkeypatch.setenv("CHAT_KEY", "secret")
+    elsewhere, other = http_server([(200, _CHAT_OK)])  # a redirect target on another port
+    headers = {} if status == 204 else {"Location": elsewhere + "/chat/completions"}
+    endpoint, recorder = http_server([(status, b"", headers), (200, _CHAT_OK)])
+    chat = HttpChatBackend(_http_profile(endpoint, auth_env="CHAT_KEY"))
+    with pytest.raises(MalformedResponse, match=f"HTTP {status}"):
         chat.complete([{"role": "user", "content": "x"}])
     assert [r["path"] for r in recorder.requests] == ["/chat/completions"]
+    assert other.requests == []  # neither the call nor its key went to the Location
 
 
 def test_http_proxy_is_read_from_the_environment_when_built(http_server, monkeypatch):
@@ -728,24 +732,33 @@ def test_http_request_body_bytes_are_pinned(http_server):
 
 
 @pytest.mark.parametrize(
-    "status, retry_after, timeout, least, most",
+    "status, retry_after, timeout, wait",
     [
-        (429, "1", 5.0, 1.0, 3.0),
-        (503, "1", 5.0, 1.0, 3.0),
-        (429, "3600", 0.3, 0.3, 2.0),  # never longer than the timeout
-        (503, "Wed, 21 Oct 2015 07:28:00 GMT", 5.0, 0.0, 0.5),  # HTTP-date: backoff
-        (429, "1.5", 5.0, 0.0, 0.5),  # not delay-seconds: backoff
+        (429, "1", 5.0, 1.0),
+        (503, "1", 5.0, 1.0),
+        (429, "3600", 0.3, 0.3),  # never longer than the timeout
+        (503, "Wed, 21 Oct 2015 07:28:00 GMT", 5.0, 0.01),  # HTTP-date: backoff
+        (429, "1.5", 5.0, 0.01),  # not delay-seconds: backoff
     ],
     ids=["429", "503", "capped", "http-date", "malformed"],
 )
-def test_http_retry_after_delays_the_retry(http_server, status, retry_after, timeout,
-                                           least, most):
+def test_http_retry_after_delays_the_retry(http_server, monkeypatch, status, retry_after,
+                                           timeout, wait):
+    sleeps = []
+    real_sleep = time.sleep
+
+    def recorded_sleep(seconds):
+        sleeps.append(seconds)
+        real_sleep(seconds)
+
+    monkeypatch.setattr(backends, "time", types.SimpleNamespace(sleep=recorded_sleep))
     endpoint, recorder = http_server(
         [(status, {}, {"Retry-After": retry_after}), (200, _CHAT_OK)])
     chat = HttpChatBackend(_http_profile(endpoint, timeout=timeout, retry_backoff=0.01))
     assert chat.complete([{"role": "user", "content": "x"}]) == "Factual"
+    assert sleeps == [wait]
     first, second = recorder.requests
-    assert least <= second["at"] - first["at"] < most
+    assert second["at"] - first["at"] >= wait
 
 
 def test_http_calls_run_without_requests_installed(http_server):
