@@ -12,14 +12,13 @@ Deterministic mocks make the whole pipeline runnable offline.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import logging
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -80,11 +79,7 @@ class BackendProfile:
 
     @classmethod
     def from_dict(cls, name: str, row: Mapping[str, Any]) -> "BackendProfile":
-        known = {
-            "kind", "transport", "endpoint", "model", "auth_env", "timeout",
-            "max_in_flight", "temperature", "retry_backoff", "options",
-        }
-        unknown = set(row) - known
+        unknown = set(row) - {f.name for f in fields(cls) if f.name != "name"}
         if unknown:
             raise ValueError(f"profile {name!r} has unknown keys {sorted(unknown)}")
         return cls(name=name, **dict(row))
@@ -131,26 +126,22 @@ def fan_out(fn: Callable[[T], R], items: Iterable[T], width: int) -> list[R]:
     items = list(items)
     if width <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    results: list = [None] * len(items)
-    todo = iter(enumerate(items))
-    failed: tuple[int, BaseException] | None = None
+    failed = threading.Event()
+
+    def run(item):
+        if failed.is_set():
+            return None
+        try:
+            return fn(item)
+        except BaseException:
+            failed.set()
+            raise
+
+    # The pool starts items in index order, so a skipped item comes after the
+    # failure that skipped it, and the first result to raise is the earliest.
     with ThreadPoolExecutor(max_workers=min(width, len(items))) as pool:
-        running = {pool.submit(fn, item): i for i, item in itertools.islice(todo, width)}
-        while running:
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                i = running.pop(future)
-                exc = future.exception()
-                if exc is None:
-                    results[i] = future.result()
-                elif failed is None or i < failed[0]:
-                    failed = (i, exc)
-            if failed is None:
-                for i, item in itertools.islice(todo, len(done)):
-                    running[pool.submit(fn, item)] = i
-    if failed is not None:
-        raise failed[1]
-    return results
+        futures = [pool.submit(run, item) for item in items]
+    return [future.result() for future in futures]
 
 
 # --- HTTP transport --------------------------------------------------------
@@ -368,12 +359,10 @@ class SequenceChatBackend:
         self.profile = profile
         self._responses = list(responses)
         self._lock = threading.Lock()
-        self.call_history: list[str] = []
 
     def complete(self, messages: Sequence[Mapping[str, str]]) -> str:
         fp = chat_fingerprint(self.profile, messages)
         with self._lock:
-            self.call_history.append(fp)
             if not self._responses:
                 raise ScriptExhausted("response sequence exhausted", fp)
             return self._responses.pop(0)

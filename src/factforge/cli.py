@@ -14,7 +14,8 @@ defaults) and --dry-run (print every settled argument as a JSON plan,
 touch nothing); ingest, derive and eval also take --seed. Each setting is
 settled once, before the subcommand runs: the flag wins, then the config
 value, then the built-in default. Logs go to stderr; data goes to files.
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error or bad value (an `error:` line on
+stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -196,7 +197,9 @@ def _cmd_derive(args: argparse.Namespace, config: RunConfig) -> int:
     if args.what == "retriever":
         items = [p for r in valid for p in dataset.derive_retriever_pairs(r)]
     elif args.what == "nli":
-        mine_neutrals = bool(args.passages and args.nli_backend)
+        mine_neutrals = bool(args.passages)
+        if mine_neutrals != bool(args.nli_backend):
+            raise FactforgeError("neutral mining needs both --passages and --nli-backend")
         neutrals: list[list[str] | None] = [None] * len(valid)
         if mine_neutrals:
             nli = config.backend(args.nli_backend, be.KIND_NLI)
@@ -323,27 +326,20 @@ def _build_judge_system(
     """Wrap a chat judge as a (instance, rng) -> bool verdict system.
 
     Task-1 RAG evidence is retrieved here, once per distinct text, so the
-    seeds share it. When retrieval cannot run, each instance fails.
+    seeds share it; a retrieval error propagates before any judge call.
     """
     evidence: dict[str, tuple[str, ...]] = {}
-    no_evidence = "RAG on task 1 needs --index and --embed-backend"
-    rag = task == "1" and base_spec.mode == evalharness.MODE_RAG
-    if rag and index is not None and embedder is not None:
+    if task == "1" and base_spec.mode == evalharness.MODE_RAG:
         texts = list(dict.fromkeys(instance.text for instance in instances))
-        try:
-            for text, query in zip(texts, embedder.embed(texts), strict=True):
-                hits = index.top_k(query, k)
-                evidence[text] = tuple(index.text_of(pid) for pid, _ in hits)
-        except FactforgeError as exc:
-            no_evidence = f"RAG evidence retrieval failed: {exc}"
+        for text, query in zip(texts, embedder.embed(texts), strict=True):
+            hits = index.top_k(query, k)
+            evidence[text] = tuple(index.text_of(pid) for pid, _ in hits)
 
     def system(instance, rng) -> bool:
         spec = base_spec
         if task == "1":
             text = instance.text
             if spec.mode == evalharness.MODE_RAG:
-                if text not in evidence:
-                    raise FactforgeError(no_evidence)
                 spec = replace(spec, evidence=evidence[text])
         else:
             text = instance.claim
@@ -369,14 +365,16 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         evidence_separator=args.evidence_separator,
         system_slot=not args.no_system_slot,
     )
+    if args.task == "1" and args.mode == evalharness.MODE_RAG and not (
+        args.index and args.embed_backend
+    ):
+        raise FactforgeError("RAG on task 1 needs --index and --embed-backend")
     index = PassageIndex.load(args.index) if args.index else None
     embedder = (
         config.backend(args.embed_backend, be.KIND_EMBEDDING)
         if args.embed_backend
         else None
     )
-    if args.task == "1" and args.mode == evalharness.MODE_RAG and index is None:
-        raise FactforgeError("RAG on task 1 needs --index and --embed-backend")
     if spec.few_shot and not spec.few_shot_examples:
         raise FactforgeError("few-shot modes need --few-shot with example records")
 
@@ -493,7 +491,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(dumps_canonical({"command": args.command, "plan": plan}))
             return 0
         return args.func(args, config)
-    except (FactforgeError, OSError, json.JSONDecodeError) as exc:
+    except (FactforgeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

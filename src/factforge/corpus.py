@@ -184,7 +184,10 @@ def read_pages(path: str | Path) -> list[Page]:
     if path.is_dir():
         for child in sorted(path.iterdir()):
             if child.suffix == ".json":
-                rows.append(json.loads(child.read_text(encoding="utf-8")))
+                try:
+                    rows.append(json.loads(child.read_text(encoding="utf-8")))
+                except ValueError as exc:  # not UTF-8, or not JSON
+                    raise MalformedRecord(f"{child}: not a JSON page file: {exc}") from None
             elif child.suffix in (".jsonl", ".ndjson"):
                 rows.extend(iter_jsonl(child))
     else:

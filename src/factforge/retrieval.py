@@ -78,15 +78,8 @@ class PassageIndex:
     def __len__(self) -> int:
         return len(self._ids)
 
-    @property
-    def ids(self) -> list[str]:
-        return list(self._ids)
-
     def text_of(self, passage_id: str) -> str:
         return self._texts[self._pos[passage_id]]
-
-    def vector_of(self, passage_id: str) -> np.ndarray:
-        return self._matrix[self._pos[passage_id]].copy()
 
     def top_k(self, query_vec, k: int) -> RankedResult:
         """The k entries with highest dot product against query_vec.
@@ -142,6 +135,11 @@ class PassageIndex:
         if magic != _MAGIC or version != _VERSION:
             raise CorruptIndexFile("bad magic or unsupported version")
         offset = _HEADER.size
+        # A record is at least two length prefixes and a vector: check the
+        # header against the file size before allocating the matrix.
+        if count * (2 * _U32.size + 4 * dim) > len(data) - offset:
+            raise CorruptIndexFile(f"header declares {count} rows of dimension {dim}, "
+                                   "more than the file holds")
         ids: list[str] = []
         texts: list[str] = []
         rows = np.empty((count, dim), dtype=np.float32)

@@ -174,7 +174,7 @@ class ValidationReport:
         return not self.hard_failures
 
 
-def validate_record(passage: Passage | str, outputs: StepOutputs) -> ValidationReport:
+def validate_record(passage: Passage, outputs: StepOutputs) -> ValidationReport:
     """Check step outputs against the structural rules of the synthesis task.
 
     Hard failures: no claims; the original claim absent from the claim list
@@ -185,7 +185,6 @@ def validate_record(passage: Passage | str, outputs: StepOutputs) -> ValidationR
     unfactual twin that strays too far from the paraphrase, and duplicate
     claims.
     """
-    passage_text = passage if isinstance(passage, str) else passage.text
     hard: list[str] = []
     warnings: list[str] = []
 
@@ -215,7 +214,7 @@ def validate_record(passage: Passage | str, outputs: StepOutputs) -> ValidationR
     if any(len(c.split()) > CLAIM_WORD_LIMIT for c in claims):
         warnings.append(WARN_CLAIM_TOO_LONG)
     if outputs.factual_text.strip():
-        if unigram_jaccard(outputs.factual_text, passage_text) > PARAPHRASE_OVERLAP_CEILING:
+        if unigram_jaccard(outputs.factual_text, passage.text) > PARAPHRASE_OVERLAP_CEILING:
             warnings.append(WARN_PARAPHRASE_TOO_LITERAL)
     if outputs.factual_text.strip() and outputs.unfactual_text.strip():
         if unigram_jaccard(outputs.unfactual_text, outputs.factual_text) < TWIN_OVERLAP_FLOOR:
@@ -233,24 +232,6 @@ class ResourceRecord:
     outputs: StepOutputs
     validation: ValidationReport
     retries: int = 0
-
-    @property
-    def original_claim_index(self) -> int | None:
-        """Position of the original (falsified) claim within the claim list.
-
-        First exact normalized match wins; fuzzy-matched records fall back
-        to the highest-overlap claim when it clears the fuzzy threshold.
-        """
-        target = normalize_for_match(self.outputs.original)
-        for i, claim in enumerate(self.outputs.claims):
-            if normalize_for_match(claim) == target:
-                return i
-        best_i, best = None, 0.0
-        for i, claim in enumerate(self.outputs.claims):
-            score = unigram_jaccard(self.outputs.original, claim)
-            if score > best:
-                best_i, best = i, score
-        return best_i if best >= FUZZY_MATCH_THRESHOLD else None
 
 
 RECORDS_SCHEMA = "synthesis_records"

@@ -89,7 +89,7 @@ def verify_claim(
     claim: str,
     ranked_passages: Sequence[tuple[str, float]] | Iterable[tuple[str, float]],
     nli: NliBackend,
-    text_lookup: Callable[[str], str] | Mapping[str, str] | None = None,
+    text_lookup: Callable[[str], str] | None = None,
 ) -> ClaimTrace:
     """Scan evidence passages in rank order and decide the claim.
 
@@ -101,13 +101,7 @@ def verify_claim(
     `text_lookup` maps a passage id to the premise text (defaults to using
     the id itself, which suits mocks keyed on ids).
     """
-    if text_lookup is None:
-        resolve: Callable[[str], str] = lambda pid: pid
-    elif callable(text_lookup):
-        resolve = text_lookup
-    else:
-        resolve = text_lookup.__getitem__
-
+    resolve = text_lookup if text_lookup is not None else (lambda pid: pid)
     examined = 0
     for passage_id, _score in ranked_passages:
         examined += 1

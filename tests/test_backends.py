@@ -442,7 +442,8 @@ def http_server():
                 pass
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # a short poll lets shutdown() at teardown return at once, not after ~0.5 s
+        thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
         thread.start()
         servers.append(server)
         endpoint = f"http://127.0.0.1:{server.server_address[1]}"

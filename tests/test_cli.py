@@ -391,6 +391,20 @@ def test_derive_nli_with_neutral_mining(pipeline):
         assert t["premise"] != ""
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [lambda p: ["--passages", p["windows"]], lambda p: ["--nli-backend", "nli"]],
+    ids=["passages-only", "nli-backend-only"],
+)
+def test_derive_nli_mining_flags_go_together(pipeline, capsys, flags):
+    out = pipeline["dir"] / "nli_half.jsonl"
+    assert run(["derive", "--records", pipeline["records"], "--what", "nli",
+                "--out", out, "--config", pipeline["config"], *flags(pipeline)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--passages" in err and "--nli-backend" in err
+    assert not out.exists()
+
+
 def test_derive_task_instances(pipeline):
     d = pipeline["dir"]
     t1, t2 = d / "task1.jsonl", d / "task2.jsonl"
@@ -531,11 +545,34 @@ def test_eval_task1_rag(pipeline):
 
 def test_eval_task1_rag_requires_index(pipeline, capsys):
     instances = _derive_task(pipeline, "task1")
+    report = pipeline["dir"] / "r.json"
+    for flags in ([], ["--index", pipeline["index"]], ["--embed-backend", "embed"]):
+        code = run(["eval", "--task", "1", "--mode", "rag", "--instances", instances,
+                    "--backend", "judge", "--seeds", 1, "--report", report,
+                    "--config", pipeline["config"], *flags])
+        assert code == 1, flags
+        err = capsys.readouterr().err
+        assert "--index" in err and "--embed-backend" in err
+        assert not report.exists()
+
+
+def test_eval_task1_rag_retrieval_error_fails_the_command(pipeline, capsys):
+    config = json.loads(pipeline["config"].read_text())
+    config["profiles"]["embed64"] = {
+        "kind": "embedding", "transport": "mock",
+        "options": {"mock": "hashed_bow", "dimension": 64},
+    }
+    cfg = pipeline["dir"] / "embed64.json"
+    cfg.write_text(json.dumps(config))
+    instances = _derive_task(pipeline, "task1")
+    report = pipeline["dir"] / "r.json"
     code = run(["eval", "--task", "1", "--mode", "rag", "--instances", instances,
-                "--backend", "judge", "--seeds", 1,
-                "--report", pipeline["dir"] / "r.json",
-                "--config", pipeline["config"]])
+                "--backend", "judge", "--seeds", 1, "--report", report,
+                "--index", pipeline["index"], "--embed-backend", "embed64", "--config", cfg])
     assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dimension 64" in err
+    assert not report.exists()
 
 
 def test_eval_few_shot(pipeline):
@@ -691,9 +728,17 @@ def _case_eval_label_is_a_string(p):
     return _eval_argv(bad), bad, ["row 3", "'label'"]
 
 
+def _case_page_file_not_utf8(p):
+    pages = p["dir"] / "page_dir"
+    pages.mkdir()
+    bad = pages / "page.json"
+    bad.write_bytes(b'{"page_id": "p", "text": "caf\xe9."}')
+    return ["ingest", "--pages", pages, "--out", "o.jsonl"], bad, ["not a JSON page file"]
+
+
 @pytest.mark.parametrize(
     "case",
-    [_case_index_line_not_json, _case_eval_label_is_a_string],
+    [_case_index_line_not_json, _case_eval_label_is_a_string, _case_page_file_not_utf8],
     ids=lambda case: case.__name__.removeprefix("_case_"),
 )
 def test_unreadable_rows_name_file_and_row(pipeline, capsys, monkeypatch, case):
@@ -705,3 +750,45 @@ def test_unreadable_rows_name_file_and_row(pipeline, capsys, monkeypatch, case):
     assert err.startswith("error:") and bad_file.name in err
     assert all(name in err for name in names), err
     assert "Traceback" not in err
+
+
+def _non_utf8_config(p):
+    cfg = p["dir"] / "latin1.json"
+    cfg.write_bytes(b'{"window": 3, "note": "caf\xe9"}')
+    return ["ingest", "--pages", p["pages"], "--out", "o.jsonl", "--config", cfg]
+
+
+def _verify_k_0(p):
+    text = p["dir"] / "check.txt"
+    text.write_text(p["factual_texts"]["page0"])
+    return ["verify", "--text", text, "--index", p["index"], "--k", 0, "--trace", "o.jsonl",
+            "--backends", "extractor=gen,embedder=embed,nli=nli", "--config", p["config"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda p: ["ingest", "--pages", p["pages"], "--out", "o.jsonl", "--window", 0],
+        lambda p: ["ingest", "--pages", p["pages"], "--out", "o.jsonl", "--stride", -1],
+        lambda p: ["derive", "--records", p["records"], "--what", "task1", "--out", "o.jsonl",
+                   "--split", "train", "--ratio", 1.5],
+        lambda p: ["eval", "--task", "1", "--mode", "zs", "--instances",
+                   _derive_task(p, "task1"), "--backend", "judge", "--seeds", 0,
+                   "--report", "o.jsonl", "--config", p["config"]],
+        _verify_k_0,
+        lambda p: ["generate", "--passages", p["passages"], "--backend", "gen",
+                   "--max-retries", -1, "--out", "o.jsonl", "--config", p["config"]],
+        _non_utf8_config,
+    ],
+    ids=["ingest-window-0", "ingest-stride-negative", "derive-ratio-above-1", "eval-seeds-0",
+         "verify-k-0", "generate-max-retries-negative", "config-not-utf8"],
+)
+def test_bad_values_are_domain_errors(pipeline, capsys, monkeypatch, argv):
+    monkeypatch.chdir(pipeline["dir"])
+    argv = argv(pipeline)
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:"), err
+    assert "Traceback" not in err
+    assert not (pipeline["dir"] / "o.jsonl").exists()

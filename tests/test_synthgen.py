@@ -281,7 +281,6 @@ def test_generate_record_happy_path(amazon_record):
     assert record.outputs.claims == AMAZON_CLAIMS
     assert record.validation.ok
     assert record.retries == 0
-    assert record.original_claim_index == AMAZON_CLAIMS.index(AMAZON_ORIGINAL)
 
 
 def test_generate_record_retries_after_malformed_output():

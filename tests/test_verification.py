@@ -148,7 +148,7 @@ def test_verify_claim_matches_scan_oracle(labels):
 
 def test_verify_claim_text_lookup_mapping():
     nli = _TableNli({"the real text": NliLabel.CONTRADICTION})
-    trace = verify_claim("c", [("pid", 0.5)], nli, text_lookup={"pid": "the real text"})
+    trace = verify_claim("c", [("pid", 0.5)], nli, text_lookup={"pid": "the real text"}.__getitem__)
     assert trace.decision is False
     assert trace.deciding_passage_id == "pid"
     assert nli.calls == [("the real text", "c")]
