@@ -184,6 +184,8 @@ def _cmd_generate(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _cmd_derive(args: argparse.Namespace, config: RunConfig) -> int:
+    if args.what != "nli" and (args.passages or args.nli_backend):
+        raise FactforgeError("--passages and --nli-backend apply to --what nli only")
     records = synthgen.read_records(args.records)
     if args.split:
         train, val = dataset.split_train_val(records, args.ratio, args.seed)
@@ -354,6 +356,11 @@ def _build_judge_system(
 
 
 def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
+    rag_task1 = args.task == "1" and args.mode == evalharness.MODE_RAG
+    if rag_task1 and not (args.index and args.embed_backend):
+        raise FactforgeError("RAG on task 1 needs --index and --embed-backend")
+    if not rag_task1 and (args.index or args.embed_backend):
+        raise FactforgeError("--index and --embed-backend apply to --task 1 --mode rag only")
     instances = _load_instances(args.instances, args.task)
     if not instances:
         raise FactforgeError(f"no instances found in {args.instances}")
@@ -365,16 +372,8 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         evidence_separator=args.evidence_separator,
         system_slot=not args.no_system_slot,
     )
-    if args.task == "1" and args.mode == evalharness.MODE_RAG and not (
-        args.index and args.embed_backend
-    ):
-        raise FactforgeError("RAG on task 1 needs --index and --embed-backend")
-    index = PassageIndex.load(args.index) if args.index else None
-    embedder = (
-        config.backend(args.embed_backend, be.KIND_EMBEDDING)
-        if args.embed_backend
-        else None
-    )
+    index = PassageIndex.load(args.index) if rag_task1 else None
+    embedder = config.backend(args.embed_backend, be.KIND_EMBEDDING) if rag_task1 else None
     if spec.few_shot and not spec.few_shot_examples:
         raise FactforgeError("few-shot modes need --few-shot with example records")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
@@ -87,7 +88,7 @@ class Verdict:
 
 def verify_claim(
     claim: str,
-    ranked_passages: Sequence[tuple[str, float]] | Iterable[tuple[str, float]],
+    ranked_passages: Iterable[tuple[str, float]],
     nli: NliBackend,
     text_lookup: Callable[[str], str] | None = None,
 ) -> ClaimTrace:
@@ -97,20 +98,14 @@ def verify_claim(
     contradicting one rejects it; when every passage is neutral (or there
     is no evidence at all) the claim is accepted with no deciding passage.
 
-    `ranked_passages` yields (passage_id, score) pairs best-first;
-    `text_lookup` maps a passage id to the premise text (defaults to using
-    the id itself, which suits mocks keyed on ids).
+    `ranked_passages` yields (passage_id, score) pairs best-first and is
+    read in full before the scan; `text_lookup` maps a passage id to the
+    premise text (defaults to using the id itself, which suits mocks keyed
+    on ids). This is `verify_text`'s scan with one claim and one call in
+    flight, on the calling thread.
     """
     resolve = text_lookup if text_lookup is not None else (lambda pid: pid)
-    examined = 0
-    for passage_id, _score in ranked_passages:
-        examined += 1
-        label = classify(nli, resolve(passage_id), claim)
-        if label is NliLabel.ENTAILMENT:
-            return ClaimTrace(claim, True, passage_id, examined)
-        if label is NliLabel.CONTRADICTION:
-            return ClaimTrace(claim, False, passage_id, examined)
-    return ClaimTrace(claim, True, None, examined)
+    return _scan([(claim, list(ranked_passages))], nli, resolve, 1)[0]
 
 
 def verify_text(
@@ -124,21 +119,105 @@ def verify_text(
     """Full pipeline verdict for one text.
 
     The claims are embedded in one call and ranked on the calling thread;
-    their NLI scans then run concurrently, up to the NLI backend's width
-    (see `backends.fan_width`). Raises UnverifiableText when claim
-    extraction yields nothing.
+    their NLI calls are then scheduled across claims, up to the NLI
+    backend's width (see `backends.fan_width`) at once. Raises
+    UnverifiableText when claim extraction yields nothing.
     """
-    from .backends import fan_out, fan_width
+    from .backends import fan_width
 
     claims = extractor.extract_claims(text)
     if not claims:
         raise UnverifiableText("claim extraction produced zero claims")
     vecs = embedder.embed(claims)
     jobs = [(claim, index.top_k(vec, k).hits) for claim, vec in zip(claims, vecs, strict=True)]
-    traces = fan_out(
-        lambda job: verify_claim(job[0], job[1], nli, index.text_of), jobs, fan_width(nli)
-    )
+    traces = _scan(jobs, nli, index.text_of, fan_width(nli))
     return Verdict(factual=all(t.decision for t in traces), claim_traces=tuple(traces))
+
+
+def _scan(
+    jobs: Sequence[tuple[str, Sequence[tuple[str, float]]]],
+    nli: NliBackend,
+    resolve: Callable[[str], str],
+    width: int,
+) -> list[ClaimTrace]:
+    """Decide each (claim, ranked hits) job with up to `width` NLI calls in flight.
+
+    A free slot takes the next unasked rank of an undecided claim, preferring
+    the claim with the fewest calls in flight, then the lowest next rank,
+    then claim order; so a claim gets a speculative call only while every
+    other undecided claim has one in flight. A claim never runs more than
+    `width` ranks ahead of its answered-neutral prefix, so at most
+    `width - 1` calls go past its deciding rank. An answer counts only once
+    every better rank of its claim has answered neutral, so each trace is
+    the serial scan's, and answers or errors past the deciding rank are
+    dropped. An error the serial scan would reach starts no further call;
+    once the calls in flight finish, the earliest such claim's error is
+    raised.
+    """
+    from .backends import fan_out
+
+    n = len(jobs)
+    answers: list[dict] = [{} for _ in jobs]  # rank -> label, or the error raised
+    asked, settled, in_flight = [0] * n, [0] * n, [0] * n
+    # The serial scan stops at or before the best rank known to be non-neutral.
+    stop = [len(hits) for _, hits in jobs]
+    traces: list = [None] * n
+    errors: dict[int, Exception] = {}
+    changed = threading.Condition()
+
+    def settle(i: int) -> None:
+        claim, hits = jobs[i]
+        while answers[i].get(settled[i]) is NliLabel.NEUTRAL:
+            settled[i] += 1
+        answer = answers[i].get(settled[i])
+        if isinstance(answer, Exception):
+            errors[i] = answer
+        elif answer is not None:
+            traces[i] = ClaimTrace(claim, answer is NliLabel.ENTAILMENT,
+                                   hits[settled[i]][0], settled[i] + 1)
+        elif settled[i] == len(hits):
+            traces[i] = ClaimTrace(claim, True, None, len(hits))
+
+    def askable() -> list[int]:
+        if errors:
+            return []
+        return [i for i in range(n)
+                if traces[i] is None and asked[i] < min(stop[i], settled[i] + width)]
+
+    def worker(_slot: int) -> None:
+        while True:
+            with changed:
+                # Wait for a rank to ask, or for the last call to come back.
+                changed.wait_for(lambda: askable() or not any(in_flight))
+                claims = askable()
+                if not claims:
+                    return
+                i = min(claims, key=lambda i: (in_flight[i], asked[i], i))
+                rank = asked[i]
+                asked[i] += 1
+                in_flight[i] += 1
+            claim, hits = jobs[i]
+            answer = None
+            try:
+                answer = classify(nli, resolve(hits[rank][0]), claim)
+            except Exception as exc:  # raised later, if the serial scan reaches it
+                answer = exc
+            finally:  # an interrupt leaves `answer` None and fan_out raises it
+                with changed:
+                    in_flight[i] -= 1
+                    if answer is not None:
+                        answers[i][rank] = answer
+                        if answer is not NliLabel.NEUTRAL:
+                            stop[i] = min(stop[i], rank + 1)
+                        settle(i)
+                    changed.notify_all()
+
+    for i in range(n):
+        settle(i)  # a claim without evidence is decided before any call
+    fan_out(worker, range(width), width)
+    if errors:
+        raise errors[min(errors)]
+    return traces
 
 
 # --- claim extractors -----------------------------------------------------------

@@ -1,9 +1,12 @@
 """Shared fixtures: the rainforest worked example, synthetic record sets,
-and mock backend factories."""
+mock backend factories, and a scriptable local HTTP endpoint."""
 
 from __future__ import annotations
 
 import json
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -188,3 +191,85 @@ def page_rows(n: int = 8, sentences_per_page: int = 7) -> list[dict]:
         )
         rows.append({"page_id": f"page{i}", "title": f"Topic {i}", "text": text})
     return rows
+
+
+# --- local HTTP endpoint -------------------------------------------------------------
+
+
+class _Recorder:
+    """Scriptable local HTTP endpoint: pops one (status, body) per request,
+    or, when `responses` is callable, asks it for each recorded request. A
+    reply may carry a third item, a dict of extra headers to send."""
+
+    def __init__(self, responses):
+        self.responses = responses if callable(responses) else list(responses)
+        self.requests = []
+        self.lock = threading.Lock()
+        self.active = 0
+        self.max_active = 0
+
+    def next_response(self, request):
+        if callable(self.responses):
+            return self.responses(request)
+        with self.lock:
+            if len(self.responses) > 1:
+                return self.responses.pop(0)
+            return self.responses[0]
+
+
+@pytest.fixture
+def http_server():
+    servers = []
+
+    def start(responses):
+        recorder = _Recorder(responses)
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                with recorder.lock:
+                    recorder.active += 1
+                    recorder.max_active = max(recorder.max_active, recorder.active)
+                try:
+                    length = int(self.headers.get("Content-Length", 0))
+                    raw = self.rfile.read(length)
+                    request = {
+                        "method": self.command,
+                        "path": self.path,
+                        "body": json.loads(raw or b"{}"),
+                        "raw": raw,
+                        "content_type": self.headers.get("Content-Type"),
+                        "auth": self.headers.get("Authorization"),
+                        "at": time.monotonic(),
+                    }
+                    recorder.requests.append(request)
+                    time.sleep(0.02)
+                    status, payload, *extra = recorder.next_response(request)
+                    data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+                    self.send_response(status)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(data)))
+                    for name, value in (extra[0] if extra else {}).items():
+                        self.send_header(name, value)
+                    self.end_headers()
+                    self.wfile.write(data)
+                finally:
+                    with recorder.lock:
+                        recorder.active -= 1
+
+            do_GET = do_POST  # record a followed redirect too
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        # a short poll lets shutdown() at teardown return at once, not after ~0.5 s
+        thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+        thread.start()
+        servers.append(server)
+        endpoint = f"http://127.0.0.1:{server.server_address[1]}"
+        return endpoint, recorder
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()

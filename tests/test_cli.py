@@ -405,6 +405,21 @@ def test_derive_nli_mining_flags_go_together(pipeline, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("what", ["retriever", "task1", "task2"])
+@pytest.mark.parametrize(
+    "flags",
+    [lambda p: ["--passages", p["windows"]], lambda p: ["--nli-backend", "nli"]],
+    ids=["passages", "nli-backend"],
+)
+def test_derive_mining_flags_need_what_nli(pipeline, capsys, what, flags):
+    out = pipeline["dir"] / f"{what}_mined.jsonl"
+    assert run(["derive", "--records", pipeline["records"], "--what", what,
+                "--out", out, "--config", pipeline["config"], *flags(pipeline)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--what nli" in err
+    assert not out.exists()
+
+
 def test_derive_task_instances(pipeline):
     d = pipeline["dir"]
     t1, t2 = d / "task1.jsonl", d / "task2.jsonl"
@@ -554,6 +569,25 @@ def test_eval_task1_rag_requires_index(pipeline, capsys):
         err = capsys.readouterr().err
         assert "--index" in err and "--embed-backend" in err
         assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "task, mode, flag",
+    [("2", "zs", "--index"), ("2", "rag", "--index"), ("1", "zs", "--embed-backend")],
+)
+def test_eval_retrieval_flags_apply_to_task1_rag_only(pipeline, capsys, task, mode, flag):
+    bad_index = pipeline["dir"] / "bad.bin"  # a truncated index: loading it would fail
+    bad_index.write_bytes(Path(pipeline["index"]).read_bytes()[:18])
+    instances = _derive_task(pipeline, f"task{task}")
+    report = pipeline["dir"] / "r.json"
+    value = {"--index": str(bad_index), "--embed-backend": "embed"}[flag]
+    code = run(["eval", "--task", task, "--mode", mode, "--instances", instances,
+                "--backend", "judge", "--seeds", 1, "--report", report,
+                "--config", pipeline["config"], flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--task 1 --mode rag only" in err
+    assert not report.exists()
 
 
 def test_eval_task1_rag_retrieval_error_fails_the_command(pipeline, capsys):

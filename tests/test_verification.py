@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+import time
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from factforge.backends import BackendProfile, RuleNliBackend
+from factforge.backends import (
+    BackendProfile,
+    HttpEmbeddingBackend,
+    HttpNliBackend,
+    RuleNliBackend,
+)
 from factforge.errors import UnverifiableText
 from factforge.retrieval import index_build
 from factforge.verification import (
     CLAIM_EXTRACTION_INSTRUCTIONS,
+    ClaimTrace,
     NliDistribution,
     NliLabel,
     ScriptedClaimExtractor,
@@ -208,6 +220,198 @@ def test_verify_text_k_caps_evidence():
         record.outputs.factual_text, extractor, index, embedder, nli, k=1
     )
     assert verdict.claim_traces[0].rank_examined <= 1
+
+
+# --- cross-claim NLI scheduler ------------------------------------------------------
+
+_LABELS = {"E": NliLabel.ENTAILMENT, "N": NliLabel.NEUTRAL, "C": NliLabel.CONTRADICTION}
+
+
+class _RankIndex:
+    """Stands in for an index: claim `c` retrieves "c/0", "c/1", ... (one
+    passage per entry of its table), and a passage's text is its id."""
+
+    def __init__(self, tables):
+        self.tables = tables
+
+    def top_k(self, claim, k):
+        n = min(k, len(self.tables[claim]))
+        return SimpleNamespace(hits=[(f"{claim}/{r}", 1.0 - r / 100) for r in range(n)])
+
+    def text_of(self, passage_id):
+        return passage_id
+
+
+class _EchoEmbedder:
+    def embed(self, texts):
+        return list(texts)  # each claim is its own query "vector"
+
+
+class _RankNli:
+    """Thread-safe NLI mock of width `width`: premise "c/r" is answered by
+    `answer(c, r)` (a label, or an exception it raises). Records every call
+    and the most calls in flight at once."""
+
+    def __init__(self, answer, width):
+        self.answer = answer
+        self.max_in_flight = width
+        self.calls = []
+        self.active = self.peak = 0
+        self.lock = threading.Lock()
+
+    def classify(self, premise, hypothesis):
+        claim, rank = premise.rsplit("/", 1)
+        assert claim == hypothesis
+        with self.lock:
+            self.calls.append((claim, int(rank)))
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            return _TableNli._BY_LABEL[self.answer(claim, int(rank))]
+        finally:
+            with self.lock:
+                self.active -= 1
+
+
+def _verify_ranked(tables, nli, k=8):
+    extractor = ScriptedClaimExtractor({"text": list(tables)})
+    return verify_text("text", extractor, _RankIndex(tables), _EchoEmbedder(), nli, k)
+
+
+@given(
+    tables=st.lists(st.text(alphabet="ENC", max_size=8), min_size=1, max_size=4),
+    width=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=60)
+def test_scheduler_matches_serial_scan_within_width_and_waste_bound(tables, width, seed):
+    tables = {f"claim{i}": labels for i, labels in enumerate(tables)}
+    rng, rng_lock = random.Random(seed), threading.Lock()
+
+    def answer(claim, rank):
+        with rng_lock:
+            delay = rng.uniform(0.0, 0.002)
+        time.sleep(delay)
+        return _LABELS[tables[claim][rank]]
+
+    nli = _RankNli(answer, width)
+    verdict = _verify_ranked(tables, nli)
+    serial = _RankNli(lambda claim, rank: _LABELS[tables[claim][rank]], 1)
+    index = _RankIndex(tables)
+    assert len(set(nli.calls)) == len(nli.calls)  # no pair is asked twice
+    assert nli.peak <= width
+    for claim, trace in zip(tables, verdict.claim_traces):
+        assert trace == verify_claim(claim, index.top_k(claim, 8).hits, serial)
+        past_deciding = [r for c, r in nli.calls if c == claim and r >= trace.rank_examined]
+        assert len(past_deciding) <= width - 1
+
+
+def test_scheduler_drops_a_failure_past_the_deciding_rank():
+    second_asked = threading.Event()
+
+    def answer(claim, rank):
+        if rank == 1:
+            second_asked.set()
+            raise RuntimeError("rank 2 fails")
+        second_asked.wait(timeout=5)  # answer rank 1 only once rank 2 is in flight
+        return NliLabel.ENTAILMENT
+
+    nli = _RankNli(answer, 2)
+    verdict = _verify_ranked({"claim0": "EN"}, nli)
+    assert sorted(nli.calls) == [("claim0", 0), ("claim0", 1)]
+    assert verdict.claim_traces == (ClaimTrace("claim0", True, "claim0/0", 1),)
+
+
+def test_scheduler_raises_a_failure_in_the_prefix_and_starts_nothing_after_it():
+    claim1_asked = threading.Event()
+
+    def answer(claim, rank):
+        if claim == "claim0":
+            claim1_asked.wait(timeout=5)  # fail only once claim1 has a call in flight
+            raise RuntimeError("claim0 fails at rank 1")
+        claim1_asked.set()
+        time.sleep(0.2)
+        return NliLabel.NEUTRAL
+
+    nli = _RankNli(answer, 2)
+    with pytest.raises(RuntimeError, match="claim0 fails"):
+        _verify_ranked({"claim0": "E", "claim1": "N" * 8}, nli)
+    assert sorted(nli.calls) == [("claim0", 0), ("claim1", 0)]
+
+
+def test_scheduler_raises_the_earliest_claims_error():
+    def answer(claim, rank):
+        if claim == "claim0":
+            time.sleep(0.03)
+        raise RuntimeError(claim)
+
+    with pytest.raises(RuntimeError, match="claim0"):
+        _verify_ranked({"claim0": "N", "claim1": "N", "claim2": "NNN"}, _RankNli(answer, 2))
+
+
+class _Interrupt(BaseException):
+    pass
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_scheduler_lets_an_interrupt_through(width):
+    def answer(claim, rank):
+        if claim == "claim0":
+            raise _Interrupt
+        return NliLabel.NEUTRAL
+
+    with pytest.raises(_Interrupt):
+        _verify_ranked({"claim0": "N", "claim1": "NNN"}, _RankNli(answer, width))
+
+
+def test_scheduler_under_fast_thread_switching():
+    rng = random.Random(7)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            tables = {f"claim{i}": "".join(rng.choice("NNNNNNEC") for _ in range(30))
+                      for i in range(4)}
+            nli = _RankNli(lambda claim, rank: _LABELS[tables[claim][rank]], 8)
+            verdict = _verify_ranked(tables, nli, k=30)
+            serial = _RankNli(nli.answer, 1)
+            index = _RankIndex(tables)
+            assert verdict.claim_traces == tuple(
+                verify_claim(c, index.top_k(c, 30).hits, serial) for c in tables
+            )
+            assert len(set(nli.calls)) == len(nli.calls)
+            assert nli.peak <= 8
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_one_neutral_claim_over_http_keeps_both_slots_busy(http_server):
+    embedder, nli = synth_embedder(), synth_nli()
+
+    def respond(request):
+        body = request["body"]
+        if request["path"] == "/embeddings":
+            vecs = embedder.embed(body["input"])
+            return 200, {"data": [{"index": i, "embedding": v.tolist()}
+                                  for i, v in enumerate(vecs)]}
+        dist = nli.classify(body["premise"], body["hypothesis"])
+        return 200, {"entailment": dist.p_ent, "neutral": dist.p_neut,
+                     "contradiction": dist.p_contr}
+
+    endpoint, recorder = http_server(respond)
+    profile = dict(name="live", endpoint=endpoint, model="m", timeout=5.0,
+                   retry_backoff=0.0, max_in_flight=2)
+    index = index_build([synth_passage(i) for i in range(20)], embedder)
+    extractor = ScriptedClaimExtractor({"text": ["Nothing in the corpus speaks of zebras."]})
+    verdict = verify_text(
+        "text", extractor, index,
+        HttpEmbeddingBackend(BackendProfile(kind="embedding", **profile)),
+        HttpNliBackend(BackendProfile(kind="nli", **profile)), 5,
+    )
+    assert verdict == verify_text("text", extractor, index, embedder, nli, 5)
+    assert verdict.claim_traces[0].deciding_passage_id is None
+    assert sum(r["path"] == "/nli" for r in recorder.requests) == 5  # no call wasted
+    assert recorder.max_active == 2
 
 
 # --- extraction prompt ------------------------------------------------------------------
