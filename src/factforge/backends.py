@@ -170,13 +170,13 @@ class _HttpBase:
                         urllib.request.HTTPSHandler()):
             self._opener.add_handler(handler)
 
-    def _headers(self) -> dict[str, str]:
+    def _headers(self, fingerprint: str) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
         if self.profile.auth_env:
             key = os.environ.get(self.profile.auth_env)
             if not key:
                 raise AuthFailure(
-                    f"environment variable {self.profile.auth_env!r} is not set"
+                    f"environment variable {self.profile.auth_env!r} is not set", fingerprint
                 )
             headers["Authorization"] = f"Bearer {key}"
         return headers
@@ -210,7 +210,7 @@ class _HttpBase:
         import urllib.request
 
         url = self._url
-        headers = self._headers()
+        headers = self._headers(fingerprint)
         last: BackendError | None = None
         asked = 0.0  # delay the last 429/503 reply asked for, in seconds
         for attempt in range(MAX_RETRIES + 1):
@@ -281,14 +281,17 @@ class HttpEmbeddingBackend(_HttpBase):
 
     @staticmethod
     def _decode(reply: Any, body: Mapping[str, Any]) -> list[np.ndarray]:
-        rows = sorted(reply["data"], key=lambda r: r.get("index", 0))
-        vecs = [np.asarray(r["embedding"], dtype=np.float64) for r in rows]
+        rows = reply["data"]
+        # A row without an index stands at its row position.
+        indexes = [row.get("index", i) for i, row in enumerate(rows)]
+        if sorted(indexes) != list(range(len(body["input"]))):
+            raise MalformedResponse(
+                f"asked for {len(body['input'])} embeddings, got indexes {indexes}"
+            )
+        vecs = [np.asarray(row["embedding"], dtype=np.float64)
+                for _, row in sorted(zip(indexes, rows), key=lambda pair: pair[0])]
         if any(v.ndim != 1 for v in vecs):
             raise MalformedResponse("an embedding is not a flat list of numbers")
-        if len(vecs) != len(body["input"]):
-            raise MalformedResponse(
-                f"asked for {len(body['input'])} embeddings, got {len(vecs)}"
-            )
         return vecs
 
 
@@ -449,6 +452,19 @@ class RuleNliBackend:
 # --- factory -----------------------------------------------------------------
 
 
+# The options each mock reads, by kind and "mock" option; embedding and NLI
+# profiles have one mock each, which an empty or absent "mock" also names.
+_MOCK_OPTIONS = {
+    (KIND_CHAT, "script"): {"script"},
+    (KIND_CHAT, "sequence"): {"responses"},
+    (KIND_CHAT, "verdict_rule"): {"markers"},
+    (KIND_EMBEDDING, ""): {"dimension", "normalize"},
+    (KIND_EMBEDDING, "hashed_bow"): {"dimension", "normalize"},
+    (KIND_NLI, ""): {"contradictions"},
+    (KIND_NLI, "rules"): {"contradictions"},
+}
+
+
 def build_backend(profile: BackendProfile, base_dir: str | Path | None = None):
     """Construct the backend object a profile describes.
 
@@ -464,28 +480,28 @@ def build_backend(profile: BackendProfile, base_dir: str | Path | None = None):
         }[profile.kind](profile)
 
     opts = dict(profile.options)
-    mock = opts.get("mock", "")
-    if profile.kind == KIND_CHAT:
-        if mock == "script":
-            if "script" not in opts:
-                raise ValueError(f"profile {profile.name!r}: the script mock needs 'script'")
-            script = Path(opts["script"])
-            if base_dir is not None and not script.is_absolute():
-                script = Path(base_dir) / script
-            return ScriptedChatBackend.from_file(profile, script)
-        if mock == "sequence":
-            return SequenceChatBackend(profile, opts.get("responses", []))
-        if mock == "verdict_rule":
-            return VerdictRuleChatBackend(profile, opts.get("markers", []))
-        raise ValueError(f"profile {profile.name!r}: unknown chat mock {mock!r}")
+    mock = opts.pop("mock", "")
+    reads = _MOCK_OPTIONS.get((profile.kind, mock)) if isinstance(mock, str) else None
+    if reads is None:
+        raise ValueError(f"profile {profile.name!r}: unknown {profile.kind} mock {mock!r}")
+    if set(opts) - reads:
+        raise ValueError(f"profile {profile.name!r}: {mock or profile.kind} mock does not "
+                         f"read options {sorted(set(opts) - reads)}")
     if profile.kind == KIND_EMBEDDING:
-        if mock in ("", "hashed_bow"):
-            return HashedBowEmbedder(
-                profile,
-                dimension=int(opts.get("dimension", 64)),
-                normalize=bool(opts.get("normalize", True)),
-            )
-        raise ValueError(f"profile {profile.name!r}: unknown embedding mock {mock!r}")
-    if mock in ("", "rules"):
+        return HashedBowEmbedder(
+            profile,
+            dimension=int(opts.get("dimension", 64)),
+            normalize=bool(opts.get("normalize", True)),
+        )
+    if profile.kind == KIND_NLI:
         return RuleNliBackend(profile, opts.get("contradictions", []))
-    raise ValueError(f"profile {profile.name!r}: unknown NLI mock {mock!r}")
+    if mock == "script":
+        if "script" not in opts:
+            raise ValueError(f"profile {profile.name!r}: the script mock needs 'script'")
+        script = Path(opts["script"])
+        if base_dir is not None and not script.is_absolute():
+            script = Path(base_dir) / script
+        return ScriptedChatBackend.from_file(profile, script)
+    if mock == "sequence":
+        return SequenceChatBackend(profile, opts.get("responses", []))
+    return VerdictRuleChatBackend(profile, opts.get("markers", []))

@@ -31,7 +31,7 @@ from typing import Any, Mapping, Sequence
 from . import backends as be
 from . import corpus, dataset, evalharness, synthgen
 from .errors import FactforgeError
-from .jsonlio import atomic_write, dumps_canonical, read_records, to_row, write_jsonl
+from .jsonlio import atomic_write, dumps_canonical, read_records, to_row, write_jsonl, write_records
 from .retrieval import PassageIndex, index_build
 from .verification import DEFAULT_TOP_K, ChatClaimExtractor, verify_text
 
@@ -72,6 +72,9 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise FactforgeError(f"{path}: {exc}") from exc
         defaults = {k: v for k, v in raw.items() if k != "profiles"}
+        unknown = set(defaults) - {key for rows in SETTINGS.values() for _, key, _, _ in rows}
+        if unknown:
+            raise FactforgeError(f"{path}: unknown config keys {sorted(unknown)}")
         return cls(profiles=profiles, defaults=defaults, base_dir=Path(path).parent)
 
     def profile(self, name: str) -> be.BackendProfile:
@@ -194,7 +197,7 @@ def _cmd_derive(args: argparse.Namespace, config: RunConfig) -> int:
     if len(valid) < len(records):
         log.info("skipping %d records with hard validation failures", len(records) - len(valid))
 
-    header: dict[str, Any] = {"schema": DERIVED_SCHEMAS[args.what], "version": 1}
+    header: dict[str, Any] = {}
     items: list[Any]
     if args.what == "retriever":
         items = [p for r in valid for p in dataset.derive_retriever_pairs(r)]
@@ -208,33 +211,24 @@ def _cmd_derive(args: argparse.Namespace, config: RunConfig) -> int:
             by_page: dict[str, list[corpus.Passage]] = {}
             for p in corpus.read_passages(args.passages):
                 by_page.setdefault(p.page_id, []).append(p)
-            jobs = []  # (position in valid, claim, candidate pool)
-            for j, record in enumerate(valid):
-                pool = [
-                    p
-                    for p in by_page.get(record.passage.page_id, [])
-                    if p.passage_id != record.passage.passage_id
-                ]
-                if pool:
-                    neutrals[j] = []
-                    jobs.extend((j, claim, pool) for claim in record.outputs.claims)
-            mined = be.fan_out(
-                lambda job: dataset.mine_neutral_passage(job[1], job[2], nli).text,
-                jobs, be.fan_width(nli),
-            )
-            for (j, _, _), text in zip(jobs, mined):
-                neutrals[j].append(text)
-        items = []
-        for record, record_neutrals in zip(valid, neutrals):
-            items.extend(dataset.derive_nli_triplets(record, record_neutrals))
+
+            def mine(record: synthgen.ResourceRecord) -> list[str] | None:
+                pool = [p for p in by_page.get(record.passage.page_id, [])
+                        if p.passage_id != record.passage.passage_id]
+                if not pool:
+                    return None
+                return [dataset.mine_neutral_passage(c, pool, nli).text
+                        for c in record.outputs.claims]
+
+            neutrals = be.fan_out(mine, valid, be.fan_width(nli))
+        items = [t for r, ns in zip(valid, neutrals) for t in dataset.derive_nli_triplets(r, ns)]
         header["neutrals_mined"] = mine_neutrals
     elif args.what == "task1":
         items = dataset.build_task1(valid)
     else:
         items = dataset.build_task2(valid)
-    header["count"] = len(items)
 
-    n = write_jsonl(args.out, [header, *map(to_row, items)]) - 1
+    n = write_records(args.out, items, DERIVED_SCHEMAS[args.what], count=len(items), **header)
     log.info("derived %d %s rows -> %s", n, args.what, args.out)
     return 0
 
@@ -329,6 +323,7 @@ def _build_judge_system(
 
     Task-1 RAG evidence is retrieved here, once per distinct text, so the
     seeds share it; a retrieval error propagates before any judge call.
+    A task-2 instance's own evidence text follows its claim in every mode.
     """
     evidence: dict[str, tuple[str, ...]] = {}
     if task == "1" and base_spec.mode == evalharness.MODE_RAG:
@@ -338,17 +333,11 @@ def _build_judge_system(
             evidence[text] = tuple(index.text_of(pid) for pid, _ in hits)
 
     def system(instance, rng) -> bool:
-        spec = base_spec
         if task == "1":
-            text = instance.text
-            if spec.mode == evalharness.MODE_RAG:
-                spec = replace(spec, evidence=evidence[text])
+            text, found = instance.text, evidence.get(instance.text, ())
         else:
-            text = instance.claim
-            if spec.mode == evalharness.MODE_RAG:
-                spec = replace(spec, evidence=(instance.evidence,))
-            else:
-                text = f"{instance.claim}{spec.evidence_separator}{instance.evidence}"
+            text, found = instance.claim, (instance.evidence,)
+        spec = replace(base_spec, evidence=found)
         raw = chat.complete(evalharness.build_prompt(spec, text))
         return evalharness.parse_llm_verdict(raw, explain_mode=spec.explain)
 
@@ -361,6 +350,8 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         raise FactforgeError("RAG on task 1 needs --index and --embed-backend")
     if not rag_task1 and (args.index or args.embed_backend):
         raise FactforgeError("--index and --embed-backend apply to --task 1 --mode rag only")
+    if args.few_shot and args.mode not in (evalharness.MODE_FS, evalharness.MODE_FS_EX):
+        raise FactforgeError("--few-shot applies to --mode fs and fs_ex only")
     instances = _load_instances(args.instances, args.task)
     if not instances:
         raise FactforgeError(f"no instances found in {args.instances}")

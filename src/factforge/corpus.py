@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import logging
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DuplicatePageId, EmptyPageError, MalformedRecord
-from .jsonlio import from_row, iter_jsonl, read_records, to_row, write_jsonl
+from .jsonlio import from_row, iter_jsonl, read_records, write_records
 from .textnorm import normalize_ws
 
 log = logging.getLogger(__name__)
@@ -30,9 +31,10 @@ DEFAULT_ABBREVIATIONS = frozenset({
     "est.", "u.s.", "u.k.", "u.n.", "d.c.", "ph.d.",
 })
 
-_TERMINATORS = ".!?"
-_CLOSERS = "\"')]}”’"
 _OPENERS = "\"'([{“‘"
+# A terminator and any further terminators or closers, then a space and one
+# character, which are looked ahead at, not consumed: a run may start there.
+_BOUNDARY = re.compile(r"[.!?][.!?\"')\]}”’]*(?= (.))", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -82,30 +84,16 @@ def split_sentences(
     joining the output with single spaces reproduces the normalized input.
     """
     text = normalize_ws(text)
-    if not text:
-        return []
     sentences: list[str] = []
     start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] in _TERMINATORS:
-            j = i
-            while j + 1 < n and text[j + 1] in _TERMINATORS + _CLOSERS:
-                j += 1
-            nxt = j + 1
-            if nxt < n and text[nxt] == " " and nxt + 1 < n:
-                first = text[nxt + 1]
-                starts_fresh = first.isupper() or first.isdigit() or first in _OPENERS
-                word = text[text.rfind(" ", 0, i) + 1 : i + 1]
-                guarded = word.lstrip(_OPENERS).lower() in abbreviations
-                if starts_fresh and not guarded:
-                    sentences.append(text[start : j + 1])
-                    start = nxt + 1
-            i = j + 1
-        else:
-            i += 1
-    if start < n:
+    for m in _BOUNDARY.finditer(text):
+        first = m.group(1)
+        starts_fresh = first.isupper() or first.isdigit() or first in _OPENERS
+        word = text[text.rfind(" ", 0, m.start()) + 1 : m.start() + 1]
+        if starts_fresh and word.lstrip(_OPENERS).lower() not in abbreviations:
+            sentences.append(text[start : m.end()])
+            start = m.end() + 1
+    if start < len(text):
         sentences.append(text[start:])
     return sentences
 
@@ -127,20 +115,11 @@ def window_passages(
     sentences = [s for s in sentences if s]
     if not sentences:
         return []
-    n = len(sentences)
-    if n < window:
-        return [Passage(passage_id_for(page_id, 0), page_id, 0, tuple(sentences))]
-    out = []
-    for start in range(0, n - window + 1, stride):
-        out.append(
-            Passage(
-                passage_id_for(page_id, start),
-                page_id,
-                start,
-                tuple(sentences[start : start + window]),
-            )
-        )
-    return out
+    return [
+        Passage(passage_id_for(page_id, start), page_id, start,
+                tuple(sentences[start : start + window]))
+        for start in range(0, max(len(sentences) - window, 0) + 1, stride)
+    ]
 
 
 def page_passages(
@@ -213,7 +192,7 @@ def read_pages(path: str | Path) -> list[Page]:
 
 
 def write_passages(path: str | Path, passages: Iterable[Passage]) -> int:
-    return write_jsonl(path, map(to_row, passages))
+    return write_records(path, passages)
 
 
 def read_passages(path: str | Path) -> list[Passage]:

@@ -125,12 +125,9 @@ def easiness_p(candidates: Sequence[str], references: Sequence[str]) -> float:
 
 
 def easiness_r(candidates: Sequence[str], references: Sequence[str]) -> float:
-    """Mean over reference claims of the best ROUGE-1 F1 against any candidate."""
-    if not candidates or not references:
-        raise MetricUndefined("easiness needs non-empty claim sets")
-    return statistics.fmean(
-        max(rouge1_f1(c, r) for c in candidates) for r in references
-    )
+    """Mean over reference claims of the best ROUGE-1 F1 (a symmetric score)
+    against any candidate: `easiness_p` with the roles swapped."""
+    return easiness_p(references, candidates)
 
 
 def easiness_f1(candidates: Sequence[str], references: Sequence[str]) -> float:
@@ -149,11 +146,12 @@ def easiness_f1(candidates: Sequence[str], references: Sequence[str]) -> float:
 class PromptSpec:
     """Everything needed to turn a text into judge messages.
 
-    `evidence` holds retrieved passage texts best-first; under a token
-    budget the lowest-ranked passages are dropped first, whole passages
-    only. `system_slot` says whether the backend supports a system
-    message; without one, instructions are prefixed to the first user
-    message.
+    `evidence` holds the evidence texts, best-first, that follow the text
+    after `evidence_separator` in any mode; in RAG mode they are retrieved
+    passages, and under a token budget the lowest-ranked are dropped first,
+    whole passages only. `system_slot` says whether the backend supports a
+    system message; without one, instructions are prefixed to the first
+    user message.
     """
 
     mode: str
@@ -194,7 +192,7 @@ def _instruction_block(spec: PromptSpec) -> str:
 
 def _assemble(spec: PromptSpec, text_to_verify: str, evidence: Sequence[str]) -> list[dict[str, str]]:
     body = text_to_verify
-    if spec.mode == MODE_RAG and evidence:
+    if evidence:
         body = text_to_verify + spec.evidence_separator + "\n".join(evidence)
     turns: list[dict[str, str]] = []
     if spec.few_shot:
@@ -214,9 +212,9 @@ def _assemble(spec: PromptSpec, text_to_verify: str, evidence: Sequence[str]) ->
 def build_prompt(spec: PromptSpec, text_to_verify: str) -> list[dict[str, str]]:
     """Chat messages asking a judge model for a factuality verdict.
 
-    RAG mode appends the evidence passages after the text and a separator;
-    when a token budget is set, whole passages are dropped lowest-rank
-    first until the message total fits.
+    Evidence texts follow the text after a separator. In RAG mode, when a
+    token budget is set, whole passages are dropped lowest-rank first until
+    the message total fits.
     """
     if spec.mode == MODE_RAG and not spec.evidence:
         raise ValueError("RAG mode requires at least one evidence passage")
@@ -225,7 +223,7 @@ def build_prompt(spec: PromptSpec, text_to_verify: str) -> list[dict[str, str]]:
 
     evidence = list(spec.evidence)
     messages = _assemble(spec, text_to_verify, evidence)
-    if spec.token_budget is not None:
+    if spec.mode == MODE_RAG and spec.token_budget is not None:
         while (
             sum(estimate_tokens(m["content"]) for m in messages) > spec.token_budget
             and evidence

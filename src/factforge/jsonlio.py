@@ -194,6 +194,14 @@ def from_row(cls: type[R], row: Any) -> R:
     return cls(**kwargs)
 
 
+def write_records(path: str | Path, records: Iterable[Any], schema: str | None = None,
+                  **header: Any) -> int:
+    """Write one row per record atomically, after a header row `{"schema",
+    "version": 1, **header}` when `schema` is given. Returns the record count."""
+    head = [] if schema is None else [{"schema": schema, "version": 1, **header}]
+    return write_jsonl(path, [*head, *map(to_row, records)]) - len(head)
+
+
 def read_records(path: str | Path, cls: type[R], schema: str | None = None) -> list[R]:
     """Read a record file of `cls` rows, skipping a leading header row.
 

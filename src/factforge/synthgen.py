@@ -13,12 +13,11 @@ from __future__ import annotations
 import ast
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Iterable
 
 from . import jsonlio
 from .corpus import Passage
 from .errors import ExhaustedRetries, MalformedOutput, MissingKey, TypeMismatch
-from .jsonlio import to_row, write_jsonl
 from .textnorm import normalize_for_match, unigram_jaccard
 
 CLAIM_WORD_LIMIT = 15
@@ -235,15 +234,10 @@ class ResourceRecord:
 
 
 RECORDS_SCHEMA = "synthesis_records"
-RECORDS_VERSION = 1
-
-
-def records_header() -> dict[str, Any]:
-    return {"schema": RECORDS_SCHEMA, "version": RECORDS_VERSION}
 
 
 def write_records(path, records: Iterable[ResourceRecord]) -> int:
-    return write_jsonl(path, [records_header(), *map(to_row, records)]) - 1
+    return jsonlio.write_records(path, records, RECORDS_SCHEMA)
 
 
 def read_records(path) -> list[ResourceRecord]:

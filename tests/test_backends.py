@@ -411,9 +411,11 @@ def test_http_missing_auth_env_fails_before_any_request(http_server, monkeypatch
     monkeypatch.delenv("FAKE_API_KEY", raising=False)
     endpoint, recorder = http_server([(200, _CHAT_OK)])
     chat = HttpChatBackend(_http_profile(endpoint, auth_env="FAKE_API_KEY"))
-    with pytest.raises(AuthFailure):
-        chat.complete([{"role": "user", "content": "x"}])
+    messages = [{"role": "user", "content": "x"}]
+    with pytest.raises(AuthFailure) as info:
+        chat.complete(messages)
     assert recorder.requests == []
+    assert info.value.fingerprint == chat_fingerprint(chat.profile, messages)
 
 
 def test_http_401_no_retry(http_server):
@@ -540,13 +542,17 @@ def test_http_errors_carry_kind_and_wire_body_fingerprint(http_server, kind, rep
     [
         {"data": [[0.1, 0.2]]},  # rows are not objects
         {"data": [{"index": 0, "embedding": [[1.0, 2.0]]}]},  # a 2-D embedding
+        {"data": [{"index": 1, "embedding": [1.0]}, {"index": 1, "embedding": [2.0]}]},
+        {"data": [{"index": 5, "embedding": [1.0]}, {"index": 7, "embedding": [2.0]}]},
+        # a row without an index stands at its position, here 0, which row 2 claims too
+        {"data": [{"embedding": [1.0]}, {"index": 0, "embedding": [2.0]}]},
     ],
 )
 def test_http_malformed_embedding_rows(http_server, body):
     endpoint, _ = http_server([(200, body)])
     emb = HttpEmbeddingBackend(_http_profile(endpoint, kind="embedding"))
     with pytest.raises(MalformedResponse):
-        emb.embed(["a"])
+        emb.embed(["t"] * len(body["data"]))  # one input per row
 
 
 def test_http_concurrency_respects_max_in_flight(http_server):

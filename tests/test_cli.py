@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from factforge.backends import BackendProfile, chat_fingerprint
+from factforge.backends import BackendProfile, VerdictRuleChatBackend, chat_fingerprint
 from factforge.cli import main
 from factforge.corpus import Page, Passage, page_passages, sample_passage
+from factforge.evalharness import RAG_INSTRUCTIONS, ZERO_SHOT_INSTRUCTIONS
 from factforge.jsonlio import to_row
 from factforge.synthgen import build_unified_prompt
 from factforge.verification import build_claim_extraction_prompt
@@ -252,6 +253,32 @@ def test_config_faults_are_domain_errors(ws, capsys, change, command):
     assert "error:" in err
     assert "Traceback" not in err
     assert not (ws["dir"] / "o.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "change, command, key",
+    [
+        (lambda c: c.update(windw=2), "ingest", "windw"),
+        (lambda c: c["profiles"]["embed"]["options"].update(dim=16), "index", "dim"),
+    ],
+    ids=["config-key-no-subcommand-reads", "option-the-mock-does-not-read"],
+)
+def test_unread_settings_are_named_errors(ws, capsys, change, command, key):
+    config = json.loads(ws["config"].read_text())
+    change(config)
+    cfg = ws["dir"] / "misspelt.json"
+    cfg.write_text(json.dumps(config))
+    passages = _write_rows(ws["dir"] / "p.jsonl", [
+        {"passage_id": "p:0", "page_id": "p", "start": 0, "sentences": ["A text."]}
+    ])
+    args = {
+        "ingest": ["--pages", ws["pages"]],
+        "index": ["--passages", passages, "--backend", "embed"],
+    }[command]
+    assert run([command, *args, "--out", ws["dir"] / "o.out", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    assert not (ws["dir"] / "o.out").exists()
 
 
 # --- ingest ------------------------------------------------------------------------
@@ -633,6 +660,96 @@ def test_eval_few_shot_mode_requires_examples(pipeline):
                 "--report", pipeline["dir"] / "r.json",
                 "--config", pipeline["config"]])
     assert code == 1
+
+
+@pytest.mark.parametrize("mode", ["zs", "zs_ex", "rag"])
+def test_eval_few_shot_applies_to_few_shot_modes_only(pipeline, capsys, mode):
+    shots = pipeline["dir"] / "shots.jsonl"
+    shots.write_text(json.dumps({"text": "An example without a label."}) + "\n")
+    report = pipeline["dir"] / "r.json"
+    rag = ["--index", pipeline["index"], "--embed-backend", "embed"] if mode == "rag" else []
+    # The instance file does not exist: the flag is rejected before any file is read.
+    code = run(["eval", "--task", "1", "--mode", mode, "--instances", pipeline["dir"] / "nope",
+                "--backend", "judge", "--seeds", 1, "--report", report, "--few-shot", shots,
+                "--config", pipeline["config"], *rag])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--few-shot" in err
+    assert not report.exists()
+
+
+_PIN_PASSAGES = ["Ada wrote notes on the engine.", "The engine was never built.",
+                 "Babbage designed it."]
+_PIN_INSTANCES = {
+    "1": [{"schema": "task1_instances", "version": 1, "count": 2},
+          {"text": "Ada wrote notes.", "label": True, "origin": "factual", "record_id": "r"},
+          {"text": "Ada wrote poems.", "label": False, "origin": "unfactual", "record_id": "r"}],
+    "2": [{"schema": "task2_instances", "version": 1, "count": 2},
+          {"claim": "Ada wrote notes.", "evidence": _PIN_PASSAGES[0], "label": True,
+           "record_id": "r"},
+          {"claim": "Ada wrote poems.", "evidence": _PIN_PASSAGES[0], "label": False,
+           "record_id": "r"}],
+}
+_ZS = {"role": "system", "content": ZERO_SHOT_INSTRUCTIONS}
+_RAG = {"role": "system", "content": RAG_INSTRUCTIONS}
+
+
+def _user(content: str) -> dict:
+    return {"role": "user", "content": content}
+
+
+@pytest.mark.parametrize(
+    "task, mode, flags, expected",
+    [
+        ("1", "zs", [], [[_ZS, _user("Ada wrote notes.")], [_ZS, _user("Ada wrote poems.")]]),
+        ("1", "rag", [], [
+            [_RAG, _user("Ada wrote notes.\n\nEvidence:\nAda wrote notes on the engine.\n"
+                         "The engine was never built.\nBabbage designed it.")],
+            [_RAG, _user("Ada wrote poems.\n\nEvidence:\nAda wrote notes on the engine.\n"
+                         "The engine was never built.\nBabbage designed it.")],
+        ]),
+        # 173 instruction tokens plus a 27-token body exceed 195: the last passage goes.
+        ("1", "rag", ["--token-budget", 195], [
+            [_RAG, _user("Ada wrote notes.\n\nEvidence:\nAda wrote notes on the engine.\n"
+                         "The engine was never built.")],
+            [_RAG, _user("Ada wrote poems.\n\nEvidence:\nAda wrote notes on the engine.\n"
+                         "The engine was never built.")],
+        ]),
+        ("2", "zs", [], [
+            [_ZS, _user("Ada wrote notes.\n\nEvidence:\nAda wrote notes on the engine.")],
+            [_ZS, _user("Ada wrote poems.\n\nEvidence:\nAda wrote notes on the engine.")],
+        ]),
+        # Outside RAG mode a token budget trims nothing.
+        ("2", "zs", ["--token-budget", 1], [
+            [_ZS, _user("Ada wrote notes.\n\nEvidence:\nAda wrote notes on the engine.")],
+            [_ZS, _user("Ada wrote poems.\n\nEvidence:\nAda wrote notes on the engine.")],
+        ]),
+        ("2", "rag", [], [
+            [_RAG, _user("Ada wrote notes.\n\nEvidence:\nAda wrote notes on the engine.")],
+            [_RAG, _user("Ada wrote poems.\n\nEvidence:\nAda wrote notes on the engine.")],
+        ]),
+    ],
+    ids=["task1-zs", "task1-rag", "task1-rag-budget", "task2-zs", "task2-zs-budget",
+         "task2-rag"],
+)
+def test_eval_judge_messages_are_pinned(ws, monkeypatch, task, mode, flags, expected):
+    d = ws["dir"]
+    _write_rows(d / "pin_passages.jsonl", [
+        {"passage_id": f"p:{i}", "page_id": "p", "start": i, "sentences": [text]}
+        for i, text in enumerate(_PIN_PASSAGES)
+    ])
+    assert run(["index", "--passages", d / "pin_passages.jsonl", "--backend", "embed",
+                "--out", d / "pin.bin", "--config", ws["config"]]) == 0
+    instances = _write_rows(d / "pin_instances.jsonl", _PIN_INSTANCES[task])
+    sent = []
+    complete = VerdictRuleChatBackend.complete
+    monkeypatch.setattr(VerdictRuleChatBackend, "complete",
+                        lambda self, messages: sent.append(messages) or complete(self, messages))
+    rag = ["--index", d / "pin.bin", "--embed-backend", "embed"] if task + mode == "1rag" else []
+    assert run(["eval", "--task", task, "--mode", mode, "--instances", instances,
+                "--backend", "judge", "--seeds", 1, "--report", d / "pin.json",
+                "--config", ws["config"], *rag, *flags]) == 0
+    assert sent == expected
 
 
 def test_eval_report_is_deterministic_modulo_runtime(pipeline):
