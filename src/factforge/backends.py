@@ -473,6 +473,9 @@ def build_backend(profile: BackendProfile, base_dir: str | Path | None = None):
     if profile.transport == "http":
         if not profile.endpoint.lower().startswith(("http://", "https://")):
             raise ValueError(f"profile {profile.name!r} needs an http:// or https:// endpoint")
+        if profile.options:
+            raise ValueError(f"profile {profile.name!r}: the http transport does not read "
+                             f"options {sorted(profile.options)}")
         return {
             KIND_CHAT: HttpChatBackend,
             KIND_EMBEDDING: HttpEmbeddingBackend,
@@ -487,21 +490,29 @@ def build_backend(profile: BackendProfile, base_dir: str | Path | None = None):
     if set(opts) - reads:
         raise ValueError(f"profile {profile.name!r}: {mock or profile.kind} mock does not "
                          f"read options {sorted(set(opts) - reads)}")
+
+    def read(key: str, build: Callable[[Any], Any], default: Any = None):
+        """`build(value of option key)`, a wrong value named as that option."""
+        try:
+            return build(opts.get(key, default))
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"profile {profile.name!r}: mock option {key!r}: {exc}") from exc
+
     if profile.kind == KIND_EMBEDDING:
         return HashedBowEmbedder(
             profile,
-            dimension=int(opts.get("dimension", 64)),
+            dimension=read("dimension", int, 64),
             normalize=bool(opts.get("normalize", True)),
         )
     if profile.kind == KIND_NLI:
-        return RuleNliBackend(profile, opts.get("contradictions", []))
+        return read("contradictions", lambda pairs: RuleNliBackend(profile, pairs), [])
     if mock == "script":
         if "script" not in opts:
             raise ValueError(f"profile {profile.name!r}: the script mock needs 'script'")
-        script = Path(opts["script"])
+        script = read("script", Path)
         if base_dir is not None and not script.is_absolute():
             script = Path(base_dir) / script
         return ScriptedChatBackend.from_file(profile, script)
     if mock == "sequence":
-        return SequenceChatBackend(profile, opts.get("responses", []))
-    return VerdictRuleChatBackend(profile, opts.get("markers", []))
+        return read("responses", lambda replies: SequenceChatBackend(profile, replies), [])
+    return read("markers", lambda markers: VerdictRuleChatBackend(profile, markers), [])

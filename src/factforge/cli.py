@@ -24,6 +24,7 @@ import argparse
 import json
 import logging
 import sys
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -324,6 +325,9 @@ def _build_judge_system(
     Task-1 RAG evidence is retrieved here, once per distinct text, so the
     seeds share it; a retrieval error propagates before any judge call.
     A task-2 instance's own evidence text follows its claim in every mode.
+    A greedy judge (temperature 0) is asked each distinct prompt once,
+    here, and every seed scores that answer; a sampling judge is asked
+    anew for each instance in each seed.
     """
     evidence: dict[str, tuple[str, ...]] = {}
     if task == "1" and base_spec.mode == evalharness.MODE_RAG:
@@ -332,14 +336,40 @@ def _build_judge_system(
             hits = index.top_k(query, k)
             evidence[text] = tuple(index.text_of(pid) for pid, _ in hits)
 
-    def system(instance, rng) -> bool:
+    def judged(instance) -> tuple[str, tuple[str, ...]]:
         if task == "1":
-            text, found = instance.text, evidence.get(instance.text, ())
-        else:
-            text, found = instance.claim, (instance.evidence,)
-        spec = replace(base_spec, evidence=found)
-        raw = chat.complete(evalharness.build_prompt(spec, text))
-        return evalharness.parse_llm_verdict(raw, explain_mode=spec.explain)
+            return instance.text, evidence.get(instance.text, ())
+        return instance.claim, (instance.evidence,)
+
+    def prompt(text: str, found: tuple[str, ...]) -> list[dict[str, str]]:
+        return evalharness.build_prompt(replace(base_spec, evidence=found), text)
+
+    def verdict(raw: str) -> bool:
+        return evalharness.parse_llm_verdict(raw, explain_mode=base_spec.explain)
+
+    if chat.profile.temperature > 0:
+        return lambda instance, rng: verdict(chat.complete(prompt(*judged(instance))))
+
+    prompts: dict[str, list[dict[str, str]]] = {}  # by chat fingerprint
+    fingerprint_of: dict[tuple[str, tuple[str, ...]], str] = {}
+    for key in dict.fromkeys(map(judged, instances)):
+        messages = prompt(*key)
+        fingerprint_of[key] = be.chat_fingerprint(chat.profile, messages)
+        prompts.setdefault(fingerprint_of[key], messages)
+
+    def ask(messages):
+        try:
+            return chat.complete(messages)
+        except FactforgeError as exc:
+            return exc
+
+    answers = dict(zip(prompts, be.fan_out(ask, prompts.values(), be.fan_width(chat))))
+
+    def system(instance, rng) -> bool:
+        answer = answers[fingerprint_of[judged(instance)]]
+        if isinstance(answer, FactforgeError):
+            raise answer
+        return verdict(answer)
 
     return system
 
@@ -355,6 +385,11 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     instances = _load_instances(args.instances, args.task)
     if not instances:
         raise FactforgeError(f"no instances found in {args.instances}")
+    # `run_benchmark` checks these too, but only after the judge calls are paid for.
+    if args.seeds < 1:
+        raise FactforgeError("--seeds must be at least 1")
+    if len({instance.label for instance in instances}) < 2:
+        raise FactforgeError("balanced accuracy undefined: gold labels contain a single class")
     chat = config.backend(args.backend, be.KIND_CHAT)
     spec = evalharness.PromptSpec(
         mode=args.mode,
@@ -371,11 +406,13 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     task_name = (
         evalharness.TASK_END_TO_END if args.task == "1" else evalharness.TASK_CLAIM_VERIFICATION
     )
+    started = time.monotonic()
     system = _build_judge_system(chat, spec, args.task, instances, index, embedder, args.top_k)
     report = evalharness.run_benchmark(
         task_name, system, instances, [args.seed + i for i in range(args.seeds)],
         width=be.fan_width(chat),
     )
+    report = replace(report, runtime_seconds=time.monotonic() - started)
     with atomic_write(args.report, encoding="utf-8") as fh:
         fh.write(json.dumps(to_row(report), indent=2, sort_keys=True, ensure_ascii=False) + "\n")
     log.info(

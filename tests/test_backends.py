@@ -365,6 +365,31 @@ def test_http_profiles_build_http_backends():
     assert isinstance(build_backend(mk("nli")), HttpNliBackend)
 
 
+def test_http_profiles_read_no_options():
+    profile = BackendProfile(name="h", kind="embedding", endpoint="http://localhost:1",
+                             options={"mock": "hashed_bow", "dim": 3})
+    with pytest.raises(ValueError, match=r"does not read options \['dim', 'mock'\]"):
+        build_backend(profile)
+
+
+@pytest.mark.parametrize(
+    "kind, options, key",
+    [
+        ("embedding", {"dimension": [16]}, "dimension"),
+        ("embedding", {"dimension": "wide"}, "dimension"),
+        ("nli", {"contradictions": 5}, "contradictions"),
+        ("nli", {"contradictions": [["a"]]}, "contradictions"),
+        ("chat", {"mock": "verdict_rule", "markers": [1]}, "markers"),
+        ("chat", {"mock": "sequence", "responses": 5}, "responses"),
+        ("chat", {"mock": "script", "script": 7}, "script"),
+    ],
+)
+def test_mock_options_of_the_wrong_type_are_named(kind, options, key):
+    profile = BackendProfile(name="p", kind=kind, transport="mock", options=options)
+    with pytest.raises(ValueError, match=f"mock option {key!r}"):
+        build_backend(profile)
+
+
 @pytest.mark.parametrize("endpoint", ["", "file:///tmp", "ftp://localhost/x"])
 def test_http_profiles_need_an_http_endpoint(endpoint):
     profile = BackendProfile(name="h", kind="chat", endpoint=endpoint)

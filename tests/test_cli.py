@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from factforge.backends import BackendProfile, VerdictRuleChatBackend, chat_fingerprint
 from factforge.cli import main
 from factforge.corpus import Page, Passage, page_passages, sample_passage
+from factforge.errors import BackendError
 from factforge.evalharness import RAG_INSTRUCTIONS, ZERO_SHOT_INSTRUCTIONS
 from factforge.jsonlio import to_row
 from factforge.synthgen import build_unified_prompt
@@ -260,8 +262,13 @@ def test_config_faults_are_domain_errors(ws, capsys, change, command):
     [
         (lambda c: c.update(windw=2), "ingest", "windw"),
         (lambda c: c["profiles"]["embed"]["options"].update(dim=16), "index", "dim"),
+        (lambda c: c["profiles"]["embed"]["options"].update(dimension=[16]), "index",
+         "dimension"),
+        (lambda c: c["profiles"]["embed"].update(transport="http", endpoint="http://127.0.0.1:9",
+                                                 retry_backoff=0.0), "index", "dimension"),
     ],
-    ids=["config-key-no-subcommand-reads", "option-the-mock-does-not-read"],
+    ids=["config-key-no-subcommand-reads", "option-the-mock-does-not-read",
+         "mock-option-of-the-wrong-type", "options-on-an-http-profile"],
 )
 def test_unread_settings_are_named_errors(ws, capsys, change, command, key):
     config = json.loads(ws["config"].read_text())
@@ -764,6 +771,124 @@ def test_eval_report_is_deterministic_modulo_runtime(pipeline):
     for rep in reports:
         rep.pop("runtime_seconds")
     assert reports[0] == reports[1]
+
+
+# Four instances, three distinct texts; the judge calls the third one wrong.
+_JUDGED = [
+    {"schema": "task1_instances", "version": 1, "count": 4},
+    {"text": "Ada wrote notes.", "label": True, "origin": "factual", "record_id": "r"},
+    {"text": f"Ada wrote {MARKER} poems.", "label": False, "origin": "unfactual",
+     "record_id": "r"},
+    {"text": f"Ada wrote {MARKER} notes.", "label": True, "origin": "factual", "record_id": "s"},
+    {"text": "Ada wrote notes.", "label": True, "origin": "factual", "record_id": "t"},
+]
+_JUDGED_PROMPTS = [[_ZS, _user(row["text"])] for row in _JUDGED[1:4]]
+
+
+def _judge_eval(ws, rows=_JUDGED, seeds=3) -> dict:
+    """`eval --task 1 --mode zs` over `rows` with the workspace judge; the report."""
+    instances = _write_rows(ws["dir"] / "judged.jsonl", rows)
+    report = ws["dir"] / "judged.json"
+    assert run(["eval", "--task", "1", "--mode", "zs", "--instances", instances,
+                "--backend", "judge", "--seeds", seeds, "--report", report,
+                "--config", ws["config"]]) == 0
+    return json.loads(report.read_text())
+
+
+def _record_judge(monkeypatch, answer=VerdictRuleChatBackend.complete) -> list:
+    """Route the verdict-rule judge through `answer`; the list of messages it is sent."""
+    sent = []
+
+    def complete(self, messages):
+        sent.append(messages)
+        return answer(self, messages)
+
+    monkeypatch.setattr(VerdictRuleChatBackend, "complete", complete)
+    return sent
+
+
+def _set_judge(ws, **settings) -> None:
+    config = json.loads(ws["config"].read_text())
+    config["profiles"]["judge"].update(settings)
+    ws["config"].write_text(json.dumps(config))
+
+
+def test_greedy_judge_is_asked_each_distinct_prompt_once(ws, monkeypatch):
+    rule = VerdictRuleChatBackend.complete
+
+    def slow(self, messages):
+        time.sleep(0.02)
+        return rule(self, messages)
+
+    sent = _record_judge(monkeypatch, slow)
+    report = _judge_eval(ws)
+    assert sent == _JUDGED_PROMPTS
+    # The report's clock covers the judge calls made before any seed runs.
+    assert report.pop("runtime_seconds") >= 0.06
+    seed_run = {"balanced_accuracy": 0.8333333333333333, "recall_true": 0.6666666666666666,
+                "recall_false": 1.0, "true_positive": 2, "false_negative": 1,
+                "true_negative": 1, "false_positive": 0, "n_failed": 0, "n_unparseable": 0}
+    assert report == {
+        "task": "end_to_end_factuality", "n_instances": 4,
+        "balanced_accuracy": 0.8333333333333334, "balanced_accuracy_std": 0.0,
+        "runs": [{"seed": seed, **seed_run} for seed in (0, 1, 2)],
+    }
+
+
+def test_sampling_judge_is_asked_per_instance_and_seed(ws, monkeypatch):
+    _set_judge(ws, temperature=0.7)
+    sent = _record_judge(monkeypatch)
+    report = _judge_eval(ws)
+    assert sent == [[_ZS, _user(row["text"])] for row in _JUDGED[1:]] * 3
+    assert report["balanced_accuracy"] == 0.8333333333333334
+
+
+def test_greedy_judge_failures_count_in_every_seed(ws, monkeypatch):
+    def answer(self, messages):
+        text = messages[-1]["content"]
+        if "poems" in text:
+            raise BackendError("judge unreachable", "f" * 16)
+        return "no verdict here" if MARKER in text else "Factual"
+
+    sent = _record_judge(monkeypatch, answer)
+    report = _judge_eval(ws)
+    assert sent == _JUDGED_PROMPTS
+    assert [(r["n_failed"], r["n_unparseable"]) for r in report["runs"]] == [(1, 1)] * 3
+    # Both bad answers are scored wrong: only the two "Ada wrote notes." are right.
+    assert report["balanced_accuracy"] == 0.3333333333333333
+
+
+@pytest.mark.parametrize(
+    "rows, seeds, message",
+    [(_JUDGED[:2] + _JUDGED[4:], 3, "single class"), (_JUDGED, 0, "--seeds")],
+    ids=["single-class-golds", "no-seeds"],
+)
+def test_unscorable_eval_fails_before_any_judge_call(ws, monkeypatch, capsys, rows, seeds,
+                                                    message):
+    sent = _record_judge(monkeypatch)
+    instances = _write_rows(ws["dir"] / "unscorable.jsonl", rows)
+    assert run(["eval", "--task", "1", "--mode", "zs", "--instances", instances,
+                "--backend", "judge", "--seeds", seeds, "--report", ws["dir"] / "r.json",
+                "--config", ws["config"]]) == 1
+    assert sent == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_greedy_http_judge_sends_distinct_prompts_only(ws, http_server):
+    def reply(request):
+        text = request["body"]["messages"][-1]["content"]
+        verdict = "Not Factual" if MARKER in text else "Factual"
+        return 200, {"choices": [{"message": {"role": "assistant", "content": verdict}}]}
+
+    endpoint, recorder = http_server(reply)
+    _set_judge(ws, transport="http", endpoint=endpoint, model="m", max_in_flight=2,
+               options={})
+    report = _judge_eval(ws)
+    sent = sorted((r["body"]["messages"] for r in recorder.requests), key=json.dumps)
+    assert sent == sorted(_JUDGED_PROMPTS, key=json.dumps)
+    assert recorder.max_active == 2
+    assert report["balanced_accuracy"] == 0.8333333333333334
 
 
 # --- malformed artifact files ------------------------------------------------------
