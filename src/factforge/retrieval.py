@@ -7,10 +7,11 @@ Ties in score break toward the lexicographically smaller passage id.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,6 +22,33 @@ _MAGIC = b"FFIX"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHIQ")  # magic, version, dimension, count
 _U32 = struct.Struct("<I")
+
+# The matrix is held once, as float32, and scored in float64: top_k upcasts one
+# block of rows at a time, so no temporary exceeds about this many bytes.
+_BLOCK_BYTES = 1 << 20
+# Blocks are a whole number of this many rows. BLAS scores the rows of a
+# matrix-vector product in groups (four at a time in OpenBLAS), and rows left
+# over after the last whole group are summed in another order; aligned blocks
+# keep every row in the group it has in one product over the whole matrix.
+_BLOCK_ALIGN = 16
+
+
+def _row_blocks(n: int, dim: int) -> Iterator[slice]:
+    """Consecutive slices of n rows, each about _BLOCK_BYTES as float64.
+
+    The last block absorbs a one-row remainder: numpy computes a one-row
+    product as a dot product, whose sum is ordered differently from the
+    same row's inside a matrix-vector product.
+    """
+    step = max(_BLOCK_ALIGN,
+               _BLOCK_BYTES // (8 * max(dim, 1)) // _BLOCK_ALIGN * _BLOCK_ALIGN)
+    start = 0
+    while start < n:
+        stop = start + step
+        if stop >= n - 1:
+            stop = n
+        yield slice(start, stop)
+        start = stop
 
 
 def as_vector(values, dtype=np.float64) -> np.ndarray:
@@ -60,8 +88,10 @@ class PassageIndex:
             raise EmptyIndex("cannot build an index with zero passages")
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-D")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("index vectors contain non-finite values")
+        self._matrix = np.ascontiguousarray(matrix, dtype=np.float32)
+        for block in _row_blocks(*self._matrix.shape):
+            if not np.isfinite(self._matrix[block]).all():
+                raise ValueError("index vectors contain non-finite values")
         self._pos: dict[str, int] = {}
         for i, pid in enumerate(ids):
             if pid in self._pos:
@@ -69,7 +99,6 @@ class PassageIndex:
             self._pos[pid] = i
         self._ids = list(ids)
         self._texts = list(texts)
-        self._matrix = np.ascontiguousarray(matrix, dtype=np.float32)
 
     @property
     def dimension(self) -> int:
@@ -95,8 +124,12 @@ class PassageIndex:
             raise DimensionMismatch(
                 f"query has dimension {q.shape[0]}, index has {self.dimension}"
             )
-        scores = self._matrix @ q  # float64: numpy upcasts to the query dtype
         n = len(self._ids)
+        # Bit for bit the scores of one product self._matrix.astype(np.float64) @ q
+        # on one BLAS thread, without that product's float64 copy of the matrix.
+        scores = np.empty(n)
+        for block in _row_blocks(n, self.dimension):
+            np.matmul(self._matrix[block].astype(np.float64), q, out=scores[block])
         if k < n:
             # Exact top-k: find the k-th largest score, keep everything at or
             # above it (ties included), then order that pool.
@@ -128,38 +161,45 @@ class PassageIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "PassageIndex":
-        data = Path(path).read_bytes()
-        if len(data) < _HEADER.size:
-            raise CorruptIndexFile("file shorter than header")
-        magic, version, dim, count = _HEADER.unpack_from(data, 0)
-        if magic != _MAGIC or version != _VERSION:
-            raise CorruptIndexFile("bad magic or unsupported version")
-        offset = _HEADER.size
-        # A record is at least two length prefixes and a vector: check the
-        # header against the file size before allocating the matrix.
-        if count * (2 * _U32.size + 4 * dim) > len(data) - offset:
-            raise CorruptIndexFile(f"header declares {count} rows of dimension {dim}, "
-                                   "more than the file holds")
-        ids: list[str] = []
-        texts: list[str] = []
-        rows = np.empty((count, dim), dtype=np.float32)
-        try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            header = fh.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                raise CorruptIndexFile("file shorter than header")
+            magic, version, dim, count = _HEADER.unpack(header)
+            if magic != _MAGIC or version != _VERSION:
+                raise CorruptIndexFile("bad magic or unsupported version")
+            # A record is at least two length prefixes and a vector: check the
+            # header against the file size before allocating the matrix.
+            if count * (2 * _U32.size + 4 * dim) > size - _HEADER.size:
+                raise CorruptIndexFile(f"header declares {count} rows of dimension {dim}, "
+                                       "more than the file holds")
+            ids: list[str] = []
+            texts: list[str] = []
+            rows = np.empty((count, dim), dtype="<f4")
             for i in range(count):
-                (id_len,) = _U32.unpack_from(data, offset)
-                offset += _U32.size
-                ids.append(data[offset : offset + id_len].decode("utf-8"))
-                offset += id_len
-                (text_len,) = _U32.unpack_from(data, offset)
-                offset += _U32.size
-                texts.append(data[offset : offset + text_len].decode("utf-8"))
-                offset += text_len
-                rows[i] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
-                offset += 4 * dim
-        except (struct.error, UnicodeDecodeError, ValueError) as exc:
-            raise CorruptIndexFile(f"truncated or corrupt record: {exc}") from exc
-        if offset != len(data):
-            raise CorruptIndexFile("trailing bytes after final record")
+                ids.append(_read_str(fh, size))
+                texts.append(_read_str(fh, size))
+                if fh.readinto(rows[i]) != 4 * dim:
+                    raise CorruptIndexFile("truncated vector")
+            if fh.read(1):
+                raise CorruptIndexFile("trailing bytes after final record")
         return cls(ids, texts, rows)
+
+
+def _read_str(fh, limit: int) -> str:
+    """Read one length-prefixed UTF-8 string; limit caps the length read."""
+    prefix = fh.read(_U32.size)
+    if len(prefix) != _U32.size:
+        raise CorruptIndexFile("truncated length prefix")
+    (length,) = _U32.unpack(prefix)
+    data = fh.read(length) if length <= limit else b""
+    if len(data) != length:
+        raise CorruptIndexFile(f"truncated string of {length} bytes")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptIndexFile(f"string is not UTF-8: {exc}") from exc
 
 
 def index_build(passages: Iterable, embedder) -> PassageIndex:
@@ -181,18 +221,20 @@ def index_build(passages: Iterable, embedder) -> PassageIndex:
     if not ids:
         raise EmptyIndex("cannot build an index with zero passages")
     vectors = embedder.embed(texts)
+    if len(vectors) != len(ids):
+        raise ValueError(f"embedded {len(vectors)} vectors for {len(ids)} passages")
     dim = None
-    rows = []
-    for pid, vec in zip(ids, vectors):
+    for i, (pid, vec) in enumerate(zip(ids, vectors)):
         arr = as_vector(vec, dtype=np.float32)
         if dim is None:
             dim = arr.shape[0]
+            matrix = np.empty((len(ids), dim), dtype=np.float32)
         elif arr.shape[0] != dim:
             raise DimensionMismatch(
                 f"passage {pid!r} embedded with dimension {arr.shape[0]}, expected {dim}"
             )
-        rows.append(arr)
-    return PassageIndex(ids, texts, np.vstack(rows))
+        matrix[i] = arr
+    return PassageIndex(ids, texts, matrix)
 
 
 def recall_at_k(results: RankedResult, relevant: set[str] | Iterable[str], k: int | None = None) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from factforge.errors import (
 )
 from factforge.retrieval import (
     PassageIndex,
+    _row_blocks,
     in_batch_loss,
     index_build,
     recall_at_k,
@@ -98,6 +100,60 @@ def test_top_k_prefix_property(n, seed):
         assert idx.top_k(q, k=k).ids == full[:k]
 
 
+def test_top_k_scores_equal_one_float64_product():
+    # Scores come from float64 blocks of the float32 matrix; every row's score
+    # must equal its score in one product over the whole upcast matrix. A
+    # one-row block would be a dot product, which sums in another order, and
+    # at dimension 100 a block of exactly 1 MiB would not be a whole number of
+    # BLAS row groups.
+    rng = np.random.default_rng(11)
+    for dim in (100, 256):
+        b = next(_row_blocks(10**6, dim)).stop
+        for n in (1, 2, b - 1, b, b + 1, b + 2, 3 * b + 1):
+            mat = rng.standard_normal((n, dim)).astype(np.float32)
+            ids = [f"p{i:05d}" for i in range(n)]
+            idx = PassageIndex(ids, [""] * n, mat)
+            for _ in range(4):
+                q = rng.standard_normal(dim)
+                want = mat.astype(np.float64) @ q
+                got = dict(idx.top_k(q, k=n).hits)
+                assert [got[pid] for pid in ids] == want.tolist(), (dim, n)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _memory_index(tmp_path):
+    n, dim = 20_000, 64
+    mat = np.random.default_rng(5).standard_normal((n, dim)).astype(np.float32)
+    idx = PassageIndex([f"p{i}" for i in range(n)], [""] * n, mat)
+    path = tmp_path / "index.ffidx"
+    idx.save(path)
+    return idx, path, mat.nbytes
+
+
+def test_top_k_peak_memory_is_a_fraction_of_the_matrix(tmp_path):
+    idx, _, matrix_bytes = _memory_index(tmp_path)
+    q = np.random.default_rng(6).standard_normal(idx.dimension)
+    hits, peak = _traced_peak(lambda: idx.top_k(q, k=30))
+    assert len(hits) == 30
+    assert peak < 0.5 * matrix_bytes
+
+
+def test_load_peak_memory_holds_one_matrix(tmp_path):
+    idx, path, matrix_bytes = _memory_index(tmp_path)
+    del idx
+    loaded, peak = _traced_peak(lambda: PassageIndex.load(path))
+    assert len(loaded) == 20_000
+    assert peak < 1.75 * matrix_bytes
+
+
 # --- index construction and persistence ----------------------------------------
 
 
@@ -111,6 +167,8 @@ def test_build_rejects_duplicates_and_empty():
 def test_build_rejects_nonfinite():
     with pytest.raises(ValueError):
         _index([[1.0, float("nan")]])
+    with pytest.raises(ValueError), np.errstate(over="ignore"):  # inf as float32
+        PassageIndex(["a"], ["t"], np.array([[1e39]]))
 
 
 def test_index_build_from_pairs():
@@ -125,6 +183,24 @@ def test_index_build_from_pairs():
     assert idx.text_of("b") == "yyyy"
     for basis in np.eye(4):
         assert idx.top_k(basis, k=2).hits == (("b", 4.0), ("a", 2.0))
+
+
+def test_index_build_checks_every_vector():
+    class Emb:
+        def __init__(self, vectors):
+            self.vectors = vectors
+
+        def embed(self, texts):
+            return self.vectors
+
+    pairs = [("a", "x"), ("b", "y"), ("c", "z")]
+    with pytest.raises(DimensionMismatch, match=r"passage 'c' embedded with dimension 3, expected 2"):
+        index_build(pairs, Emb([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        index_build(pairs, Emb([[1.0, 0.0], [0.0, 1.0], [1.0, float("inf")]]))
+    for count in (2, 4):
+        with pytest.raises(ValueError, match=f"embedded {count} vectors for 3 passages"):
+            index_build(pairs, Emb([[1.0, 0.0]] * count))
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -175,6 +251,25 @@ def test_load_rejects_corruption(tmp_path):
         huge.write_bytes(raw[:6] + struct.pack("<IQ", dim, count))
         with pytest.raises(CorruptIndexFile):
             PassageIndex.load(huge)
+
+
+def test_load_rejects_every_truncation_and_bad_utf8(tmp_path):
+    idx = PassageIndex(["a", "bé"], ["ta", ""], np.arange(6, dtype=np.float32).reshape(2, 3))
+    path = tmp_path / "index.ffidx"
+    idx.save(path)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.ffidx"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(CorruptIndexFile):
+            PassageIndex.load(cut)
+
+    # the first id is b"a" right after the header and its length prefix
+    at = raw.index(b"a", 22)
+    bad_id = tmp_path / "u.ffidx"
+    bad_id.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+    with pytest.raises(CorruptIndexFile):
+        PassageIndex.load(bad_id)
 
 
 # --- recall ---------------------------------------------------------------------
