@@ -14,15 +14,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import (
     AuthFailure,
@@ -36,6 +36,9 @@ from .errors import (
 from .jsonlio import read_records
 from .textnorm import normalize_ws, tokenize
 from .verification import NliDistribution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -281,6 +284,8 @@ class HttpEmbeddingBackend(_HttpBase):
 
     @staticmethod
     def _decode(reply: Any, body: Mapping[str, Any]) -> list[np.ndarray]:
+        import numpy as np  # imported here so subcommands that never embed skip it
+
         rows = reply["data"]
         # A row without an index stands at its row position.
         indexes = [row.get("index", i) for i, row in enumerate(rows)]
@@ -290,8 +295,9 @@ class HttpEmbeddingBackend(_HttpBase):
             )
         vecs = [np.asarray(row["embedding"], dtype=np.float64)
                 for _, row in sorted(zip(indexes, rows), key=lambda pair: pair[0])]
-        if any(v.ndim != 1 for v in vecs):
-            raise MalformedResponse("an embedding is not a flat list of numbers")
+        # json.loads reads NaN, Infinity and overflowing literals as non-finite floats.
+        if any(v.ndim != 1 or not np.isfinite(v).all() for v in vecs):
+            raise MalformedResponse("an embedding is not a flat list of finite numbers")
         return vecs
 
 
@@ -338,7 +344,6 @@ class ScriptedChatBackend:
         for fp, response in entries:
             self._queues.setdefault(fp, []).append(response)
         self._lock = threading.Lock()
-        self.call_history: list[str] = []
 
     @classmethod
     def from_file(cls, profile: BackendProfile, path: str | Path) -> "ScriptedChatBackend":
@@ -348,7 +353,6 @@ class ScriptedChatBackend:
     def complete(self, messages: Sequence[Mapping[str, str]]) -> str:
         fp = chat_fingerprint(self.profile, messages)
         with self._lock:
-            self.call_history.append(fp)
             queue = self._queues.get(fp)
             if not queue:
                 raise ScriptExhausted(f"no scripted response left for {fp}", fp)
@@ -388,12 +392,18 @@ class VerdictRuleChatBackend:
         return "Factual"
 
 
-class HashedBowEmbedder:
-    """Deterministic bag-of-words embedder.
+_DIGEST_HEAD = struct.Struct(">IB")
 
-    Each token is hashed (sha256) to a bucket and a sign; token counts
-    accumulate and the vector is optionally L2-normalized. Identical texts
-    always embed identically.
+
+class HashedBowEmbedder:
+    """Deterministic bag-of-words embedder (the hashing trick).
+
+    A token's bucket is the first four bytes of its sha256 digest, read as a
+    big-endian word, modulo the dimension; the low bit of the fifth byte sets
+    its sign (1 for +1). Each distinct token of a batch is hashed once. Each
+    text's signed token counts are summed per bucket and the vector is
+    optionally L2-normalized, so identical texts embed identically, as
+    float64 vectors of shape (dimension,).
     """
 
     def __init__(self, profile: BackendProfile, dimension: int = 64, normalize: bool = True):
@@ -403,21 +413,36 @@ class HashedBowEmbedder:
         self.dimension = dimension
         self.normalize = normalize
 
-    def _embed_one(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        for token in tokenize(text):
-            digest = hashlib.sha256(token.encode("utf-8")).digest()
-            bucket = int.from_bytes(digest[:4], "big") % self.dimension
-            sign = 1.0 if digest[4] & 1 else -1.0
-            vec[bucket] += sign
-        if self.normalize:
-            norm = np.linalg.norm(vec)
-            if norm > 0:
-                vec /= norm
-        return vec
-
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        return [self._embed_one(t) for t in texts]
+        import numpy as np  # imported here so subcommands that never embed skip it
+
+        # Bound once: the loop below runs per token occurrence.
+        dimension, sha256, unpack = self.dimension, hashlib.sha256, _DIGEST_HEAD.unpack_from
+        slots: dict[str, int] = {}  # token -> its bucket if its sign is +1, else ~bucket
+        get = slots.get
+        vecs = []
+        for text in texts:
+            buckets, signs = [], []
+            for token in tokenize(text):
+                slot = get(token)
+                if slot is None:
+                    word, byte = unpack(sha256(token.encode()).digest())
+                    slot = slots[token] = word % dimension if byte & 1 else ~(word % dimension)
+                if slot >= 0:
+                    buckets.append(slot)
+                    signs.append(1.0)
+                else:
+                    buckets.append(~slot)
+                    signs.append(-1.0)
+            # Entries are sums of +-1, so they and their squared norm are exact
+            # in any order. bincount gives int64 when nothing is counted.
+            vec = np.bincount(buckets, signs, dimension).astype(np.float64, copy=False)
+            if self.normalize:
+                norm = math.sqrt(vec.dot(vec))  # what np.linalg.norm computes, minus its checks
+                if norm > 0:
+                    vec /= norm
+            vecs.append(vec)
+        return vecs
 
 
 class RuleNliBackend:

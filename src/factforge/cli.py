@@ -27,14 +27,16 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from . import backends as be
 from . import corpus, dataset, evalharness, synthgen
 from .errors import FactforgeError
 from .jsonlio import atomic_write, dumps_canonical, read_records, to_row, write_jsonl, write_records
-from .retrieval import PassageIndex, index_build
 from .verification import DEFAULT_TOP_K, ChatClaimExtractor, verify_text
+
+if TYPE_CHECKING:
+    from .retrieval import PassageIndex
 
 log = logging.getLogger("factforge")
 
@@ -235,6 +237,8 @@ def _cmd_derive(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _cmd_index(args: argparse.Namespace, config: RunConfig) -> int:
+    from .retrieval import index_build  # numpy; imported only by the subcommands that need it
+
     embedder = config.backend(args.backend, be.KIND_EMBEDDING)
     passages = corpus.read_passages(args.passages)
     index = index_build(passages, embedder)
@@ -264,6 +268,8 @@ def _parse_backend_spec(spec: str) -> dict[str, str]:
 
 
 def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+    from .retrieval import PassageIndex
+
     roles = _parse_backend_spec(args.backends)
     extractor = ChatClaimExtractor(config.backend(roles["extractor"], be.KIND_CHAT))
     embedder = config.backend(roles["embedder"], be.KIND_EMBEDDING)
@@ -398,8 +404,12 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         evidence_separator=args.evidence_separator,
         system_slot=not args.no_system_slot,
     )
-    index = PassageIndex.load(args.index) if rag_task1 else None
-    embedder = config.backend(args.embed_backend, be.KIND_EMBEDDING) if rag_task1 else None
+    index = embedder = None
+    if rag_task1:
+        from .retrieval import PassageIndex
+
+        index = PassageIndex.load(args.index)
+        embedder = config.backend(args.embed_backend, be.KIND_EMBEDDING)
     if spec.few_shot and not spec.few_shot_examples:
         raise FactforgeError("few-shot modes need --few-shot with example records")
 

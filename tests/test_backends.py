@@ -48,6 +48,7 @@ from factforge.errors import (
 )
 from factforge.retrieval import index_build
 from factforge.synthgen import build_unified_prompt
+from factforge.textnorm import tokenize
 from factforge.verification import (
     ClaimTrace,
     NliLabel,
@@ -58,6 +59,7 @@ from factforge.verification import (
 
 from conftest import (
     mock_chat_profile,
+    page_rows,
     synth_embedder,
     synth_nli,
     synth_passage,
@@ -164,7 +166,6 @@ def test_scripted_replay_in_order():
     assert chat.complete(msgs) == "second"
     with pytest.raises(ScriptExhausted):
         chat.complete(msgs)
-    assert chat.call_history == [fp, fp, fp]
 
 
 def test_scripted_unknown_fingerprint():
@@ -283,6 +284,42 @@ def test_embedder_bucket_oracle():
 def test_embedder_case_and_punctuation_folding():
     emb = _embedder()
     assert np.array_equal(emb.embed(["The Cat!"])[0], emb.embed(["the cat"])[0])
+
+
+def _reference_embedding(text: str, dimension: int, normalize: bool) -> np.ndarray:
+    """The embedding rule as a per-token loop: one sha256 and one signed add
+    per token occurrence, then the L2 norm."""
+    vec = np.zeros(dimension, dtype=np.float64)
+    for token in tokenize(text):
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        vec[int.from_bytes(digest[:4], "big") % dimension] += 1.0 if digest[4] & 1 else -1.0
+    if normalize:
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec /= norm
+    return vec
+
+
+_ORACLE_TEXTS = [
+    "", "!!!", " \t\n ", "token", "token token token", "a b a b a c a",
+    "The Cat! the cat, THE CAT?", "naïve café über straße", "東京 タワー 東京", "Ελλάδα ελλάδα",
+    " ".join(f"w{i % 7}" for i in range(200)),
+    *(row["text"] for row in page_rows(6)),
+]
+
+
+@pytest.mark.parametrize("dimension", [1, 3, 64, 256, 1024])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_embedder_matches_the_per_token_oracle(dimension, normalize):
+    emb = _embedder(dimension, normalize)
+    assert emb.embed([]) == []
+    vecs = emb.embed(_ORACLE_TEXTS)
+    assert len(vecs) == len(_ORACLE_TEXTS)
+    for text, vec in zip(_ORACLE_TEXTS, vecs):
+        assert vec.dtype == np.float64 and vec.shape == (dimension,), text
+        assert vec.tobytes() == _reference_embedding(text, dimension, normalize).tobytes(), text
+        # a text embedded alone, with no batch-mates sharing its tokens, is the same
+        assert emb.embed([text])[0].tobytes() == vec.tobytes(), text
 
 
 # --- rule NLI ----------------------------------------------------------------------
@@ -578,6 +615,18 @@ def test_http_malformed_embedding_rows(http_server, body):
     emb = HttpEmbeddingBackend(_http_profile(endpoint, kind="embedding"))
     with pytest.raises(MalformedResponse):
         emb.embed(["t"] * len(body["data"]))  # one input per row
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_http_non_finite_embeddings_are_malformed(http_server, literal):
+    raw = b'{"data": [{"index": 0, "embedding": [0.5, %s]}]}' % literal.encode()
+    endpoint, recorder = http_server([(200, raw)])
+    emb = HttpEmbeddingBackend(_http_profile(endpoint, kind="embedding"))
+    with pytest.raises(MalformedResponse, match="finite") as info:
+        emb.embed(["t"])
+    assert len(recorder.requests) == 1  # not retried
+    assert info.value.fingerprint == request_fingerprint(
+        {"kind": "embedding", **recorder.requests[0]["body"]})
 
 
 def test_http_concurrency_respects_max_in_flight(http_server):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -1068,3 +1071,49 @@ def test_bad_values_are_domain_errors(pipeline, capsys, monkeypatch, argv):
     assert err.startswith("error:"), err
     assert "Traceback" not in err
     assert not (pipeline["dir"] / "o.jsonl").exists()
+
+
+# --- start-up cost -----------------------------------------------------------------
+
+_NUMPY_FREE_START = """
+import json, sys
+from factforge import cli
+steps, index_argv = json.loads(sys.argv[1])
+for argv in steps:
+    assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert cli.main(index_argv) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_numpy_free_subcommands_start_without_numpy(tmp_path):
+    """ingest, generate and derive never import numpy; index still works after them."""
+    rows = page_rows(3)
+    (tmp_path / "pages.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    passages = [sample_passage(Page(r["page_id"], r["title"], r["text"]), seed=0) for r in rows]
+    config = {"profiles": {
+        "gen": {"kind": "chat", "transport": "mock",
+                "options": {"mock": "sequence", "responses": list(map(step_json_for, passages))}},
+        "embed": {"kind": "embedding", "transport": "mock", "options": {"dimension": 16}},
+    }}
+    (tmp_path / "backends.json").write_text(json.dumps(config))
+    steps = [
+        ["ingest", "--pages", "pages.jsonl", "--out", "passages.jsonl",
+         "--sample-per-page", "--seed", "0"],
+        ["generate", "--passages", "passages.jsonl", "--backend", "gen",
+         "--out", "records.jsonl", "--config", "backends.json"],
+        ["derive", "--records", "records.jsonl", "--what", "task1", "--out", "task1.jsonl"],
+    ]
+    index_argv = ["index", "--passages", "passages.jsonl", "--backend", "embed",
+                  "--out", "index.bin", "--config", "backends.json"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_START, json.dumps([steps, index_argv])],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert len(_rows(tmp_path / "task1.jsonl")) == 1 + 2 * len(rows)  # header, then two per record
+    assert (tmp_path / "index.bin").stat().st_size > 0
