@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import random
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -317,26 +318,28 @@ def _load_instances(path: str, task: str):
     return read_records(path, cls, DERIVED_SCHEMAS[f"task{task}"])
 
 
-def _build_judge_system(
+def _judge_system(
     chat,
-    base_spec: evalharness.PromptSpec,
+    spec: evalharness.PromptSpec,
     task: str,
     instances,
+    seeds: Sequence[int],
     index: PassageIndex | None,
     embedder,
     k: int,
 ):
-    """Wrap a chat judge as a (instance, rng) -> bool verdict system.
+    """Ask a chat judge for every (seed, instance) cell at once; the
+    (instance, seed) -> bool verdict system that scores the answers.
 
-    Task-1 RAG evidence is retrieved here, once per distinct text, so the
-    seeds share it; a retrieval error propagates before any judge call.
-    A task-2 instance's own evidence text follows its claim in every mode.
-    A greedy judge (temperature 0) is asked each distinct prompt once,
-    here, and every seed scores that answer; a sampling judge is asked
-    anew for each instance in each seed.
+    Task-1 RAG evidence is retrieved once per distinct text, before any
+    judge call. Seed `s` orders the few-shot examples by `random.Random(s)`.
+    A cell's key is its prompt's `chat_fingerprint` for a greedy judge
+    (temperature 0), so each distinct prompt is asked once, and (seed,
+    position) for a sampling judge. The distinct keys fan out once at the
+    judge width; a failed call fails every cell with its key.
     """
     evidence: dict[str, tuple[str, ...]] = {}
-    if task == "1" and base_spec.mode == evalharness.MODE_RAG:
+    if task == "1" and spec.mode == evalharness.MODE_RAG:
         texts = list(dict.fromkeys(instance.text for instance in instances))
         for text, query in zip(texts, embedder.embed(texts), strict=True):
             hits = index.top_k(query, k)
@@ -347,21 +350,22 @@ def _build_judge_system(
             return instance.text, evidence.get(instance.text, ())
         return instance.claim, (instance.evidence,)
 
-    def prompt(text: str, found: tuple[str, ...]) -> list[dict[str, str]]:
-        return evalharness.build_prompt(replace(base_spec, evidence=found), text)
-
-    def verdict(raw: str) -> bool:
-        return evalharness.parse_llm_verdict(raw, explain_mode=base_spec.explain)
-
-    if chat.profile.temperature > 0:
-        return lambda instance, rng: verdict(chat.complete(prompt(*judged(instance))))
-
-    prompts: dict[str, list[dict[str, str]]] = {}  # by chat fingerprint
-    fingerprint_of: dict[tuple[str, tuple[str, ...]], str] = {}
-    for key in dict.fromkeys(map(judged, instances)):
-        messages = prompt(*key)
-        fingerprint_of[key] = be.chat_fingerprint(chat.profile, messages)
-        prompts.setdefault(fingerprint_of[key], messages)
+    built: dict[tuple, tuple[list[dict[str, str]], str]] = {}  # (examples, text, evidence)
+    prompts: dict[Any, list[dict[str, str]]] = {}  # by cell key
+    cells: dict[tuple[int, int], Any] = {}  # (seed, id(instance)) -> cell key
+    shots = spec.few_shot_examples
+    for seed in seeds:
+        examples = tuple(random.Random(seed).sample(shots, len(shots)))
+        for position, instance in enumerate(instances):
+            text, found = judged(instance)
+            if (examples, text, found) not in built:
+                messages = evalharness.build_prompt(
+                    replace(spec, few_shot_examples=examples, evidence=found), text)
+                built[examples, text, found] = messages, be.chat_fingerprint(chat.profile, messages)
+            messages, fingerprint = built[examples, text, found]
+            key = (seed, position) if chat.profile.temperature > 0 else fingerprint
+            prompts.setdefault(key, messages)
+            cells[seed, id(instance)] = key
 
     def ask(messages):
         try:
@@ -371,11 +375,11 @@ def _build_judge_system(
 
     answers = dict(zip(prompts, be.fan_out(ask, prompts.values(), be.fan_width(chat))))
 
-    def system(instance, rng) -> bool:
-        answer = answers[fingerprint_of[judged(instance)]]
+    def system(instance, seed: int) -> bool:
+        answer = answers[cells[seed, id(instance)]]
         if isinstance(answer, FactforgeError):
             raise answer
-        return verdict(answer)
+        return evalharness.parse_llm_verdict(answer, explain_mode=spec.explain)
 
     return system
 
@@ -416,12 +420,10 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     task_name = (
         evalharness.TASK_END_TO_END if args.task == "1" else evalharness.TASK_CLAIM_VERIFICATION
     )
+    seeds = [args.seed + i for i in range(args.seeds)]
     started = time.monotonic()
-    system = _build_judge_system(chat, spec, args.task, instances, index, embedder, args.top_k)
-    report = evalharness.run_benchmark(
-        task_name, system, instances, [args.seed + i for i in range(args.seeds)],
-        width=be.fan_width(chat),
-    )
+    system = _judge_system(chat, spec, args.task, instances, seeds, index, embedder, args.top_k)
+    report = evalharness.run_benchmark(task_name, system, instances, seeds)
     report = replace(report, runtime_seconds=time.monotonic() - started)
     with atomic_write(args.report, encoding="utf-8") as fh:
         fh.write(json.dumps(to_row(report), indent=2, sort_keys=True, ensure_ascii=False) + "\n")

@@ -9,15 +9,13 @@ unigram-overlap easiness score built on ROUGE-1.
 
 from __future__ import annotations
 
-import random
 import re
 import statistics
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Protocol, Sequence
 
-from .backends import fan_out
 from .errors import FactforgeError, MetricUndefined, UnparseableVerdict
 from .textnorm import tokenize
 
@@ -266,7 +264,7 @@ class Instance(Protocol):
     label: bool
 
 
-VerdictSystem = Callable[[Any, random.Random], bool]
+VerdictSystem = Callable[[Any, int], bool]
 
 
 @dataclass(frozen=True)
@@ -300,16 +298,14 @@ def run_benchmark(
     system: VerdictSystem,
     instances: Sequence[Instance],
     seeds: Iterable[int],
-    width: int = 1,
 ) -> EvalReport:
     """Score a verdict system over the instances once per seed.
 
-    The system is a callable (instance, rng) -> bool; domain errors it
-    raises are caught per instance, counted, and scored as a wrong
-    prediction (unparseable verdicts are tallied separately). Up to
-    `width` seeds run at once, each with its own `random.Random(seed)`
-    consumed in instance order. The report carries the per-seed runs, in
-    seed order, plus mean and standard deviation.
+    The system is a callable (instance, seed) -> bool, called one seed at
+    a time, in instance order; domain errors it raises are caught per
+    instance, counted, and scored as a wrong prediction (unparseable
+    verdicts are tallied separately). The report carries the per-seed
+    runs, in seed order, plus mean and standard deviation.
     """
     seeds = list(seeds)
     if not seeds:
@@ -323,12 +319,11 @@ def run_benchmark(
         )
 
     def run_seed(seed: int) -> SeedRun:
-        rng = random.Random(seed)
         predictions: list[bool] = []
         n_failed = n_unparseable = 0
         for inst in instances:
             try:
-                pred = bool(system(inst, rng))
+                pred = bool(system(inst, seed))
             except UnparseableVerdict:
                 n_unparseable += 1
                 pred = not inst.label
@@ -353,7 +348,7 @@ def run_benchmark(
         )
 
     started = time.monotonic()
-    runs = fan_out(run_seed, seeds, width)
+    runs = [run_seed(seed) for seed in seeds]
     scores = [run.balanced_accuracy for run in runs]
     return EvalReport(
         task=task,

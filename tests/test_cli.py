@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -859,6 +860,48 @@ def test_greedy_judge_failures_count_in_every_seed(ws, monkeypatch):
     assert [(r["n_failed"], r["n_unparseable"]) for r in report["runs"]] == [(1, 1)] * 3
     # Both bad answers are scored wrong: only the two "Ada wrote notes." are right.
     assert report["balanced_accuracy"] == 0.3333333333333333
+
+
+def test_few_shot_order_follows_the_seed(ws, monkeypatch):
+    shots = _write_rows(ws["dir"] / "shots.jsonl", [
+        {"text": "Ada kept a diary.", "label": True},
+        {"text": f"Ada kept a {MARKER} diary.", "label": False},
+        {"text": "Ada kept letters.", "label": True},
+    ])
+    instances = _write_rows(ws["dir"] / "judged.jsonl", _JUDGED)
+    sent = _record_judge(monkeypatch)
+
+    def fs_eval(seed, seeds) -> list[str]:
+        sent.clear()
+        assert run(["eval", "--task", "1", "--mode", "fs", "--instances", instances,
+                    "--backend", "judge", "--few-shot", shots, "--seed", seed,
+                    "--seeds", seeds, "--report", ws["dir"] / "fs.json",
+                    "--config", ws["config"]]) == 0
+        return [json.dumps(messages) for messages in sent]
+
+    alone = [fs_eval(seed, 1) for seed in range(4)]
+    # Three distinct texts per seed, and the example order moves every prompt.
+    assert len(alone[0]) == len(alone[1]) == 3
+    assert set(alone[0]).isdisjoint(alone[1])
+    # A greedy judge is asked each distinct prompt once across all seeds.
+    assert fs_eval(0, 4) == list(dict.fromkeys(p for prompts in alone for p in prompts))
+
+
+def test_sampling_judge_fills_its_width_across_seeds(ws, monkeypatch):
+    # Two calls must be in flight at once: a third seed run alone would break the barrier.
+    monkeypatch.setattr(VerdictRuleChatBackend, "max_in_flight", 2, raising=False)
+    _set_judge(ws, temperature=0.7)
+    barrier = threading.Barrier(2, timeout=2)
+    rule = VerdictRuleChatBackend.complete
+
+    def paired(self, messages):
+        barrier.wait()
+        return rule(self, messages)
+
+    sent = _record_judge(monkeypatch, paired)
+    report = _judge_eval(ws, rows=_JUDGED[:3], seeds=3)
+    assert len(sent) == 6
+    assert report["balanced_accuracy"] == 1.0
 
 
 @pytest.mark.parametrize(

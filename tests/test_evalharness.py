@@ -419,7 +419,7 @@ class _OracleSystem:
         self.answers = answers
         self.errors = errors or {}
 
-    def __call__(self, instance, rng):
+    def __call__(self, instance, seed):
         if instance.text in self.errors:
             raise self.errors[instance.text]
         return self.answers[instance.text]
@@ -451,35 +451,33 @@ def test_run_benchmark_constant_system_is_half():
     assert report.balanced_accuracy_std == 0.0
 
 
-def test_run_benchmark_seeded_rng_is_deterministic():
-    # the system sees one shared per-seed rng; replaying the same seeds
-    # must reproduce the exact per-run numbers
+def test_run_benchmark_replays_a_seeded_system_in_seed_order():
+    # the system answers from (instance, seed); it is called one seed at a
+    # time, in instance order, and replaying the same seeds reproduces the
+    # exact per-run numbers
     import random as _random
 
     instances = _instances(4, 4)
+    calls = []
 
-    def noisy(instance, rng):
-        return instance.label if rng.random() < 0.7 else not instance.label
+    def noisy(instance, seed):
+        calls.append((seed, instance.text))
+        right = _random.Random(f"{seed}:{instance.text}").random() < 0.7
+        return instance.label if right else not instance.label
 
-    report_a = run_benchmark("end_to_end_factuality", noisy, instances, seeds=[0, 1, 2])
-    report_b = run_benchmark("end_to_end_factuality", noisy, instances, seeds=[0, 1, 2])
+    report_a = run_benchmark("end_to_end_factuality", noisy, instances, seeds=[2, 0, 1])
+    assert calls == [(seed, i.text) for seed in (2, 0, 1) for i in instances]
+    report_b = run_benchmark("end_to_end_factuality", noisy, instances, seeds=[2, 0, 1])
     assert [to_row(r) for r in report_a.runs] == [to_row(r) for r in report_b.runs]
-    # seeds run concurrently: each keeps its own rng, runs stay in seed order
-    report_c = run_benchmark("end_to_end_factuality", noisy, instances, seeds=[0, 1, 2],
-                             width=3)
-    assert [to_row(r) for r in report_c.runs] == [to_row(r) for r in report_a.runs]
+    assert [r.seed for r in report_a.runs] == [2, 0, 1]
 
-    # oracle replay with an identical generator
-    accs = []
+    # oracle replay of the same answers
     golds = [i.label for i in instances]
-    for seed in (0, 1, 2):
-        rng = _random.Random(seed)
-        preds = [noisy(i, rng) for i in instances]
-        accs.append(balanced_accuracy(preds, golds))
+    accs = [balanced_accuracy([noisy(i, seed) for i in instances], golds) for seed in (2, 0, 1)]
     assert [r.balanced_accuracy for r in report_a.runs] == accs
+    assert len(set(accs)) > 1
     assert report_a.balanced_accuracy == pytest.approx(statistics.fmean(accs))
-    if len(set(accs)) > 1:
-        assert report_a.balanced_accuracy_std == pytest.approx(statistics.stdev(accs))
+    assert report_a.balanced_accuracy_std == pytest.approx(statistics.stdev(accs))
 
 
 def test_run_benchmark_unparseable_counts_as_wrong():
