@@ -75,10 +75,13 @@ class BackendProfile:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.transport not in ("http", "mock"):
             raise ValueError(f"unknown transport {self.transport!r}")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        # Exact type checks: a bool is neither a width nor a timeout.
+        if type(self.max_in_flight) is not int or self.max_in_flight < 1:
+            raise ValueError(f"profile {self.name!r}: 'max_in_flight' must be an int >= 1, "
+                             f"got {self.max_in_flight!r}")
+        if type(self.timeout) not in (int, float) or not 0 < self.timeout < math.inf:
+            raise ValueError(f"profile {self.name!r}: 'timeout' must be a finite number of "
+                             f"seconds above 0, got {self.timeout!r}")
 
     @classmethod
     def from_dict(cls, name: str, row: Mapping[str, Any]) -> "BackendProfile":
@@ -359,22 +362,6 @@ class ScriptedChatBackend:
             return queue.pop(0)
 
 
-class SequenceChatBackend:
-    """Returns a fixed list of responses in call order, then raises."""
-
-    def __init__(self, profile: BackendProfile, responses: Sequence[str]):
-        self.profile = profile
-        self._responses = list(responses)
-        self._lock = threading.Lock()
-
-    def complete(self, messages: Sequence[Mapping[str, str]]) -> str:
-        fp = chat_fingerprint(self.profile, messages)
-        with self._lock:
-            if not self._responses:
-                raise ScriptExhausted("response sequence exhausted", fp)
-            return self._responses.pop(0)
-
-
 class VerdictRuleChatBackend:
     """Answers "Not Factual" when any configured marker substring occurs in
     the last user message, else "Factual". Useful as a deterministic
@@ -481,7 +468,6 @@ class RuleNliBackend:
 # profiles have one mock each, which an empty or absent "mock" also names.
 _MOCK_OPTIONS = {
     (KIND_CHAT, "script"): {"script"},
-    (KIND_CHAT, "sequence"): {"responses"},
     (KIND_CHAT, "verdict_rule"): {"markers"},
     (KIND_EMBEDDING, ""): {"dimension", "normalize"},
     (KIND_EMBEDDING, "hashed_bow"): {"dimension", "normalize"},
@@ -538,6 +524,4 @@ def build_backend(profile: BackendProfile, base_dir: str | Path | None = None):
         if base_dir is not None and not script.is_absolute():
             script = Path(base_dir) / script
         return ScriptedChatBackend.from_file(profile, script)
-    if mock == "sequence":
-        return read("responses", lambda replies: SequenceChatBackend(profile, replies), [])
     return read("markers", lambda markers: VerdictRuleChatBackend(profile, markers), [])

@@ -260,8 +260,12 @@ def _parse_backend_spec(spec: str) -> dict[str, str]:
             raise FactforgeError(
                 f"--backends expects role=profile assignments, got {part!r}"
             )
-        role, name = part.split("=", 1)
-        roles[role.strip()] = name.strip()
+        role, name = (s.strip() for s in part.split("=", 1))
+        if role in roles:
+            raise FactforgeError(f"--backends names role {role!r} twice")
+        if role not in ("extractor", "embedder", "nli"):
+            raise FactforgeError(f"--backends names unknown role {role!r}")
+        roles[role] = name
     missing = {"extractor", "embedder", "nli"} - set(roles)
     if missing:
         raise FactforgeError(f"--backends is missing roles: {sorted(missing)}")

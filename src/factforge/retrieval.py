@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -61,23 +60,6 @@ def as_vector(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class RankedResult:
-    """Passage hits ordered by non-increasing score, then ascending id."""
-
-    hits: tuple[tuple[str, float], ...]
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(pid for pid, _ in self.hits)
-
-    def __iter__(self):
-        return iter(self.hits)
-
-    def __len__(self) -> int:
-        return len(self.hits)
-
-
 class PassageIndex:
     """Flat dense index mapping passage ids (and texts) to vectors."""
 
@@ -110,8 +92,9 @@ class PassageIndex:
     def text_of(self, passage_id: str) -> str:
         return self._texts[self._pos[passage_id]]
 
-    def top_k(self, query_vec, k: int) -> RankedResult:
-        """The k entries with highest dot product against query_vec.
+    def top_k(self, query_vec, k: int) -> tuple[tuple[str, float], ...]:
+        """The k (passage_id, score) pairs with highest dot product against
+        query_vec, best first.
 
         Exhaustive exact scan. Score ties break toward the smaller
         passage id; fewer than k hits are returned when the index is
@@ -138,7 +121,7 @@ class PassageIndex:
         else:
             pool = np.arange(n)
         order = sorted(pool, key=lambda i: (-scores[i], self._ids[i]))[:k]
-        return RankedResult(tuple((self._ids[i], float(scores[i])) for i in order))
+        return tuple((self._ids[i], float(scores[i])) for i in order)
 
     def save(self, path: str | Path) -> None:
         """Persist to a binary file.
@@ -237,13 +220,13 @@ def index_build(passages: Iterable, embedder) -> PassageIndex:
     return PassageIndex(ids, texts, matrix)
 
 
-def recall_at_k(results: RankedResult, relevant: set[str] | Iterable[str], k: int | None = None) -> float:
+def recall_at_k(hits: Sequence[tuple[str, float]], relevant: Iterable[str],
+                k: int | None = None) -> float:
     """Fraction of relevant passage ids present among the top-k hits."""
     relevant = set(relevant)
     if not relevant:
         raise ValueError("relevant set must be non-empty")
-    ids = results.ids if k is None else results.ids[:k]
-    return len(relevant.intersection(ids)) / len(relevant)
+    return len(relevant.intersection(pid for pid, _ in hits[:k])) / len(relevant)
 
 
 def in_batch_loss(claim_vecs, positive_vecs) -> float:

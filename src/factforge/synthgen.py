@@ -127,20 +127,29 @@ def extract_first_object(raw: str) -> dict:
     raise MalformedOutput("no object literal found in model output")
 
 
+def clean_claims(claims) -> list[str] | None:
+    """A claim list with each claim stripped and blank ones dropped; None
+    when `claims` is not a list of strings."""
+    if not isinstance(claims, list) or not all(isinstance(c, str) for c in claims):
+        return None
+    return [c for c in (c.strip() for c in claims) if c]
+
+
 def parse_generation_output(raw: str) -> StepOutputs:
     """Turn raw model output into StepOutputs.
 
-    step_1 must be a list of strings, step_2 a two-element pair of strings
-    (altered first, original second), step_3 and step_4 strings. Raises
-    MissingKey / TypeMismatch naming the offending key.
+    step_1 must be a list of strings, kept as `clean_claims` leaves it;
+    step_2 a two-element pair of strings (altered first, original second),
+    step_3 and step_4 strings. Raises MissingKey / TypeMismatch naming the
+    offending key.
     """
     obj = extract_first_object(raw)
     for key in ("step_1", "step_2", "step_3", "step_4"):
         if key not in obj:
             raise MissingKey(f"output object lacks {key!r}", key=key)
 
-    claims = obj["step_1"]
-    if not isinstance(claims, list) or not all(isinstance(c, str) for c in claims):
+    claims = clean_claims(obj["step_1"])
+    if claims is None:
         raise TypeMismatch("step_1 must be a list of strings", key="step_1")
     pair = obj["step_2"]
     if (
@@ -187,7 +196,7 @@ def validate_record(passage: Passage, outputs: StepOutputs) -> ValidationReport:
     hard: list[str] = []
     warnings: list[str] = []
 
-    claims = [c for c in outputs.claims if c.strip()]
+    claims = outputs.claims
     if not claims:
         hard.append(HARD_EMPTY_CLAIMS)
 

@@ -14,10 +14,10 @@ import enum
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 from .errors import UnverifiableText
-from .synthgen import CLAIM_EXTRACTION_INSTRUCTIONS, extract_first_object
+from .synthgen import CLAIM_EXTRACTION_INSTRUCTIONS, clean_claims, extract_first_object
 
 DEFAULT_TOP_K = 30
 
@@ -86,28 +86,6 @@ class Verdict:
     claim_traces: tuple[ClaimTrace, ...]
 
 
-def verify_claim(
-    claim: str,
-    ranked_passages: Iterable[tuple[str, float]],
-    nli: NliBackend,
-    text_lookup: Callable[[str], str] | None = None,
-) -> ClaimTrace:
-    """Scan evidence passages in rank order and decide the claim.
-
-    The first entailing passage accepts the claim and the first
-    contradicting one rejects it; when every passage is neutral (or there
-    is no evidence at all) the claim is accepted with no deciding passage.
-
-    `ranked_passages` yields (passage_id, score) pairs best-first and is
-    read in full before the scan; `text_lookup` maps a passage id to the
-    premise text (defaults to using the id itself, which suits mocks keyed
-    on ids). This is `verify_text`'s scan with one claim and one call in
-    flight, on the calling thread.
-    """
-    resolve = text_lookup if text_lookup is not None else (lambda pid: pid)
-    return _scan([(claim, list(ranked_passages))], nli, resolve, 1)[0]
-
-
 def verify_text(
     text: str,
     extractor: ClaimExtractorBackend,
@@ -129,7 +107,7 @@ def verify_text(
     if not claims:
         raise UnverifiableText("claim extraction produced zero claims")
     vecs = embedder.embed(claims)
-    jobs = [(claim, index.top_k(vec, k).hits) for claim, vec in zip(claims, vecs, strict=True)]
+    jobs = [(claim, index.top_k(vec, k)) for claim, vec in zip(claims, vecs, strict=True)]
     traces = _scan(jobs, nli, index.text_of, fan_width(nli))
     return Verdict(factual=all(t.decision for t in traces), claim_traces=tuple(traces))
 
@@ -250,11 +228,7 @@ class ChatClaimExtractor:
         raw = self._chat.complete(
             [{"role": "user", "content": build_claim_extraction_prompt(text)}]
         )
-        obj = extract_first_object(raw)
-        claims = obj.get("step_1")
-        if not isinstance(claims, list) or not all(isinstance(c, str) for c in claims):
-            return []
-        return [c for c in (c.strip() for c in claims) if c]
+        return clean_claims(extract_first_object(raw).get("step_1")) or []
 
 
 class ScriptedClaimExtractor:

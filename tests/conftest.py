@@ -27,6 +27,7 @@ from factforge.synthgen import (
     generate_record,
     validate_record,
 )
+from factforge.verification import ClaimTrace, NliLabel
 
 settings.register_profile("suite", max_examples=100, deadline=None)
 settings.load_profile("suite")
@@ -179,6 +180,40 @@ def synth_nli(n: int = N_SYNTH) -> RuleNliBackend:
 def synth_embedder(dimension: int = 256) -> HashedBowEmbedder:
     profile = BackendProfile(name="embed-mock", kind="embedding", transport="mock")
     return HashedBowEmbedder(profile, dimension=dimension)
+
+
+# --- the serial claim scan, apart from the scheduler ------------------------------
+
+
+def scan_oracle(claim: str, ranked_ids, label_of) -> ClaimTrace:
+    """The serial scan of one claim: the first non-neutral rank decides, and
+    an all-neutral (or empty) ranking accepts. `label_of` maps a passage id
+    to the NLI label of (its text, claim)."""
+    for rank, pid in enumerate(ranked_ids, 1):
+        label = label_of(pid)
+        if label is not NliLabel.NEUTRAL:
+            return ClaimTrace(claim, label is NliLabel.ENTAILMENT, pid, rank)
+    return ClaimTrace(claim, True, None, len(ranked_ids))
+
+
+class RankIndex:
+    """Stands in for an index: claim `c` retrieves "c/0", "c/1", ... (one
+    passage per entry of its table), and a passage's text is its id."""
+
+    def __init__(self, tables):
+        self.tables = tables
+
+    def top_k(self, claim, k):
+        n = min(k, len(self.tables[claim]))
+        return tuple((f"{claim}/{r}", 1.0 - r / 100) for r in range(n))
+
+    def text_of(self, passage_id):
+        return passage_id
+
+
+class EchoEmbedder:
+    def embed(self, texts):
+        return list(texts)  # each claim is its own query "vector"
 
 
 def page_rows(n: int = 8, sentences_per_page: int = 7) -> list[dict]:

@@ -44,7 +44,6 @@ from factforge.verification import (
     NliDistribution,
     NliLabel,
     ScriptedClaimExtractor,
-    verify_claim,
     verify_text,
 )
 
@@ -53,7 +52,10 @@ from conftest import (
     AMAZON_CLAIMS,
     AMAZON_ORIGINAL,
     N_SYNTH,
+    EchoEmbedder,
+    RankIndex,
     golden,
+    scan_oracle,
     synth_embedder,
     synth_nli,
     synth_records,
@@ -83,25 +85,17 @@ class _SequenceNli:
         return self._BY_LABEL[self.table[premise]]
 
 
-def _oracle_decision(labels) -> bool:
-    for label in labels:
-        if label is NliLabel.ENTAILMENT:
-            return True
-        if label is NliLabel.CONTRADICTION:
-            return False
-    return True
-
-
 def test_criterion_1_claim_scan_oracle_equivalence(capsys):
     started = time.monotonic()
     checked = 0
     for length in (1, 2, 3, 4):
         for labels in itertools.product(list(NliLabel), repeat=length):
-            ids = [f"p{i}" for i in range(length)]
-            nli = _SequenceNli(dict(zip(ids, labels)))
-            ranked = [(pid, 1.0) for pid in ids]
-            trace = verify_claim("claim", ranked, nli)
-            assert trace.decision is _oracle_decision(labels), labels
+            index = RankIndex({"claim": labels})
+            ids = [pid for pid, _ in index.top_k("claim", length)]
+            table = dict(zip(ids, labels))
+            verdict = verify_text("text", ScriptedClaimExtractor({"text": ["claim"]}), index,
+                                  EchoEmbedder(), _SequenceNli(table), length)
+            assert verdict.claim_traces == (scan_oracle("claim", ids, table.get),), labels
             checked += 1
     elapsed = time.monotonic() - started
     assert checked == 120
@@ -252,7 +246,7 @@ def test_criterion_5_retrieval_correctness(capsys):
         scores = mat.astype(np.float64) @ query
         expected = sorted(range(n), key=lambda i: (-scores[i], ids[i]))[: min(k, n)]
         got = index.top_k(query, k=k)
-        assert list(got.ids) == [ids[i] for i in expected], trial
+        assert [pid for pid, _ in got] == [ids[i] for i in expected], trial
 
         if trial < 50:  # recall monotonicity spot checks on the same index
             full = index.top_k(query, k=n)
@@ -273,7 +267,7 @@ def test_criterion_5_retrieval_correctness(capsys):
     queries = 500
     for i in range(0, 10_000, 10_000 // queries):
         vec = embedder.embed([texts[i]])[0]
-        if big.top_k(vec, k=1).ids[0] == f"d{i:05d}":
+        if big.top_k(vec, k=1)[0][0] == f"d{i:05d}":
             hit += 1
     r_at_1 = hit / queries
     assert r_at_1 == 1.0

@@ -28,7 +28,6 @@ from factforge.backends import (
     HttpNliBackend,
     RuleNliBackend,
     ScriptedChatBackend,
-    SequenceChatBackend,
     VerdictRuleChatBackend,
     build_backend,
     chat_fingerprint,
@@ -50,7 +49,6 @@ from factforge.retrieval import index_build
 from factforge.synthgen import build_unified_prompt
 from factforge.textnorm import tokenize
 from factforge.verification import (
-    ClaimTrace,
     NliLabel,
     ScriptedClaimExtractor,
     Verdict,
@@ -60,6 +58,7 @@ from factforge.verification import (
 from conftest import (
     mock_chat_profile,
     page_rows,
+    scan_oracle,
     synth_embedder,
     synth_nli,
     synth_passage,
@@ -207,14 +206,6 @@ def test_scripted_thread_safety():
     answers = [r for r in results if r is not None]
     assert sorted(answers) == sorted(f"r{i}" for i in range(n_scripted))
     assert results.count(None) == 24 - n_scripted
-
-
-def test_sequence_mock_in_call_order():
-    chat = SequenceChatBackend(mock_chat_profile(), ["a", "b"])
-    assert chat.complete([{"role": "user", "content": "x"}]) == "a"
-    assert chat.complete([{"role": "user", "content": "y"}]) == "b"
-    with pytest.raises(ScriptExhausted):
-        chat.complete([{"role": "user", "content": "z"}])
 
 
 def test_verdict_rule_mock():
@@ -373,9 +364,6 @@ def test_build_backend_dispatch(tmp_path):
         name="p", kind=kind, transport="mock", options=opts
     )
     assert isinstance(
-        build_backend(mk("chat", mock="sequence", responses=["x"])), SequenceChatBackend
-    )
-    assert isinstance(
         build_backend(mk("chat", mock="verdict_rule", markers=[])), VerdictRuleChatBackend
     )
     emb = build_backend(mk("embedding", mock="hashed_bow", dimension=32))
@@ -417,7 +405,7 @@ def test_http_profiles_read_no_options():
         ("nli", {"contradictions": 5}, "contradictions"),
         ("nli", {"contradictions": [["a"]]}, "contradictions"),
         ("chat", {"mock": "verdict_rule", "markers": [1]}, "markers"),
-        ("chat", {"mock": "sequence", "responses": 5}, "responses"),
+        ("chat", {"mock": "verdict_rule", "markers": 5}, "markers"),
         ("chat", {"mock": "script", "script": 7}, "script"),
     ],
 )
@@ -835,15 +823,6 @@ def test_fan_out_failure_stops_new_submissions():
     assert max(started) <= 4
 
 
-def _scan_oracle(claim, ranked_ids, label_of):
-    """Acceptance check 1's rule: the first non-neutral rank decides."""
-    for rank, pid in enumerate(ranked_ids, 1):
-        label = label_of(pid)
-        if label is not NliLabel.NEUTRAL:
-            return ClaimTrace(claim, label is NliLabel.ENTAILMENT, pid, rank)
-    return ClaimTrace(claim, True, None, len(ranked_ids))
-
-
 def test_verify_text_over_http_is_width_independent(http_server):
     embedder, nli = synth_embedder(), synth_nli()
 
@@ -881,9 +860,9 @@ def test_verify_text_over_http_is_width_independent(http_server):
             assert recorder.max_active > 1
 
     expected = tuple(
-        _scan_oracle(
+        scan_oracle(
             claim,
-            index.top_k(embedder.embed([claim])[0], k).ids,
+            [pid for pid, _ in index.top_k(embedder.embed([claim])[0], k)],
             lambda pid, claim=claim: nli.classify(index.text_of(pid), claim).top_label,
         )
         for claim in claims

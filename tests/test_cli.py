@@ -270,9 +270,16 @@ def test_config_faults_are_domain_errors(ws, capsys, change, command):
          "dimension"),
         (lambda c: c["profiles"]["embed"].update(transport="http", endpoint="http://127.0.0.1:9",
                                                  retry_backoff=0.0), "index", "dimension"),
+        (lambda c: c["profiles"]["embed"].update(max_in_flight=2.5), "index", "max_in_flight"),
+        (lambda c: c["profiles"]["embed"].update(max_in_flight=True), "index", "max_in_flight"),
+        (lambda c: c["profiles"]["embed"].update(timeout="30"), "index", "timeout"),
+        (lambda c: c["profiles"]["embed"].update(timeout=float("nan")), "index", "timeout"),
+        (lambda c: c["profiles"]["embed"].update(timeout=float("inf")), "index", "timeout"),
     ],
     ids=["config-key-no-subcommand-reads", "option-the-mock-does-not-read",
-         "mock-option-of-the-wrong-type", "options-on-an-http-profile"],
+         "mock-option-of-the-wrong-type", "options-on-an-http-profile",
+         "fractional-max-in-flight", "boolean-max-in-flight", "string-timeout", "nan-timeout",
+         "infinite-timeout"],
 )
 def test_unread_settings_are_named_errors(ws, capsys, change, command, key):
     config = json.loads(ws["config"].read_text())
@@ -543,6 +550,19 @@ def test_verify_backend_spec_must_be_complete(pipeline, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "embedder" in err and "nli" in err
+
+
+@pytest.mark.parametrize("extra, role", [("nil=nli", "nil"), ("embedder=embed", "embedder")],
+                         ids=["unknown-role", "repeated-role"])
+def test_verify_backend_spec_names_a_bad_role(pipeline, capsys, extra, role):
+    text_path, trace = pipeline["dir"] / "check.txt", pipeline["dir"] / "t"
+    text_path.write_text(pipeline["factual_texts"]["page0"])
+    spec = f"extractor=gen,embedder=embed,nli=nli,{extra}"  # valid without `extra`
+    assert run(["verify", "--text", text_path, "--index", pipeline["index"], "--backends", spec,
+                "--trace", trace, "--config", pipeline["config"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(role) in err
+    assert not trace.exists()
 
 
 # --- eval --------------------------------------------------------------------------
@@ -1135,9 +1155,12 @@ def test_numpy_free_subcommands_start_without_numpy(tmp_path):
     rows = page_rows(3)
     (tmp_path / "pages.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
     passages = [sample_passage(Page(r["page_id"], r["title"], r["text"]), seed=0) for r in rows]
+    (tmp_path / "gen_script.jsonl").write_text("".join(
+        json.dumps(_chat_entry(build_unified_prompt(p), step_json_for(p))) + "\n"
+        for p in passages))
     config = {"profiles": {
         "gen": {"kind": "chat", "transport": "mock",
-                "options": {"mock": "sequence", "responses": list(map(step_json_for, passages))}},
+                "options": {"mock": "script", "script": "gen_script.jsonl"}},
         "embed": {"kind": "embedding", "transport": "mock", "options": {"dimension": 16}},
     }}
     (tmp_path / "backends.json").write_text(json.dumps(config))

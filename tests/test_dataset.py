@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,9 +19,18 @@ from factforge.dataset import (
 )
 from factforge.errors import InvalidRecord, NoCandidatePassages, NotEnoughRecords
 from factforge.jsonlio import to_row
+from factforge.synthgen import generate_record
 from factforge.verification import NliLabel
 
-from conftest import synth_nli, synth_passage, synth_record, synth_records
+from conftest import (
+    amazon_passage,
+    amazon_step_json,
+    scripted_chat_for,
+    synth_nli,
+    synth_passage,
+    synth_record,
+    synth_records,
+)
 
 
 # --- retriever pairs -------------------------------------------------------------
@@ -45,6 +56,16 @@ def test_retriever_pairs_shape():
 def test_retriever_pair_count_formula(i):
     record = synth_record(i)
     assert len(derive_retriever_pairs(record)) == 3 * (len(record.outputs.claims) + 1)
+
+
+def test_a_blank_generated_claim_reaches_no_derived_row():
+    answer = json.loads(amazon_step_json())
+    answer["step_1"].insert(1, "  ")
+    passage = amazon_passage()
+    record = generate_record(passage, scripted_chat_for(passage, [json.dumps(answer)]))
+    assert record.validation.ok
+    assert all(p.claim.strip() for p in derive_retriever_pairs(record))
+    assert all(t.hypothesis.strip() for t in derive_nli_triplets(record))
 
 
 # --- premise/hypothesis triplets ----------------------------------------------------

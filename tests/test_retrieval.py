@@ -38,15 +38,14 @@ def _index(vectors, ids=None, texts=None):
 def test_top_k_orders_by_score():
     idx = _index([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
     hits = idx.top_k(np.array([1.0, 0.0]), k=3)
-    assert hits.ids == ("p0", "p2", "p1")
-    assert hits.hits[0][1] == pytest.approx(1.0)
+    assert [pid for pid, _ in hits] == ["p0", "p2", "p1"]
+    assert hits[0][1] == pytest.approx(1.0)
 
 
 def test_top_k_ties_break_by_ascending_id():
     # all four passages score identically; lexicographically smaller id wins
     idx = _index([[1.0]] * 4, ids=["d", "b", "a", "c"])
-    hits = idx.top_k(np.array([1.0]), k=2)
-    assert hits.ids == ("a", "b")
+    assert idx.top_k(np.array([1.0]), k=2) == (("a", 1.0), ("b", 1.0))
 
 
 def test_top_k_k_larger_than_index():
@@ -79,10 +78,7 @@ def test_top_k_matches_exhaustive_sort(n, dim, k, seed):
     q = rng.integers(-5, 6, size=dim).astype(np.float64)
     scores = mat.astype(np.float64) @ q
     expected = sorted(range(n), key=lambda i: (-scores[i], ids[i]))[: min(k, n)]
-    got = idx.top_k(q, k=k)
-    assert list(got.ids) == [ids[i] for i in expected]
-    for (hid, score), i in zip(got.hits, expected):
-        assert score == scores[i]
+    assert idx.top_k(q, k=k) == tuple((ids[i], scores[i]) for i in expected)
 
 
 @given(
@@ -95,9 +91,9 @@ def test_top_k_prefix_property(n, seed):
     mat = rng.integers(-4, 5, size=(n, 6)).astype(np.float32)
     idx = PassageIndex([f"p{i:02d}" for i in range(n)], [""] * n, mat)
     q = rng.integers(-4, 5, size=6).astype(np.float64)
-    full = idx.top_k(q, k=n).ids
+    full = idx.top_k(q, k=n)
     for k in range(1, n + 1):
-        assert idx.top_k(q, k=k).ids == full[:k]
+        assert idx.top_k(q, k=k) == full[:k]
 
 
 def test_top_k_scores_equal_one_float64_product():
@@ -116,7 +112,7 @@ def test_top_k_scores_equal_one_float64_product():
             for _ in range(4):
                 q = rng.standard_normal(dim)
                 want = mat.astype(np.float64) @ q
-                got = dict(idx.top_k(q, k=n).hits)
+                got = dict(idx.top_k(q, k=n))
                 assert [got[pid] for pid in ids] == want.tolist(), (dim, n)
 
 
@@ -182,7 +178,7 @@ def test_index_build_from_pairs():
     assert idx.dimension == 4
     assert idx.text_of("b") == "yyyy"
     for basis in np.eye(4):
-        assert idx.top_k(basis, k=2).hits == (("b", 4.0), ("a", 2.0))
+        assert idx.top_k(basis, k=2) == (("b", 4.0), ("a", 2.0))
 
 
 def test_index_build_checks_every_vector():
@@ -217,9 +213,9 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.text_of("p2") == "unicode éü"
     # a basis vector scores each row by one component, exactly
     for j, basis in enumerate(np.eye(16)):
-        assert dict(loaded.top_k(basis, k=5).hits) == {f"p{i}": float(mat[i, j]) for i in range(5)}
+        assert dict(loaded.top_k(basis, k=5)) == {f"p{i}": float(mat[i, j]) for i in range(5)}
     q = rng.standard_normal(16)
-    assert loaded.top_k(q, k=5).hits == idx.top_k(q, k=5).hits
+    assert loaded.top_k(q, k=5) == idx.top_k(q, k=5)
 
 
 def test_load_rejects_corruption(tmp_path):

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from factforge.backends import SequenceChatBackend
 from factforge.errors import (
     ExhaustedRetries,
     MalformedOutput,
@@ -35,6 +36,7 @@ from factforge.synthgen import (
     validate_record,
     write_records,
 )
+from factforge.verification import ChatClaimExtractor
 
 from conftest import (
     AMAZON_ALTERED,
@@ -45,7 +47,6 @@ from conftest import (
     amazon_passage,
     amazon_step_json,
     golden,
-    mock_chat_profile,
     scripted_chat_for,
 )
 
@@ -168,7 +169,18 @@ _step_texts = st.text(
 def test_parse_serialize_roundtrip(claims, pair, factual, unfactual):
     outputs = StepOutputs(tuple(claims), pair[0], pair[1], factual, unfactual)
     again = parse_generation_output(outputs.to_step_json())
-    assert again == outputs
+    # Claims come back stripped, blank ones dropped; every other step exactly.
+    assert again == replace(outputs, claims=tuple(c.strip() for c in claims if c.strip()))
+    assert parse_generation_output(again.to_step_json()) == again
+
+
+def test_parse_and_claim_extraction_clean_claims_alike():
+    step_1 = ["  Padded claim. ", "", " \t\n", "Plain claim."]
+    out = parse_generation_output(_payload(step_1=step_1))
+    assert out.claims == ("Padded claim.", "Plain claim.")
+    reply = json.dumps({"step_1": step_1})
+    extractor = ChatClaimExtractor(SimpleNamespace(complete=lambda messages: reply))
+    assert extractor.extract_claims("any text") == list(out.claims)
 
 
 # --- validation ------------------------------------------------------------------
@@ -285,7 +297,7 @@ def test_generate_record_happy_path(amazon_record):
 
 def test_generate_record_retries_after_malformed_output():
     passage = amazon_passage()
-    chat = SequenceChatBackend(mock_chat_profile(), ["not json at all", amazon_step_json()])
+    chat = scripted_chat_for(passage, ["not json at all", amazon_step_json()])
     record = generate_record(passage, chat, max_retries=2)
     assert record.retries == 1
     assert record.validation.ok
@@ -295,7 +307,7 @@ def test_generate_record_retries_after_hard_failure():
     passage = amazon_passage()
     bad = json.loads(amazon_step_json())
     bad["step_2"] = [bad["step_2"][1], bad["step_2"][1]]  # altered == original
-    chat = SequenceChatBackend(mock_chat_profile(), [json.dumps(bad), amazon_step_json()])
+    chat = scripted_chat_for(passage, [json.dumps(bad), amazon_step_json()])
     record = generate_record(passage, chat, max_retries=1)
     assert record.retries == 1
     assert record.validation.ok
@@ -303,7 +315,7 @@ def test_generate_record_retries_after_hard_failure():
 
 def test_generate_record_exhausts_retries():
     passage = amazon_passage()
-    chat = SequenceChatBackend(mock_chat_profile(), ["junk", "junk", "junk"])
+    chat = scripted_chat_for(passage, ["junk", "junk", "junk"])
     with pytest.raises(ExhaustedRetries) as exc:
         generate_record(passage, chat, max_retries=2)
     assert exc.value.attempts == 3
@@ -311,9 +323,10 @@ def test_generate_record_exhausts_retries():
 
 
 def test_generate_record_zero_retries_single_attempt():
-    chat = SequenceChatBackend(mock_chat_profile(), ["junk", amazon_step_json()])
+    passage = amazon_passage()
+    chat = scripted_chat_for(passage, ["junk", amazon_step_json()])
     with pytest.raises(ExhaustedRetries) as exc:
-        generate_record(amazon_passage(), chat, max_retries=0)
+        generate_record(passage, chat, max_retries=0)
     assert exc.value.attempts == 1
 
 

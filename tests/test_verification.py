@@ -6,7 +6,6 @@ import random
 import sys
 import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,11 +26,18 @@ from factforge.verification import (
     ScriptedClaimExtractor,
     build_claim_extraction_prompt,
     classify,
-    verify_claim,
     verify_text,
 )
 
-from conftest import synth_embedder, synth_nli, synth_passage, synth_record
+from conftest import (
+    EchoEmbedder,
+    RankIndex,
+    scan_oracle,
+    synth_embedder,
+    synth_nli,
+    synth_passage,
+    synth_record,
+)
 
 
 # --- NliDistribution -----------------------------------------------------------
@@ -83,87 +89,86 @@ def test_top_label_matches_argmax(weights):
     assert probs[dist.top_label] == max(probs.values())
 
 
-# --- verify_claim ------------------------------------------------------------------
+# --- the claim scan, through verify_text ------------------------------------------------
+
+_LABELS = {"E": NliLabel.ENTAILMENT, "N": NliLabel.NEUTRAL, "C": NliLabel.CONTRADICTION}
+_BY_LABEL = {
+    NliLabel.ENTAILMENT: NliDistribution(0.9, 0.05, 0.05),
+    NliLabel.NEUTRAL: NliDistribution(0.05, 0.9, 0.05),
+    NliLabel.CONTRADICTION: NliDistribution(0.05, 0.05, 0.9),
+}
 
 
-class _TableNli:
-    """Label each (premise, hypothesis) pair from a fixed table; default neutral."""
+class _RankNli:
+    """Thread-safe NLI mock of width `width`: premise "c/r" is answered by
+    `answer(c, r)` (a label, or an exception it raises). Records every call
+    and the most calls in flight at once."""
 
-    _BY_LABEL = {
-        NliLabel.ENTAILMENT: NliDistribution(0.9, 0.05, 0.05),
-        NliLabel.NEUTRAL: NliDistribution(0.05, 0.9, 0.05),
-        NliLabel.CONTRADICTION: NliDistribution(0.05, 0.05, 0.9),
-    }
-
-    def __init__(self, table):
-        self.table = table
+    def __init__(self, answer, width):
+        self.answer = answer
+        self.max_in_flight = width
         self.calls = []
+        self.active = self.peak = 0
+        self.lock = threading.Lock()
 
     def classify(self, premise, hypothesis):
-        self.calls.append((premise, hypothesis))
-        return self._BY_LABEL[self.table.get(premise, NliLabel.NEUTRAL)]
+        claim, rank = premise.rsplit("/", 1)
+        assert claim == hypothesis
+        with self.lock:
+            self.calls.append((claim, int(rank)))
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            return _BY_LABEL[self.answer(claim, int(rank))]
+        finally:
+            with self.lock:
+                self.active -= 1
 
 
-def _trace_for(labels, claim="the claim"):
-    premises = [f"premise {i}" for i in range(len(labels))]
-    nli = _TableNli(dict(zip(premises, labels)))
-    ranked = [(p, 1.0 - 0.1 * i) for i, p in enumerate(premises)]
-    trace = verify_claim(claim, ranked, nli)
+def _verify_ranked(tables, nli, k=8):
+    """verify_text over `RankIndex(tables)`: claim c's rank r reads tables[c][r]."""
+    extractor = ScriptedClaimExtractor({"text": list(tables)})
+    return verify_text("text", extractor, RankIndex(tables), EchoEmbedder(), nli, k)
+
+
+def _oracle_traces(tables, k=8):
+    """What the serial scan decides for each claim of `_verify_ranked(tables, ..., k)`."""
+    def label_of(pid):
+        claim, rank = pid.rsplit("/", 1)
+        return _LABELS[tables[claim][int(rank)]]
+
+    index = RankIndex(tables)
+    return tuple(scan_oracle(c, [pid for pid, _ in index.top_k(c, k)], label_of)
+                 for c in tables)
+
+
+def _serial_trace(labels):
+    nli = _RankNli(lambda claim, rank: _LABELS[labels[rank]], 1)
+    (trace,) = _verify_ranked({"claim0": labels}, nli).claim_traces
     return trace, nli
 
 
-def test_verify_claim_first_entailment_wins():
-    trace, nli = _trace_for([NliLabel.NEUTRAL, NliLabel.ENTAILMENT, NliLabel.CONTRADICTION])
-    assert trace.decision is True
-    assert trace.deciding_passage_id == "premise 1"
-    assert trace.rank_examined == 2
+def test_verify_text_first_entailment_wins():
+    trace, nli = _serial_trace("NEC")
+    assert trace == ClaimTrace("claim0", True, "claim0/1", 2)
     assert len(nli.calls) == 2  # stops at the first non-neutral label
 
 
-def test_verify_claim_first_contradiction_wins():
-    trace, _ = _trace_for([NliLabel.CONTRADICTION, NliLabel.ENTAILMENT])
-    assert trace.decision is False
-    assert trace.deciding_passage_id == "premise 0"
-    assert trace.rank_examined == 1
+def test_verify_text_first_contradiction_wins():
+    trace, _ = _serial_trace("CE")
+    assert trace == ClaimTrace("claim0", False, "claim0/0", 1)
 
 
-def test_verify_claim_all_neutral_defaults_true():
-    trace, nli = _trace_for([NliLabel.NEUTRAL] * 4)
-    assert trace.decision is True
-    assert trace.deciding_passage_id is None
-    assert trace.rank_examined == 4
+def test_verify_text_all_neutral_defaults_true():
+    trace, nli = _serial_trace("NNNN")
+    assert trace == ClaimTrace("claim0", True, None, 4)
     assert len(nli.calls) == 4
 
 
-def test_verify_claim_no_evidence_defaults_true():
-    trace, _ = _trace_for([])
-    assert trace.decision is True
-    assert trace.rank_examined == 0
-
-
-@given(
-    st.lists(
-        st.sampled_from([NliLabel.ENTAILMENT, NliLabel.NEUTRAL, NliLabel.CONTRADICTION]),
-        max_size=8,
-    )
-)
-@settings(max_examples=80)
-def test_verify_claim_matches_scan_oracle(labels):
-    trace, _ = _trace_for(labels)
-    first = next((l for l in labels if l is not NliLabel.NEUTRAL), None)
-    assert trace.decision is (first is not NliLabel.CONTRADICTION)
-    if first is not None:
-        assert trace.rank_examined == 1 + next(
-            i for i, l in enumerate(labels) if l is not NliLabel.NEUTRAL
-        )
-
-
-def test_verify_claim_text_lookup_mapping():
-    nli = _TableNli({"the real text": NliLabel.CONTRADICTION})
-    trace = verify_claim("c", [("pid", 0.5)], nli, text_lookup={"pid": "the real text"}.__getitem__)
-    assert trace.decision is False
-    assert trace.deciding_passage_id == "pid"
-    assert nli.calls == [("the real text", "c")]
+def test_verify_text_no_evidence_defaults_true():
+    trace, nli = _serial_trace("")
+    assert trace == ClaimTrace("claim0", True, None, 0)
+    assert nli.calls == []
 
 
 # --- verify_text ----------------------------------------------------------------------
@@ -224,59 +229,6 @@ def test_verify_text_k_caps_evidence():
 
 # --- cross-claim NLI scheduler ------------------------------------------------------
 
-_LABELS = {"E": NliLabel.ENTAILMENT, "N": NliLabel.NEUTRAL, "C": NliLabel.CONTRADICTION}
-
-
-class _RankIndex:
-    """Stands in for an index: claim `c` retrieves "c/0", "c/1", ... (one
-    passage per entry of its table), and a passage's text is its id."""
-
-    def __init__(self, tables):
-        self.tables = tables
-
-    def top_k(self, claim, k):
-        n = min(k, len(self.tables[claim]))
-        return SimpleNamespace(hits=[(f"{claim}/{r}", 1.0 - r / 100) for r in range(n)])
-
-    def text_of(self, passage_id):
-        return passage_id
-
-
-class _EchoEmbedder:
-    def embed(self, texts):
-        return list(texts)  # each claim is its own query "vector"
-
-
-class _RankNli:
-    """Thread-safe NLI mock of width `width`: premise "c/r" is answered by
-    `answer(c, r)` (a label, or an exception it raises). Records every call
-    and the most calls in flight at once."""
-
-    def __init__(self, answer, width):
-        self.answer = answer
-        self.max_in_flight = width
-        self.calls = []
-        self.active = self.peak = 0
-        self.lock = threading.Lock()
-
-    def classify(self, premise, hypothesis):
-        claim, rank = premise.rsplit("/", 1)
-        assert claim == hypothesis
-        with self.lock:
-            self.calls.append((claim, int(rank)))
-            self.active += 1
-            self.peak = max(self.peak, self.active)
-        try:
-            return _TableNli._BY_LABEL[self.answer(claim, int(rank))]
-        finally:
-            with self.lock:
-                self.active -= 1
-
-
-def _verify_ranked(tables, nli, k=8):
-    extractor = ScriptedClaimExtractor({"text": list(tables)})
-    return verify_text("text", extractor, _RankIndex(tables), _EchoEmbedder(), nli, k)
-
 
 @given(
     tables=st.lists(st.text(alphabet="ENC", max_size=8), min_size=1, max_size=4),
@@ -296,12 +248,10 @@ def test_scheduler_matches_serial_scan_within_width_and_waste_bound(tables, widt
 
     nli = _RankNli(answer, width)
     verdict = _verify_ranked(tables, nli)
-    serial = _RankNli(lambda claim, rank: _LABELS[tables[claim][rank]], 1)
-    index = _RankIndex(tables)
+    assert verdict.claim_traces == _oracle_traces(tables)
     assert len(set(nli.calls)) == len(nli.calls)  # no pair is asked twice
     assert nli.peak <= width
     for claim, trace in zip(tables, verdict.claim_traces):
-        assert trace == verify_claim(claim, index.top_k(claim, 8).hits, serial)
         past_deciding = [r for c, r in nli.calls if c == claim and r >= trace.rank_examined]
         assert len(past_deciding) <= width - 1
 
@@ -374,11 +324,7 @@ def test_scheduler_under_fast_thread_switching():
                       for i in range(4)}
             nli = _RankNli(lambda claim, rank: _LABELS[tables[claim][rank]], 8)
             verdict = _verify_ranked(tables, nli, k=30)
-            serial = _RankNli(nli.answer, 1)
-            index = _RankIndex(tables)
-            assert verdict.claim_traces == tuple(
-                verify_claim(c, index.top_k(c, 30).hits, serial) for c in tables
-            )
+            assert verdict.claim_traces == _oracle_traces(tables, k=30)
             assert len(set(nli.calls)) == len(nli.calls)
             assert nli.peak <= 8
     finally:
