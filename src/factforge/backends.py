@@ -66,6 +66,7 @@ class BackendProfile:
     auth_env: str | None = None
     timeout: float = 30.0
     max_in_flight: int = 4
+    max_batch: int = 32  # inputs per /embeddings request; TEI's default client batch cap
     temperature: float = 0.0
     retry_backoff: float = 0.5
     options: Mapping[str, Any] = field(default_factory=dict)
@@ -75,13 +76,20 @@ class BackendProfile:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.transport not in ("http", "mock"):
             raise ValueError(f"unknown transport {self.transport!r}")
-        # Exact type checks: a bool is neither a width nor a timeout.
-        if type(self.max_in_flight) is not int or self.max_in_flight < 1:
-            raise ValueError(f"profile {self.name!r}: 'max_in_flight' must be an int >= 1, "
-                             f"got {self.max_in_flight!r}")
+        # Exact type checks: a bool is neither a count nor a number of seconds.
+        for key in ("max_in_flight", "max_batch"):
+            value = getattr(self, key)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"profile {self.name!r}: {key!r} must be an int >= 1, "
+                                 f"got {value!r}")
         if type(self.timeout) not in (int, float) or not 0 < self.timeout < math.inf:
             raise ValueError(f"profile {self.name!r}: 'timeout' must be a finite number of "
                              f"seconds above 0, got {self.timeout!r}")
+        for key in ("retry_backoff", "temperature"):
+            value = getattr(self, key)
+            if type(value) not in (int, float) or not 0 <= value < math.inf:
+                raise ValueError(f"profile {self.name!r}: {key!r} must be a finite number "
+                                 f">= 0, got {value!r}")
 
     @classmethod
     def from_dict(cls, name: str, row: Mapping[str, Any]) -> "BackendProfile":
@@ -283,7 +291,14 @@ class HttpEmbeddingBackend(_HttpBase):
     kind, path = KIND_EMBEDDING, "/embeddings"
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        return self._call({"model": self.profile.model, "input": list(texts)})
+        """One vector per text, in order. Each run of at most `max_batch`
+        texts is its own request, with its own fingerprint and retries;
+        the requests fan out at `max_in_flight`. No texts, no request."""
+        texts, model, step = list(texts), self.profile.model, self.profile.max_batch
+        chunks = [texts[i:i + step] for i in range(0, len(texts), step)]
+        replies = fan_out(lambda chunk: self._call({"model": model, "input": chunk}),
+                          chunks, self.max_in_flight)
+        return [vec for vecs in replies for vec in vecs]
 
     @staticmethod
     def _decode(reply: Any, body: Mapping[str, Any]) -> list[np.ndarray]:

@@ -17,6 +17,7 @@ import contextlib
 import dataclasses
 import enum
 import functools
+import itertools
 import json
 import os
 import threading
@@ -199,7 +200,7 @@ def write_records(path: str | Path, records: Iterable[Any], schema: str | None =
     """Write one row per record atomically, after a header row `{"schema",
     "version": 1, **header}` when `schema` is given. Returns the record count."""
     head = [] if schema is None else [{"schema": schema, "version": 1, **header}]
-    return write_jsonl(path, [*head, *map(to_row, records)]) - len(head)
+    return write_jsonl(path, itertools.chain(head, map(to_row, records))) - len(head)
 
 
 def read_records(path: str | Path, cls: type[R], schema: str | None = None) -> list[R]:

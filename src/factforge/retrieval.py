@@ -24,7 +24,7 @@ _U32 = struct.Struct("<I")
 
 # The matrix is held once, as float32, and scored in float64: top_k upcasts one
 # block of rows at a time, so no temporary exceeds about this many bytes.
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 18
 # Blocks are a whole number of this many rows. BLAS scores the rows of a
 # matrix-vector product in groups (four at a time in OpenBLAS), and rows left
 # over after the last whole group are summed in another order; aligned blocks

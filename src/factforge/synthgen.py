@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import ast
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from . import jsonlio
 from .corpus import Passage
-from .errors import ExhaustedRetries, MalformedOutput, MissingKey, TypeMismatch
+from .errors import ExhaustedRetries, MalformedOutput, MalformedRecord, MissingKey, TypeMismatch
 from .textnorm import normalize_for_match, unigram_jaccard
 
 CLAIM_WORD_LIMIT = 15
@@ -250,7 +250,16 @@ def write_records(path, records: Iterable[ResourceRecord]) -> int:
 
 
 def read_records(path) -> list[ResourceRecord]:
-    return jsonlio.read_records(path, ResourceRecord, RECORDS_SCHEMA)
+    """The records of a records file, their claims cleaned as `generate`
+    cleans them, so a file written before that yields no blank claim."""
+    records = []
+    for record in jsonlio.read_records(path, ResourceRecord, RECORDS_SCHEMA):
+        claims = clean_claims(list(record.outputs.claims))
+        if claims is None:
+            raise MalformedRecord(f"{path}: record {record.record_id!r}: "
+                                  "field 'claims' must be a list of strings")
+        records.append(replace(record, outputs=replace(record.outputs, claims=tuple(claims))))
+    return records
 
 
 def generate_record(

@@ -231,6 +231,15 @@ def page_rows(n: int = 8, sentences_per_page: int = 7) -> list[dict]:
 # --- local HTTP endpoint -------------------------------------------------------------
 
 
+def embedding_reply(embedder):
+    """An `http_server` reply function that answers an /embeddings request
+    with `embedder`'s vectors of its inputs."""
+    def respond(request):
+        vecs = embedder.embed(request["body"]["input"])
+        return 200, {"data": [{"index": i, "embedding": v.tolist()} for i, v in enumerate(vecs)]}
+    return respond
+
+
 class _Recorder:
     """Scriptable local HTTP endpoint: pops one (status, body) per request,
     or, when `responses` is callable, asks it for each recorded request. A

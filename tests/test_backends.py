@@ -56,6 +56,7 @@ from factforge.verification import (
 )
 
 from conftest import (
+    embedding_reply,
     mock_chat_profile,
     page_rows,
     scan_oracle,
@@ -78,6 +79,14 @@ def test_profile_validation():
         BackendProfile(name="x", kind="chat", max_in_flight=0)
     with pytest.raises(ValueError):
         BackendProfile(name="x", kind="chat", timeout=0)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="'max_batch'"):
+            BackendProfile(name="x", kind="embedding", max_batch=bad)
+    for key in ("retry_backoff", "temperature"):
+        for bad in ("x", -0.5, math.nan, math.inf, True):
+            with pytest.raises(ValueError, match=repr(key)):
+                BackendProfile(name="x", kind="chat", **{key: bad})
+        BackendProfile(name="x", kind="chat", **{key: 0})
 
 
 def test_profile_from_dict_rejects_unknown_keys():
@@ -529,6 +538,70 @@ def test_http_embeddings_sorted_by_index(http_server):
     assert recorder.requests[0]["body"]["input"] == ["first", "second"]
 
 
+@pytest.mark.parametrize("max_batch", [1, 2, 3, 7, 11, 64])
+def test_http_embeddings_are_chunked_and_the_index_is_batch_independent(
+        http_server, tmp_path, max_batch):
+    passages = [synth_passage(i) for i in range(11)]
+    embedder = synth_embedder(16)
+    endpoint, recorder = http_server(embedding_reply(embedder))
+    http = HttpEmbeddingBackend(_http_profile(endpoint, kind="embedding", max_batch=max_batch))
+    index_build(passages, http).save(tmp_path / "http.bin")
+    index_build(passages, embedder).save(tmp_path / "mock.bin")
+    assert (tmp_path / "http.bin").read_bytes() == (tmp_path / "mock.bin").read_bytes()
+    texts = [p.text for p in passages]
+    inputs = sorted((r["body"]["input"] for r in recorder.requests),
+                    key=lambda chunk: texts.index(chunk[0]))
+    assert len(inputs) == math.ceil(len(passages) / max_batch)
+    assert all(len(chunk) <= max_batch for chunk in inputs)
+    assert [t for chunk in inputs for t in chunk] == texts
+
+
+def test_http_embeddings_retry_only_the_failing_chunk(http_server):
+    texts = [f"text {i}" for i in range(7)]
+    lock, failed = threading.Lock(), []
+    ok = embedding_reply(synth_embedder(8))
+
+    def respond(request):
+        with lock:
+            if "text 3" in request["body"]["input"] and not failed:
+                failed.append(request["raw"])
+                return 503, {}
+        return ok(request)
+
+    endpoint, recorder = http_server(respond)
+    http = HttpEmbeddingBackend(_http_profile(endpoint, kind="embedding", max_batch=2))
+    vecs = http.embed(texts)
+    assert all(np.array_equal(a, b) for a, b in zip(vecs, synth_embedder(8).embed(texts)))
+    assert len(vecs) == len(texts)
+    raws = [r["raw"] for r in recorder.requests]
+    assert len(raws) == 4 + 1
+    assert raws.count(failed[0]) == 2 and len(set(raws)) == 4
+
+
+def test_http_embeddings_a_failing_chunk_stops_later_chunks(http_server):
+    texts = [f"text {i}" for i in range(7)]
+    ok = embedding_reply(synth_embedder(8))
+
+    def respond(request):
+        return (500, {}) if "text 3" in request["body"]["input"] else ok(request)
+
+    endpoint, recorder = http_server(respond)
+    http = HttpEmbeddingBackend(_http_profile(endpoint, kind="embedding", max_batch=2,
+                                              max_in_flight=1))
+    with pytest.raises(BackendTimeout) as info:
+        http.embed(texts)
+    bodies = [r["body"] for r in recorder.requests]
+    assert [b["input"] for b in bodies] == [["text 0", "text 1"]] + [["text 2", "text 3"]] * 4
+    assert info.value.fingerprint == request_fingerprint({"kind": "embedding", **bodies[-1]})
+
+
+def test_http_embeddings_of_nothing_send_nothing(http_server):
+    endpoint, recorder = http_server([(200, {"data": []})])
+    http = HttpEmbeddingBackend(_http_profile(endpoint, kind="embedding"))
+    assert http.embed([]) == []
+    assert recorder.requests == []
+
+
 def test_http_embeddings_count_mismatch(http_server):
     endpoint, _ = http_server([(200, {"data": [{"index": 0, "embedding": [1.0]}]})])
     emb = HttpEmbeddingBackend(_http_profile(endpoint, kind="embedding"))
@@ -825,13 +898,12 @@ def test_fan_out_failure_stops_new_submissions():
 
 def test_verify_text_over_http_is_width_independent(http_server):
     embedder, nli = synth_embedder(), synth_nli()
+    embeddings = embedding_reply(embedder)
 
     def respond(request):
         body = request["body"]
         if request["path"] == "/embeddings":
-            vecs = embedder.embed(body["input"])
-            return 200, {"data": [{"index": i, "embedding": v.tolist()}
-                                  for i, v in enumerate(vecs)]}
+            return embeddings(request)
         dist = nli.classify(body["premise"], body["hypothesis"])
         return 200, {"entailment": dist.p_ent, "neutral": dist.p_neut,
                      "contradiction": dist.p_contr}

@@ -275,11 +275,21 @@ def test_config_faults_are_domain_errors(ws, capsys, change, command):
         (lambda c: c["profiles"]["embed"].update(timeout="30"), "index", "timeout"),
         (lambda c: c["profiles"]["embed"].update(timeout=float("nan")), "index", "timeout"),
         (lambda c: c["profiles"]["embed"].update(timeout=float("inf")), "index", "timeout"),
+        (lambda c: c["profiles"]["embed"].update(retry_backoff="x"), "index", "retry_backoff"),
+        (lambda c: c["profiles"]["embed"].update(retry_backoff=float("nan")), "index",
+         "retry_backoff"),
+        (lambda c: c["profiles"]["embed"].update(retry_backoff=-1), "index", "retry_backoff"),
+        (lambda c: c["profiles"]["embed"].update(temperature="0"), "index", "temperature"),
+        (lambda c: c["profiles"]["embed"].update(max_batch=0), "index", "max_batch"),
+        (lambda c: c["profiles"]["embed"].update(max_batch=2.5), "index", "max_batch"),
+        (lambda c: c["profiles"]["embed"].update(max_batch=True), "index", "max_batch"),
     ],
     ids=["config-key-no-subcommand-reads", "option-the-mock-does-not-read",
          "mock-option-of-the-wrong-type", "options-on-an-http-profile",
          "fractional-max-in-flight", "boolean-max-in-flight", "string-timeout", "nan-timeout",
-         "infinite-timeout"],
+         "infinite-timeout", "string-retry-backoff", "nan-retry-backoff",
+         "negative-retry-backoff", "string-temperature", "zero-max-batch",
+         "fractional-max-batch", "boolean-max-batch"],
 )
 def test_unread_settings_are_named_errors(ws, capsys, change, command, key):
     config = json.loads(ws["config"].read_text())
@@ -434,6 +444,19 @@ def test_derive_nli_with_neutral_mining(pipeline):
     # mined premises come from sibling windows of the same page
     for t in neutral:
         assert t["premise"] != ""
+
+
+def test_derive_nli_drops_blank_claims_of_an_old_records_file(pipeline):
+    # A records file written before claims were cleaned at parse time.
+    row = _rows(pipeline["records"])[1]
+    row["outputs"]["claims"] = ["  ", *row["outputs"]["claims"]]
+    records = _write_rows(pipeline["dir"] / "old_records.jsonl", [row])
+    out = pipeline["dir"] / "nli_old.jsonl"
+    assert run(["derive", "--records", records, "--what", "nli",
+                "--out", out, "--config", pipeline["config"]]) == 0
+    header, *trips = _rows(out)
+    assert all(t["hypothesis"].strip() for t in trips)
+    assert header["count"] == len(trips) == 14  # 2n + 4 with n = 5 claims
 
 
 @pytest.mark.parametrize(

@@ -8,11 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from factforge import jsonlio
 from factforge.corpus import Passage
 from factforge.dataset import NliTriplet, RetrieverPair, Task1Instance, Task2Instance
 from factforge.errors import MalformedRecord
 from factforge.evalharness import EvalReport, SeedRun
-from factforge.jsonlio import from_row, iter_jsonl, read_records, to_row, write_jsonl
+from factforge.jsonlio import (
+    from_row,
+    iter_jsonl,
+    read_records,
+    to_row,
+    write_jsonl,
+    write_records,
+)
 from factforge.retrieval import PassageIndex
 from factforge.synthgen import ResourceRecord, StepOutputs, ValidationReport
 from factforge.verification import ClaimTrace, NliLabel
@@ -168,6 +176,25 @@ def test_a_write_that_fails_halfway_leaves_the_previous_file(tmp_path, writer):
         fail()
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_records_streams_a_generator_to_the_same_bytes(tmp_path, monkeypatch):
+    records = [record for record, _ in PINNED]
+    dumped = []
+    monkeypatch.setattr(jsonlio, "dumps_canonical",
+                        lambda row: dumped.append(row) or json.dumps(row, sort_keys=True))
+
+    def one_at_a_time():
+        for i, record in enumerate(records):
+            assert len(dumped) == 1 + i  # the header and every earlier row are written
+            yield record
+
+    as_generator, as_list = tmp_path / "generator.jsonl", tmp_path / "list.jsonl"
+    assert write_records(as_generator, one_at_a_time(), "mixed", count=len(records)) == len(records)
+    monkeypatch.undo()
+    write_records(as_list, records, "mixed", count=len(records))
+    write_records(as_generator, iter(records), "mixed", count=len(records))
+    assert as_generator.read_bytes() == as_list.read_bytes()
 
 
 def test_read_records_checks_the_header_and_names_file_row_and_field(tmp_path):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from factforge.backends import BackendProfile, HttpEmbeddingBackend
 from factforge.errors import (
     CorruptIndexFile,
     DimensionMismatch,
@@ -23,6 +24,8 @@ from factforge.retrieval import (
     index_build,
     recall_at_k,
 )
+
+from conftest import embedding_reply, synth_embedder, synth_passage
 
 
 def _index(vectors, ids=None, texts=None):
@@ -140,6 +143,21 @@ def test_top_k_peak_memory_is_a_fraction_of_the_matrix(tmp_path):
     hits, peak = _traced_peak(lambda: idx.top_k(q, k=30))
     assert len(hits) == 30
     assert peak < 0.5 * matrix_bytes
+    # One float64 block of the 256 KiB budget plus the n float64 scores: a
+    # larger block or another temporary of the matrix's size does not fit.
+    assert peak < (256 << 10) + 8 * len(idx) + (16 << 10)
+
+
+def test_index_build_over_http_holds_one_chunk_of_json(http_server):
+    n, dim = 2_000, 256
+    endpoint, _ = http_server(embedding_reply(synth_embedder(dim)))
+    http = HttpEmbeddingBackend(BackendProfile(name="e", kind="embedding", endpoint=endpoint))
+    passages = [synth_passage(i) for i in range(n)]
+    idx, peak = _traced_peak(lambda: index_build(passages, http))
+    assert len(idx) == n
+    # The float32 matrix, the float64 rows decoded so far and one chunk's
+    # reply; the whole corpus as one JSON reply peaks at about 12x.
+    assert peak < 5 * n * dim * 4
 
 
 def test_load_peak_memory_holds_one_matrix(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from factforge.errors import (
     ExhaustedRetries,
     MalformedOutput,
+    MalformedRecord,
     MissingKey,
     TypeMismatch,
 )
@@ -344,6 +345,18 @@ def test_records_file_roundtrip(tmp_path, amazon_record):
     write_records(path, [amazon_record])
     loaded = read_records(path)
     assert loaded == [amazon_record]
+
+
+def test_records_file_claims_are_cleaned_on_read(tmp_path, amazon_record):
+    path = tmp_path / "records.jsonl"
+    claims = amazon_record.outputs.claims
+    stored = replace(amazon_record.outputs, claims=(f" {claims[0]} ", "  ", *claims[1:]))
+    write_records(path, [replace(amazon_record, outputs=stored)])
+    assert read_records(path) == [amazon_record]
+    stored = replace(amazon_record.outputs, claims=(*claims, 5))
+    write_records(path, [replace(amazon_record, outputs=stored)])
+    with pytest.raises(MalformedRecord, match="'amazon:0'.*'claims'"):
+        read_records(path)
 
 
 def test_records_file_has_schema_header(tmp_path, amazon_record):
