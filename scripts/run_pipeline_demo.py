@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from factforge.backends import BackendProfile, chat_fingerprint
 from factforge.cli import main as cli_main
 from factforge.corpus import Page, page_passages, sample_passage
-from factforge.synthgen import build_unified_prompt
+from factforge.synthgen import StepOutputs, build_unified_prompt
 from factforge.verification import build_claim_extraction_prompt
 
 MARKER = "implausibly"
@@ -70,16 +70,13 @@ TOPICS = [
 GEN_PROFILE = BackendProfile(name="gen", kind="chat", transport="mock")
 
 
-def scripted_answer(passage) -> str:
-    claims = list(passage.sentences)
-    original = claims[0]
-    altered = original.rstrip(".") + f", {MARKER}."
-    return json.dumps({
-        "step_1": claims,
-        "step_2": [altered, original],
-        "step_3": " ".join(claims),
-        "step_4": " ".join([altered] + claims[1:]),
-    })
+def scripted_outputs(passage) -> StepOutputs:
+    """The "model's" four steps: the sentences are the claims, and the first
+    one, marked, is the altered claim."""
+    claims = passage.sentences
+    altered = claims[0].rstrip(".") + f", {MARKER}."
+    return StepOutputs(claims, altered, claims[0], " ".join(claims),
+                       " ".join((altered, *claims[1:])))
 
 
 def chat_entry(prompt: str, response: str) -> dict:
@@ -99,13 +96,13 @@ def build_workspace(workdir: Path, seed: int) -> dict:
     texts = {}
     for page in pages:
         for passage in page_passages(page):
-            entries.append(chat_entry(build_unified_prompt(passage), scripted_answer(passage)))
-        sampled = sample_passage(page, seed=seed)
-        payload = json.loads(scripted_answer(sampled))
-        texts[page.page_id] = (payload["step_3"], payload["step_4"])
+            entries.append(chat_entry(build_unified_prompt(passage),
+                                      scripted_outputs(passage).to_step_json()))
+        sampled = scripted_outputs(sample_passage(page, seed=seed))
+        texts[page.page_id] = (sampled.factual_text, sampled.unfactual_text)
         claims_of = {
-            payload["step_3"]: payload["step_1"],
-            payload["step_4"]: [payload["step_2"][0]] + payload["step_1"][1:],
+            sampled.factual_text: list(sampled.claims),
+            sampled.unfactual_text: [sampled.altered, *sampled.claims[1:]],
         }
         for text, claims in claims_of.items():
             entries.append(chat_entry(

@@ -404,16 +404,15 @@ class HashedBowEmbedder:
     big-endian word, modulo the dimension; the low bit of the fifth byte sets
     its sign (1 for +1). Each distinct token of a batch is hashed once. Each
     text's signed token counts are summed per bucket and the vector is
-    optionally L2-normalized, so identical texts embed identically, as
-    float64 vectors of shape (dimension,).
+    L2-normalized, so identical texts embed identically, as float64 vectors
+    of shape (dimension,).
     """
 
-    def __init__(self, profile: BackendProfile, dimension: int = 64, normalize: bool = True):
+    def __init__(self, profile: BackendProfile, dimension: int = 64):
         self.profile = profile
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
-        self.normalize = normalize
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         import numpy as np  # imported here so subcommands that never embed skip it
@@ -439,10 +438,9 @@ class HashedBowEmbedder:
             # Entries are sums of +-1, so they and their squared norm are exact
             # in any order. bincount gives int64 when nothing is counted.
             vec = np.bincount(buckets, signs, dimension).astype(np.float64, copy=False)
-            if self.normalize:
-                norm = math.sqrt(vec.dot(vec))  # what np.linalg.norm computes, minus its checks
-                if norm > 0:
-                    vec /= norm
+            norm = math.sqrt(vec.dot(vec))  # what np.linalg.norm computes, minus its checks
+            if norm > 0:
+                vec /= norm
             vecs.append(vec)
         return vecs
 
@@ -484,8 +482,8 @@ class RuleNliBackend:
 _MOCK_OPTIONS = {
     (KIND_CHAT, "script"): {"script"},
     (KIND_CHAT, "verdict_rule"): {"markers"},
-    (KIND_EMBEDDING, ""): {"dimension", "normalize"},
-    (KIND_EMBEDDING, "hashed_bow"): {"dimension", "normalize"},
+    (KIND_EMBEDDING, ""): {"dimension"},
+    (KIND_EMBEDDING, "hashed_bow"): {"dimension"},
     (KIND_NLI, ""): {"contradictions"},
     (KIND_NLI, "rules"): {"contradictions"},
 }
@@ -517,26 +515,31 @@ def build_backend(profile: BackendProfile, base_dir: str | Path | None = None):
         raise ValueError(f"profile {profile.name!r}: {mock or profile.kind} mock does not "
                          f"read options {sorted(set(opts) - reads)}")
 
-    def read(key: str, build: Callable[[Any], Any], default: Any = None):
-        """`build(value of option key)`, a wrong value named as that option."""
-        try:
-            return build(opts.get(key, default))
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ValueError(f"profile {profile.name!r}: mock option {key!r}: {exc}") from exc
+    def read(key: str, valid: Callable[[Any], bool], what: str, default: Any = None):
+        """The value of option `key`, checked by `valid`; a wrong one is named."""
+        value = opts.get(key, default)
+        if not valid(value):
+            raise ValueError(f"profile {profile.name!r}: mock option {key!r} must be {what}, "
+                             f"got {value!r}")
+        return value
+
+    def strings(value) -> bool:  # a blank one would match every text
+        return isinstance(value, list) and all(isinstance(v, str) and v.strip() for v in value)
 
     if profile.kind == KIND_EMBEDDING:
-        return HashedBowEmbedder(
-            profile,
-            dimension=read("dimension", int, 64),
-            normalize=bool(opts.get("normalize", True)),
-        )
+        dimension = read("dimension", lambda v: type(v) is int and v >= 1, "an int >= 1", 64)
+        return HashedBowEmbedder(profile, dimension)
     if profile.kind == KIND_NLI:
-        return read("contradictions", lambda pairs: RuleNliBackend(profile, pairs), [])
+        pairs = read("contradictions", lambda v: isinstance(v, list) and all(
+            strings(pair) and len(pair) == 2 for pair in v),
+            "a list of pairs of non-blank strings", [])
+        return RuleNliBackend(profile, pairs)
     if mock == "script":
         if "script" not in opts:
             raise ValueError(f"profile {profile.name!r}: the script mock needs 'script'")
-        script = read("script", Path)
+        script = Path(read("script", lambda v: isinstance(v, str), "a path string"))
         if base_dir is not None and not script.is_absolute():
             script = Path(base_dir) / script
         return ScriptedChatBackend.from_file(profile, script)
-    return read("markers", lambda markers: VerdictRuleChatBackend(profile, markers), [])
+    markers = read("markers", strings, "a list of non-blank strings", [])
+    return VerdictRuleChatBackend(profile, markers)

@@ -11,11 +11,11 @@ One executable with subcommands covering the whole pipeline:
 
 Every subcommand accepts --config (JSON file with backend profiles and
 defaults) and --dry-run (print every settled argument as a JSON plan,
-touch nothing); ingest, derive and eval also take --seed. Each setting is
-settled once, before the subcommand runs: the flag wins, then the config
-value, then the built-in default. Logs go to stderr; data goes to files.
-Exit codes: 0 success, 1 domain error or bad value (an `error:` line on
-stderr), 2 usage error.
+touch nothing); eval, ingest --sample-per-page and derive --split also take
+--seed. Each setting is settled once, before the subcommand runs: the flag
+wins, then the config value, then the built-in default. Logs go to stderr;
+data goes to files. Exit codes: 0 success, 1 domain error or bad value (an
+`error:` line on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -125,16 +125,28 @@ SETTINGS: dict[str, tuple[tuple[str, str, Any, type], ...]] = {
 
 
 def _settle(args: argparse.Namespace, config: RunConfig) -> None:
+    """Fill each setting of the subcommand. A config value must have the
+    setting's exact type, as a flag has (a float setting also takes an int);
+    only a setting whose default is None may be null."""
     for attr, key, default, kind in SETTINGS[args.command]:
         value = getattr(args, attr, None)
         if value is None:
             value = config.defaults.get(key, default)
-        if value is not None:
-            try:
-                value = kind(value)
-            except (TypeError, ValueError) as exc:
-                raise FactforgeError(f"config value {key!r}: {exc}") from exc
+        if value is not None or default is not None:
+            if type(value) is not kind and not (kind is float and type(value) is int):
+                raise FactforgeError(f"config value {key!r} must be of type {kind.__name__}, "
+                                     f"got {value!r}")
+            value = kind(value)
         setattr(args, attr, value)
+
+
+def _refuse_idle_flags(args: argparse.Namespace) -> None:
+    """Refuse a --seed or --ratio flag that would change nothing. Only flags
+    count: the same config keys stay allowed, as other subcommands read them."""
+    if args.command == "ingest" and args.seed is not None and not args.sample_per_page:
+        raise FactforgeError("--seed applies to ingest --sample-per-page only")
+    if args.command == "derive" and not args.split and (args.seed, args.ratio) != (None, None):
+        raise FactforgeError("--seed and --ratio apply to derive --split only")
 
 
 # --- subcommand implementations --------------------------------------------------
@@ -527,6 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _refuse_idle_flags(args)
         config = RunConfig.load(args.config) if args.config else RunConfig()
         _settle(args, config)
         if args.dry_run:

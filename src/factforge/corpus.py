@@ -71,16 +71,13 @@ def passage_id_for(page_id: str, start: int) -> str:
     return f"{page_id}:{start}"
 
 
-def split_sentences(
-    text: str,
-    abbreviations: frozenset[str] | set[str] = DEFAULT_ABBREVIATIONS,
-) -> list[str]:
+def split_sentences(text: str) -> list[str]:
     """Segment text into sentences with a deterministic rule-based splitter.
 
     A sentence boundary is a run of terminators (``.!?``), possibly followed
     by closing quotes/brackets, followed by a space and then an uppercase
     letter, digit or opening quote. The word carrying the terminator must
-    not be in the abbreviation guard list. Whitespace is normalized first;
+    not be in DEFAULT_ABBREVIATIONS. Whitespace is normalized first;
     joining the output with single spaces reproduces the normalized input.
     """
     text = normalize_ws(text)
@@ -90,7 +87,7 @@ def split_sentences(
         first = m.group(1)
         starts_fresh = first.isupper() or first.isdigit() or first in _OPENERS
         word = text[text.rfind(" ", 0, m.start()) + 1 : m.start() + 1]
-        if starts_fresh and word.lstrip(_OPENERS).lower() not in abbreviations:
+        if starts_fresh and word.lstrip(_OPENERS).lower() not in DEFAULT_ABBREVIATIONS:
             sentences.append(text[start : m.end()])
             start = m.end() + 1
     if start < len(text):
@@ -126,11 +123,9 @@ def page_passages(
     page: Page,
     window: int = DEFAULT_WINDOW,
     stride: int = DEFAULT_STRIDE,
-    abbreviations: frozenset[str] | set[str] = DEFAULT_ABBREVIATIONS,
 ) -> list[Passage]:
     """All passages of a page, in window order."""
-    sentences = split_sentences(page.text, abbreviations)
-    return window_passages(sentences, window, stride, page_id=page.page_id)
+    return window_passages(split_sentences(page.text), window, stride, page_id=page.page_id)
 
 
 def sample_passage(

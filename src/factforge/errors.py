@@ -34,10 +34,6 @@ class DuplicatePageId(FactforgeError):
 class OutputParseError(FactforgeError):
     """Model output could not be turned into structured step outputs."""
 
-    def __init__(self, message: str, key: str | None = None):
-        super().__init__(message)
-        self.key = key
-
 
 class MalformedOutput(OutputParseError):
     """No well-formed object could be extracted from the raw output."""
@@ -53,11 +49,6 @@ class TypeMismatch(OutputParseError):
 
 class ExhaustedRetries(FactforgeError):
     """Generation kept failing parse or hard validation until the retry budget ran out."""
-
-    def __init__(self, message: str, last_failure: object, attempts: int):
-        super().__init__(message)
-        self.last_failure = last_failure
-        self.attempts = attempts
 
 
 # --- dataset ---------------------------------------------------------------

@@ -17,7 +17,8 @@ from typing import Iterable
 
 from . import jsonlio
 from .corpus import Passage
-from .errors import ExhaustedRetries, MalformedOutput, MalformedRecord, MissingKey, TypeMismatch
+from .errors import (ExhaustedRetries, MalformedOutput, MalformedRecord, MissingKey,
+                     OutputParseError, TypeMismatch)
 from .textnorm import normalize_for_match, unigram_jaccard
 
 CLAIM_WORD_LIMIT = 15
@@ -58,11 +59,10 @@ UNIFIED_PROMPT_OUTPUT_FORMAT = """\
 Output format: Return the output in a JSON with the following format: { 'step_1': List[str], 'step_2': Tuple[str, str], 'step_3': str, 'step_4': str}. The output must be a valid JSON, thus try to avoid special characters like ' and " inside the JSON values, unless you escape them with a \\. Do not include any marker for the altered claim inside the JSON values, e.g., # this is the altered claim. Please do not provide any preamble to your response, just give me the JSON."""
 
 
-def build_unified_prompt(passage: Passage | str) -> str:
+def build_unified_prompt(passage: Passage) -> str:
     """The single four-step generation prompt with the passage as input."""
-    text = passage if isinstance(passage, str) else passage.text
     return (
-        f"Input: {text}\n\n"
+        f"Input: {passage.text}\n\n"
         "Instructions: Execute the following steps:\n\n"
         f"{UNIFIED_PROMPT_INSTRUCTIONS}\n\n"
         f"{UNIFIED_PROMPT_OUTPUT_FORMAT}"
@@ -141,27 +141,27 @@ def parse_generation_output(raw: str) -> StepOutputs:
     step_1 must be a list of strings, kept as `clean_claims` leaves it;
     step_2 a two-element pair of strings (altered first, original second),
     step_3 and step_4 strings. Raises MissingKey / TypeMismatch naming the
-    offending key.
+    offending key in the message.
     """
     obj = extract_first_object(raw)
     for key in ("step_1", "step_2", "step_3", "step_4"):
         if key not in obj:
-            raise MissingKey(f"output object lacks {key!r}", key=key)
+            raise MissingKey(f"output object lacks {key!r}")
 
     claims = clean_claims(obj["step_1"])
     if claims is None:
-        raise TypeMismatch("step_1 must be a list of strings", key="step_1")
+        raise TypeMismatch("step_1 must be a list of strings")
     pair = obj["step_2"]
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
         or not all(isinstance(x, str) for x in pair)
     ):
-        raise TypeMismatch("step_2 must be a pair of strings", key="step_2")
+        raise TypeMismatch("step_2 must be a pair of strings")
     if not isinstance(obj["step_3"], str):
-        raise TypeMismatch("step_3 must be a string", key="step_3")
+        raise TypeMismatch("step_3 must be a string")
     if not isinstance(obj["step_4"], str):
-        raise TypeMismatch("step_4 must be a string", key="step_4")
+        raise TypeMismatch("step_4 must be a string")
 
     return StepOutputs(
         claims=tuple(claims),
@@ -272,22 +272,22 @@ def generate_record(
     Makes one chat call, parses and validates; a parse error or hard
     validation failure burns one retry, up to max_retries beyond the first
     attempt. Transport errors propagate untouched. When every attempt
-    fails, ExhaustedRetries carries the last failure.
+    fails, ExhaustedRetries names the attempt count and the last failure.
     """
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
     messages = [{"role": "user", "content": build_unified_prompt(passage)}]
-    last_failure: object = None
+    failure: object = None
     for attempt in range(max_retries + 1):
         raw = chat.complete(messages)
         try:
             outputs = parse_generation_output(raw)
-        except (MalformedOutput, MissingKey, TypeMismatch) as exc:
-            last_failure = exc
+        except OutputParseError as exc:
+            failure = exc
             continue
         report = validate_record(passage, outputs)
         if report.hard_failures:
-            last_failure = report
+            failure = report
             continue
         return ResourceRecord(
             record_id=passage.passage_id,
@@ -297,7 +297,4 @@ def generate_record(
             retries=attempt,
         )
     raise ExhaustedRetries(
-        f"generation failed after {max_retries + 1} attempts: {last_failure!r}",
-        last_failure=last_failure,
-        attempts=max_retries + 1,
-    )
+        f"generation failed after {max_retries + 1} attempts: {failure!r}")

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from factforge import backends, cli, corpus
 from factforge.backends import (
@@ -238,9 +239,9 @@ def test_verdict_rule_mock():
 # --- hashed bag-of-words embedder -------------------------------------------------
 
 
-def _embedder(dimension=64, normalize=True):
+def _embedder(dimension=64):
     profile = BackendProfile(name="e", kind="embedding", transport="mock")
-    return HashedBowEmbedder(profile, dimension=dimension, normalize=normalize)
+    return HashedBowEmbedder(profile, dimension=dimension)
 
 
 def test_embedder_deterministic_and_normalized():
@@ -263,20 +264,13 @@ def test_embedder_empty_text_is_zero_vector():
     assert np.array_equal(vec, np.zeros(64))
 
 
-def test_embedder_counts_without_normalization():
-    emb = _embedder(normalize=False)
-    one = emb.embed(["token"])[0]
-    twice = emb.embed(["token token"])[0]
-    assert np.array_equal(twice, 2 * one)
-
-
 def test_embedder_bucket_oracle():
     # reimplementation of the documented hashing rule for one token
     token = "rainforest"
     digest = hashlib.sha256(token.encode()).digest()
     bucket = int.from_bytes(digest[:4], "big") % 64
     sign = 1.0 if digest[4] & 1 else -1.0
-    vec = _embedder(normalize=False).embed([token])[0]
+    vec = _embedder().embed([token])[0]
     assert vec[bucket] == sign
     assert np.count_nonzero(vec) == 1
 
@@ -286,17 +280,16 @@ def test_embedder_case_and_punctuation_folding():
     assert np.array_equal(emb.embed(["The Cat!"])[0], emb.embed(["the cat"])[0])
 
 
-def _reference_embedding(text: str, dimension: int, normalize: bool) -> np.ndarray:
+def _reference_embedding(text: str, dimension: int) -> np.ndarray:
     """The embedding rule as a per-token loop: one sha256 and one signed add
     per token occurrence, then the L2 norm."""
     vec = np.zeros(dimension, dtype=np.float64)
     for token in tokenize(text):
         digest = hashlib.sha256(token.encode("utf-8")).digest()
         vec[int.from_bytes(digest[:4], "big") % dimension] += 1.0 if digest[4] & 1 else -1.0
-    if normalize:
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec /= norm
     return vec
 
 
@@ -309,17 +302,20 @@ _ORACLE_TEXTS = [
 
 
 @pytest.mark.parametrize("dimension", [1, 3, 64, 256, 1024])
-@pytest.mark.parametrize("normalize", [True, False])
-def test_embedder_matches_the_per_token_oracle(dimension, normalize):
-    emb = _embedder(dimension, normalize)
+@pytest.mark.parametrize("batched", [True, False])
+def test_embedder_matches_the_per_token_oracle(dimension, batched):
+    # Batched, each distinct token is hashed once for the whole batch; alone,
+    # a text has no batch-mates sharing its tokens. Both give the oracle's bytes.
+    emb = _embedder(dimension)
     assert emb.embed([]) == []
-    vecs = emb.embed(_ORACLE_TEXTS)
+    if batched:
+        vecs = emb.embed(_ORACLE_TEXTS)
+    else:
+        vecs = [vec for text in _ORACLE_TEXTS for vec in emb.embed([text])]
     assert len(vecs) == len(_ORACLE_TEXTS)
     for text, vec in zip(_ORACLE_TEXTS, vecs):
         assert vec.dtype == np.float64 and vec.shape == (dimension,), text
-        assert vec.tobytes() == _reference_embedding(text, dimension, normalize).tobytes(), text
-        # a text embedded alone, with no batch-mates sharing its tokens, is the same
-        assert emb.embed([text])[0].tobytes() == vec.tobytes(), text
+        assert vec.tobytes() == _reference_embedding(text, dimension).tobytes(), text
 
 
 # --- rule NLI ----------------------------------------------------------------------
@@ -416,6 +412,16 @@ def test_http_profiles_read_no_options():
         ("chat", {"mock": "verdict_rule", "markers": [1]}, "markers"),
         ("chat", {"mock": "verdict_rule", "markers": 5}, "markers"),
         ("chat", {"mock": "script", "script": 7}, "script"),
+        # Not coerced: 2.9 is not 2 dimensions, True not 1, "16" not 16; a
+        # string is not a list of one-letter markers, nor "xy" the pair (x, y).
+        ("embedding", {"dimension": 2.9}, "dimension"),
+        ("embedding", {"dimension": True}, "dimension"),
+        ("embedding", {"dimension": "16"}, "dimension"),
+        ("chat", {"mock": "verdict_rule", "markers": "implausibly"}, "markers"),
+        ("nli", {"contradictions": ["xy"]}, "contradictions"),
+        # A blank marker or term is in every text.
+        ("chat", {"mock": "verdict_rule", "markers": ["peru", ""]}, "markers"),
+        ("nli", {"contradictions": [[" ", "rock"]]}, "contradictions"),
     ],
 )
 def test_mock_options_of_the_wrong_type_are_named(kind, options, key):
@@ -894,6 +900,36 @@ def test_fan_out_failure_stops_new_submissions():
     # width 2: besides the failing item, at most one further item starts
     assert sorted(started) == list(range(max(started) + 1))
     assert max(started) <= 4
+
+
+@given(width=st.integers(1, 4), n=st.integers(0, 12),
+       failing=st.sets(st.integers(0, 11), max_size=3))
+def test_fan_out_serial_and_pooled_paths_keep_one_contract(width, n, failing):
+    lock = threading.Lock()
+    started = []  # items, in the order their calls started
+    raised = []  # len(started) when each failing call raised
+
+    def pure(i):
+        return i * i - 3
+
+    def fn(i):
+        with lock:
+            started.append(i)
+            if i in failing:
+                raised.append(len(started))
+                raise ValueError(i)
+        return pure(i)
+
+    failing &= set(range(n))
+    if not failing:
+        assert fan_out(fn, range(n), width) == [pure(i) for i in range(n)]
+        return
+    with pytest.raises(ValueError) as info:
+        fan_out(fn, range(n), width)
+    # The earliest item that failed (a pooled run may skip an earlier failing
+    # item that had not started yet), and no item starts after the first raise.
+    assert info.value.args == (min(failing & set(started)),)
+    assert len(started) == raised[0]
 
 
 def test_verify_text_over_http_is_width_independent(http_server):

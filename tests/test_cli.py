@@ -234,6 +234,41 @@ def test_seed_is_offered_only_where_it_changes_the_run(command):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["ingest", "--pages", "absent", "--out", "o.jsonl", "--seed", 1], "--seed"),
+        (["derive", "--records", "absent", "--what", "task1", "--out", "o.jsonl",
+          "--seed", 1], "--seed"),
+        (["derive", "--records", "absent", "--what", "task1", "--out", "o.jsonl",
+          "--ratio", 0.5], "--ratio"),
+    ],
+    ids=["ingest-seed-without-sample-per-page", "derive-seed-without-split",
+         "derive-ratio-without-split"],
+)
+def test_seed_and_ratio_flags_that_change_nothing_are_refused(tmp_path, capsys, monkeypatch,
+                                                               argv, flag):
+    monkeypatch.chdir(tmp_path)
+    for extra in ([], ["--dry-run"]):  # refused before any input is read or planned
+        assert run([*argv, *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and "absent" not in err, err
+    assert not (tmp_path / "o.jsonl").exists()
+
+
+def test_seed_and_ratio_config_keys_stay_allowed(ws, capsys):
+    cfg = ws["dir"] / "seeded.json"
+    cfg.write_text(json.dumps({"seed": 3, "ratio": 1}))
+    assert run(["ingest", "--pages", ws["pages"], "--out", ws["dir"] / "all.jsonl",
+                "--config", cfg]) == 0
+    assert run(["derive", "--records", "r", "--what", "task1", "--out", "o",
+                "--config", cfg, "--dry-run"]) == 0
+    plan = json.loads(capsys.readouterr().out)["plan"]
+    # a float setting takes an int, as its flag does
+    assert (plan["seed"], plan["ratio"], plan["split"]) == (3, 1.0, None)
+    assert type(plan["ratio"]) is float
+
+
+@pytest.mark.parametrize(
     "change, command",
     [
         (lambda c: c["profiles"]["gen"].update(api_key="sk-1"), "generate"),
@@ -283,13 +318,17 @@ def test_config_faults_are_domain_errors(ws, capsys, change, command):
         (lambda c: c["profiles"]["embed"].update(max_batch=0), "index", "max_batch"),
         (lambda c: c["profiles"]["embed"].update(max_batch=2.5), "index", "max_batch"),
         (lambda c: c["profiles"]["embed"].update(max_batch=True), "index", "max_batch"),
+        (lambda c: c.update(window=2.7), "ingest", "window"),
+        (lambda c: c.update(seed=True), "ingest", "seed"),
+        (lambda c: c.update(seed=None), "ingest", "seed"),
     ],
     ids=["config-key-no-subcommand-reads", "option-the-mock-does-not-read",
          "mock-option-of-the-wrong-type", "options-on-an-http-profile",
          "fractional-max-in-flight", "boolean-max-in-flight", "string-timeout", "nan-timeout",
          "infinite-timeout", "string-retry-backoff", "nan-retry-backoff",
          "negative-retry-backoff", "string-temperature", "zero-max-batch",
-         "fractional-max-batch", "boolean-max-batch"],
+         "fractional-max-batch", "boolean-max-batch", "fractional-window-default",
+         "boolean-seed-default", "null-seed-default"],
 )
 def test_unread_settings_are_named_errors(ws, capsys, change, command, key):
     config = json.loads(ws["config"].read_text())

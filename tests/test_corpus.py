@@ -70,15 +70,12 @@ def test_split_no_terminator_returns_whole_text():
     assert split_sentences("no terminator at all") == ["no terminator at all"]
 
 
-def test_split_custom_guard_list():
-    text = "I met Dr. Smith today. Done."
-    assert split_sentences(text, abbreviations=frozenset()) == [
-        "I met Dr.",
-        "Smith today.",
-        "Done.",
-    ]
-    assert split_sentences(text) == ["I met Dr. Smith today.", "Done."]
-    assert "dr." in DEFAULT_ABBREVIATIONS
+def test_split_guards_every_default_abbreviation():
+    assert split_sentences("I met Dr. Smith today. Done.") == ["I met Dr. Smith today.", "Done."]
+    for abbreviation in DEFAULT_ABBREVIATIONS:
+        for word in (abbreviation, abbreviation.capitalize(), f'"{abbreviation}'):
+            text = f"One {word} Two. Three."
+            assert split_sentences(text) == [f"One {word} Two.", "Three."], word
 
 
 _words = st.text(alphabet="abcdefg", min_size=1, max_size=6)

@@ -374,6 +374,7 @@ def test_extraction_prompt_shape():
 def test_prompt_bytes_are_pinned():
     import hashlib
 
+    from factforge.corpus import Passage
     from factforge.synthgen import build_unified_prompt
 
     def digest(prompt: str) -> str:
@@ -382,7 +383,7 @@ def test_prompt_bytes_are_pinned():
     assert digest(build_claim_extraction_prompt("x")) == (
         "280a468abf5437744f1db143ee584b01c9e7347089aba1b3f4718a76d72a1dc8"
     )
-    assert digest(build_unified_prompt("x")) == (
+    assert digest(build_unified_prompt(Passage("p:0", "p", 0, ("x",)))) == (
         "c5120103bd13234d67a8c1c486f7d057c2830376330628c13649143b94efa16d"
     )
 
