@@ -24,15 +24,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .errors import (
-    AuthFailure,
-    BackendError,
-    BackendTimeout,
-    InvalidDistribution,
-    MalformedResponse,
-    RateLimited,
-    ScriptExhausted,
-)
+from .errors import AuthFailure, BackendError, BackendTimeout, MalformedResponse, RateLimited
 from .jsonlio import read_records
 from .textnorm import normalize_ws, tokenize
 from .verification import NliDistribution
@@ -334,7 +326,7 @@ class HttpNliBackend(_HttpBase):
                 *(float(reply[label]) for label in ("entailment", "neutral", "contradiction"))
             )
         except ValueError as exc:
-            raise InvalidDistribution(str(exc))
+            raise MalformedResponse(str(exc))
 
 
 # --- mocks -------------------------------------------------------------------
@@ -353,7 +345,7 @@ class ScriptedChatBackend:
 
     The script is a list of (fingerprint, response) entries; entries that
     share a fingerprint are consumed first-to-last. Asking for a
-    fingerprint with no remaining entry raises ScriptExhausted.
+    fingerprint with no remaining entry raises BackendError.
     """
 
     def __init__(self, profile: BackendProfile, entries: Iterable[tuple[str, str]]):
@@ -373,7 +365,7 @@ class ScriptedChatBackend:
         with self._lock:
             queue = self._queues.get(fp)
             if not queue:
-                raise ScriptExhausted(f"no scripted response left for {fp}", fp)
+                raise BackendError(f"no scripted response left for {fp}", fp)
             return queue.pop(0)
 
 
@@ -477,69 +469,77 @@ class RuleNliBackend:
 # --- factory -----------------------------------------------------------------
 
 
-# The options each mock reads, by kind and "mock" option; embedding and NLI
-# profiles have one mock each, which an empty or absent "mock" also names.
+def _strings(value) -> bool:  # a blank one would match every text
+    return isinstance(value, list) and all(isinstance(v, str) and v.strip() for v in value)
+
+
+_DIMENSION = ("dimension", lambda v: type(v) is int and v >= 1, "an int >= 1", 64)
+_CONTRADICTIONS = ("contradictions", lambda v: isinstance(v, list) and all(
+    _strings(pair) and len(pair) == 2 for pair in v), "a list of pairs of non-blank strings", [])
+
+# The option each mock reads, as (key, check, what the check wants, default),
+# by kind and "mock" option; embedding and NLI profiles have one mock each,
+# which an empty or absent "mock" also names.
 _MOCK_OPTIONS = {
-    (KIND_CHAT, "script"): {"script"},
-    (KIND_CHAT, "verdict_rule"): {"markers"},
-    (KIND_EMBEDDING, ""): {"dimension"},
-    (KIND_EMBEDDING, "hashed_bow"): {"dimension"},
-    (KIND_NLI, ""): {"contradictions"},
-    (KIND_NLI, "rules"): {"contradictions"},
+    (KIND_CHAT, "script"): ("script", lambda v: isinstance(v, str), "a path string", None),
+    (KIND_CHAT, "verdict_rule"): ("markers", _strings, "a list of non-blank strings", []),
+    (KIND_EMBEDDING, ""): _DIMENSION,
+    (KIND_EMBEDDING, "hashed_bow"): _DIMENSION,
+    (KIND_NLI, ""): _CONTRADICTIONS,
+    (KIND_NLI, "rules"): _CONTRADICTIONS,
 }
 
 
-def build_backend(profile: BackendProfile, base_dir: str | Path | None = None):
-    """Construct the backend object a profile describes.
-
-    `base_dir` anchors relative paths in mock options (e.g. script files).
-    """
+def check_profile(profile: BackendProfile) -> Any:
+    """Check what building `profile` would read, without building it: an
+    http profile's endpoint scheme and empty options, a mock profile's mock
+    name and its one option's key and type. Returns that option's value
+    (None for http); a wrong profile is a ValueError naming it."""
     if profile.transport == "http":
         if not profile.endpoint.lower().startswith(("http://", "https://")):
             raise ValueError(f"profile {profile.name!r} needs an http:// or https:// endpoint")
         if profile.options:
             raise ValueError(f"profile {profile.name!r}: the http transport does not read "
                              f"options {sorted(profile.options)}")
+        return None
+    opts = dict(profile.options)
+    mock = opts.pop("mock", "")
+    option = _MOCK_OPTIONS.get((profile.kind, mock)) if isinstance(mock, str) else None
+    if option is None:
+        raise ValueError(f"profile {profile.name!r}: unknown {profile.kind} mock {mock!r}")
+    key, valid, what, default = option
+    if set(opts) - {key}:
+        raise ValueError(f"profile {profile.name!r}: {mock or profile.kind} mock does not "
+                         f"read options {sorted(set(opts) - {key})}")
+    if mock == "script" and key not in opts:
+        raise ValueError(f"profile {profile.name!r}: the script mock needs 'script'")
+    value = opts.get(key, default)
+    if not valid(value):
+        raise ValueError(f"profile {profile.name!r}: mock option {key!r} must be {what}, "
+                         f"got {value!r}")
+    return value
+
+
+def build_backend(profile: BackendProfile, base_dir: str | Path | None = None):
+    """Construct the backend object a profile describes, once `check_profile`
+    passes it.
+
+    `base_dir` anchors relative paths in mock options (e.g. script files).
+    """
+    option = check_profile(profile)
+    if profile.transport == "http":
         return {
             KIND_CHAT: HttpChatBackend,
             KIND_EMBEDDING: HttpEmbeddingBackend,
             KIND_NLI: HttpNliBackend,
         }[profile.kind](profile)
-
-    opts = dict(profile.options)
-    mock = opts.pop("mock", "")
-    reads = _MOCK_OPTIONS.get((profile.kind, mock)) if isinstance(mock, str) else None
-    if reads is None:
-        raise ValueError(f"profile {profile.name!r}: unknown {profile.kind} mock {mock!r}")
-    if set(opts) - reads:
-        raise ValueError(f"profile {profile.name!r}: {mock or profile.kind} mock does not "
-                         f"read options {sorted(set(opts) - reads)}")
-
-    def read(key: str, valid: Callable[[Any], bool], what: str, default: Any = None):
-        """The value of option `key`, checked by `valid`; a wrong one is named."""
-        value = opts.get(key, default)
-        if not valid(value):
-            raise ValueError(f"profile {profile.name!r}: mock option {key!r} must be {what}, "
-                             f"got {value!r}")
-        return value
-
-    def strings(value) -> bool:  # a blank one would match every text
-        return isinstance(value, list) and all(isinstance(v, str) and v.strip() for v in value)
-
     if profile.kind == KIND_EMBEDDING:
-        dimension = read("dimension", lambda v: type(v) is int and v >= 1, "an int >= 1", 64)
-        return HashedBowEmbedder(profile, dimension)
+        return HashedBowEmbedder(profile, option)
     if profile.kind == KIND_NLI:
-        pairs = read("contradictions", lambda v: isinstance(v, list) and all(
-            strings(pair) and len(pair) == 2 for pair in v),
-            "a list of pairs of non-blank strings", [])
-        return RuleNliBackend(profile, pairs)
-    if mock == "script":
-        if "script" not in opts:
-            raise ValueError(f"profile {profile.name!r}: the script mock needs 'script'")
-        script = Path(read("script", lambda v: isinstance(v, str), "a path string"))
-        if base_dir is not None and not script.is_absolute():
-            script = Path(base_dir) / script
-        return ScriptedChatBackend.from_file(profile, script)
-    markers = read("markers", strings, "a list of non-blank strings", [])
-    return VerdictRuleChatBackend(profile, markers)
+        return RuleNliBackend(profile, option)
+    if profile.options.get("mock") == "verdict_rule":
+        return VerdictRuleChatBackend(profile, option)
+    script = Path(option)
+    if base_dir is not None and not script.is_absolute():
+        script = Path(base_dir) / script
+    return ScriptedChatBackend.from_file(profile, script)

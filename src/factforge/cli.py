@@ -73,12 +73,23 @@ class RunConfig:
                 name: be.BackendProfile.from_dict(name, row)
                 for name, row in profile_rows.items()
             }
+            for profile in profiles.values():
+                be.check_profile(profile)
         except (TypeError, ValueError) as exc:
             raise FactforgeError(f"{path}: {exc}") from exc
         defaults = {k: v for k, v in raw.items() if k != "profiles"}
-        unknown = set(defaults) - {key for rows in SETTINGS.values() for _, key, _, _ in rows}
+        unknown = set(defaults) - set(KEY_TYPES)
         if unknown:
             raise FactforgeError(f"{path}: unknown config keys {sorted(unknown)}")
+        # A default takes its key's exact type, as a flag does (a float key
+        # also takes an int); only a key whose default is None may be null.
+        for key, value in defaults.items():
+            kind, nullable = KEY_TYPES[key]
+            if kind is float and type(value) is int:
+                defaults[key] = float(value)
+            elif type(value) is not kind and not (value is None and nullable):
+                raise FactforgeError(f"config value {key!r} must be of type {kind.__name__}, "
+                                     f"got {value!r}")
         return cls(profiles=profiles, defaults=defaults, base_dir=Path(path).parent)
 
     def profile(self, name: str) -> be.BackendProfile:
@@ -95,10 +106,7 @@ class RunConfig:
             raise FactforgeError(
                 f"profile {name!r} has kind {profile.kind!r}, expected {kind!r}"
             )
-        try:
-            return be.build_backend(profile, base_dir=self.base_dir)
-        except ValueError as exc:
-            raise FactforgeError(str(exc)) from exc
+        return be.build_backend(profile, base_dir=self.base_dir)
 
 
 # The settings of each subcommand, as (attribute, config key, default, type).
@@ -123,21 +131,17 @@ SETTINGS: dict[str, tuple[tuple[str, str, Any, type], ...]] = {
     ),
 }
 
+# Each config key's one type, and whether it may be null (its default is None).
+KEY_TYPES = {key: (kind, default is None)
+             for rows in SETTINGS.values() for _, key, default, kind in rows}
+
 
 def _settle(args: argparse.Namespace, config: RunConfig) -> None:
-    """Fill each setting of the subcommand. A config value must have the
-    setting's exact type, as a flag has (a float setting also takes an int);
-    only a setting whose default is None may be null."""
-    for attr, key, default, kind in SETTINGS[args.command]:
-        value = getattr(args, attr, None)
-        if value is None:
-            value = config.defaults.get(key, default)
-        if value is not None or default is not None:
-            if type(value) is not kind and not (kind is float and type(value) is int):
-                raise FactforgeError(f"config value {key!r} must be of type {kind.__name__}, "
-                                     f"got {value!r}")
-            value = kind(value)
-        setattr(args, attr, value)
+    """Fill each setting of the subcommand: the flag, else the config value
+    (typed when the config loaded), else the default."""
+    for attr, key, default, _ in SETTINGS[args.command]:
+        if getattr(args, attr, None) is None:
+            setattr(args, attr, config.defaults.get(key, default))
 
 
 def _refuse_idle_flags(args: argparse.Namespace) -> None:
@@ -411,11 +415,8 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     instances = _load_instances(args.instances, args.task)
     if not instances:
         raise FactforgeError(f"no instances found in {args.instances}")
-    # `run_benchmark` checks these too, but only after the judge calls are paid for.
-    if args.seeds < 1:
-        raise FactforgeError("--seeds must be at least 1")
-    if len({instance.label for instance in instances}) < 2:
-        raise FactforgeError("balanced accuracy undefined: gold labels contain a single class")
+    # `run_benchmark` checks this too, but only after the judge calls are paid for.
+    evalharness.check_scorable([instance.label for instance in instances], args.seeds)
     chat = config.backend(args.backend, be.KIND_CHAT)
     spec = evalharness.PromptSpec(
         mode=args.mode,

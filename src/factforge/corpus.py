@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DuplicatePageId, EmptyPageError, MalformedRecord
+from .errors import FactforgeError, MalformedRecord
 from .jsonlio import from_row, iter_jsonl, read_records, write_records
 from .textnorm import normalize_ws
 
@@ -137,7 +137,7 @@ def sample_passage(
     """Pick one window of the page uniformly at random, deterministically per seed."""
     candidates = page_passages(page, window, stride)
     if not candidates:
-        raise EmptyPageError(f"page {page.page_id!r} yields no passages")
+        raise FactforgeError(f"page {page.page_id!r} yields no passages")
     rng = random.Random(f"{page.page_id}\x1f{seed}")
     return candidates[rng.randrange(len(candidates))]
 
@@ -180,7 +180,7 @@ def read_pages(path: str | Path) -> list[Page]:
             log.warning("skipping unusable page record: %s", exc)
             continue
         if page.page_id in seen:
-            raise DuplicatePageId(f"duplicate page_id {page.page_id!r}")
+            raise FactforgeError(f"duplicate page_id {page.page_id!r}")
         seen.add(page.page_id)
         pages.append(page)
     return pages

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .corpus import Passage
-from .errors import InvalidRecord, NoCandidatePassages, NotEnoughRecords
+from .errors import FactforgeError
 from .synthgen import ResourceRecord
 from .verification import NliBackend, NliLabel
 
@@ -76,7 +76,7 @@ class Task2Instance:
 
 def _require_valid(record: ResourceRecord) -> None:
     if record.validation.hard_failures:
-        raise InvalidRecord(
+        raise FactforgeError(
             f"record {record.record_id!r} has hard validation failures: "
             f"{list(record.validation.hard_failures)}"
         )
@@ -93,7 +93,7 @@ def split_train_val(
     on input order. Both sides are always non-empty.
     """
     if len(records) < 2:
-        raise NotEnoughRecords("need at least 2 records to split")
+        raise FactforgeError("need at least 2 records to split")
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be strictly between 0 and 1")
     ordered = sorted(records, key=lambda r: r.record_id)
@@ -163,7 +163,7 @@ def mine_neutral_passage(
     from would defeat the purpose.
     """
     if not candidate_passages:
-        raise NoCandidatePassages("neutral mining needs at least one candidate")
+        raise FactforgeError("neutral mining needs at least one candidate")
     best: Passage | None = None
     best_score = -1.0
     for passage in candidate_passages:

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Protocol, Sequence
 
-from .errors import FactforgeError, MetricUndefined, UnparseableVerdict
+from .errors import FactforgeError, UnparseableVerdict
 from .textnorm import tokenize
 
 TASK_END_TO_END = "end_to_end_factuality"
@@ -86,13 +86,21 @@ def confusion_counts(
     return tp, fn, tn, fp
 
 
+def check_scorable(golds: Sequence[bool], n_seeds: int = 1) -> None:
+    """Refuse a scoring run no balanced accuracy can come from: fewer than
+    one seed, no instance, or gold labels of a single class."""
+    if n_seeds < 1:
+        raise ValueError("need at least one seed")
+    if not golds:
+        raise FactforgeError("no instances to evaluate")
+    if all(golds) or not any(golds):
+        raise FactforgeError("balanced accuracy undefined: gold labels contain a single class")
+
+
 def balanced_accuracy(predictions: Sequence[bool], golds: Sequence[bool]) -> float:
     """Mean of the per-label recalls. Undefined when golds are single-class."""
     tp, fn, tn, fp = confusion_counts(predictions, golds)
-    if tp + fn == 0 or tn + fp == 0:
-        raise MetricUndefined(
-            "balanced accuracy undefined: gold labels contain a single class"
-        )
+    check_scorable(golds)
     return (tp / (tp + fn) + tn / (tn + fp)) / 2
 
 
@@ -116,7 +124,7 @@ def rouge1_f1(candidate: str, reference: str) -> float:
 def easiness_p(candidates: Sequence[str], references: Sequence[str]) -> float:
     """Mean over candidate claims of the best ROUGE-1 F1 against any reference."""
     if not candidates or not references:
-        raise MetricUndefined("easiness needs non-empty claim sets")
+        raise FactforgeError("easiness needs non-empty claim sets")
     return statistics.fmean(
         max(rouge1_f1(c, r) for r in references) for c in candidates
     )
@@ -308,15 +316,8 @@ def run_benchmark(
     runs, in seed order, plus mean and standard deviation.
     """
     seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
     golds = [bool(inst.label) for inst in instances]
-    if not golds:
-        raise MetricUndefined("no instances to evaluate")
-    if all(golds) or not any(golds):
-        raise MetricUndefined(
-            "balanced accuracy undefined: gold labels contain a single class"
-        )
+    check_scorable(golds, len(seeds))
 
     def run_seed(seed: int) -> SeedRun:
         predictions: list[bool] = []

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CorruptIndexFile, DimensionMismatch, DuplicatePassageId, EmptyIndex
+from .errors import FactforgeError, MalformedRecord
 from .jsonlio import atomic_write
 
 _MAGIC = b"FFIX"
@@ -67,7 +67,7 @@ class PassageIndex:
         if len(ids) != len(texts) or len(ids) != matrix.shape[0]:
             raise ValueError("ids, texts and matrix rows must align")
         if len(ids) == 0:
-            raise EmptyIndex("cannot build an index with zero passages")
+            raise FactforgeError("cannot build an index with zero passages")
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-D")
         self._matrix = np.ascontiguousarray(matrix, dtype=np.float32)
@@ -77,7 +77,7 @@ class PassageIndex:
         self._pos: dict[str, int] = {}
         for i, pid in enumerate(ids):
             if pid in self._pos:
-                raise DuplicatePassageId(f"duplicate passage_id {pid!r}")
+                raise FactforgeError(f"duplicate passage_id {pid!r}")
             self._pos[pid] = i
         self._ids = list(ids)
         self._texts = list(texts)
@@ -104,7 +104,7 @@ class PassageIndex:
             raise ValueError("k must be >= 1")
         q = as_vector(query_vec)
         if q.shape[0] != self.dimension:
-            raise DimensionMismatch(
+            raise FactforgeError(
                 f"query has dimension {q.shape[0]}, index has {self.dimension}"
             )
         n = len(self._ids)
@@ -148,14 +148,14 @@ class PassageIndex:
             size = os.fstat(fh.fileno()).st_size
             header = fh.read(_HEADER.size)
             if len(header) != _HEADER.size:
-                raise CorruptIndexFile("file shorter than header")
+                raise MalformedRecord("file shorter than header")
             magic, version, dim, count = _HEADER.unpack(header)
             if magic != _MAGIC or version != _VERSION:
-                raise CorruptIndexFile("bad magic or unsupported version")
+                raise MalformedRecord("bad magic or unsupported version")
             # A record is at least two length prefixes and a vector: check the
             # header against the file size before allocating the matrix.
             if count * (2 * _U32.size + 4 * dim) > size - _HEADER.size:
-                raise CorruptIndexFile(f"header declares {count} rows of dimension {dim}, "
+                raise MalformedRecord(f"header declares {count} rows of dimension {dim}, "
                                        "more than the file holds")
             ids: list[str] = []
             texts: list[str] = []
@@ -164,9 +164,9 @@ class PassageIndex:
                 ids.append(_read_str(fh, size))
                 texts.append(_read_str(fh, size))
                 if fh.readinto(rows[i]) != 4 * dim:
-                    raise CorruptIndexFile("truncated vector")
+                    raise MalformedRecord("truncated vector")
             if fh.read(1):
-                raise CorruptIndexFile("trailing bytes after final record")
+                raise MalformedRecord("trailing bytes after final record")
         return cls(ids, texts, rows)
 
 
@@ -174,15 +174,15 @@ def _read_str(fh, limit: int) -> str:
     """Read one length-prefixed UTF-8 string; limit caps the length read."""
     prefix = fh.read(_U32.size)
     if len(prefix) != _U32.size:
-        raise CorruptIndexFile("truncated length prefix")
+        raise MalformedRecord("truncated length prefix")
     (length,) = _U32.unpack(prefix)
     data = fh.read(length) if length <= limit else b""
     if len(data) != length:
-        raise CorruptIndexFile(f"truncated string of {length} bytes")
+        raise MalformedRecord(f"truncated string of {length} bytes")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CorruptIndexFile(f"string is not UTF-8: {exc}") from exc
+        raise MalformedRecord(f"string is not UTF-8: {exc}") from exc
 
 
 def index_build(passages: Iterable, embedder) -> PassageIndex:
@@ -202,7 +202,7 @@ def index_build(passages: Iterable, embedder) -> PassageIndex:
             ids.append(pid)
             texts.append(text)
     if not ids:
-        raise EmptyIndex("cannot build an index with zero passages")
+        raise FactforgeError("cannot build an index with zero passages")
     vectors = embedder.embed(texts)
     if len(vectors) != len(ids):
         raise ValueError(f"embedded {len(vectors)} vectors for {len(ids)} passages")
@@ -213,7 +213,7 @@ def index_build(passages: Iterable, embedder) -> PassageIndex:
             dim = arr.shape[0]
             matrix = np.empty((len(ids), dim), dtype=np.float32)
         elif arr.shape[0] != dim:
-            raise DimensionMismatch(
+            raise FactforgeError(
                 f"passage {pid!r} embedded with dimension {arr.shape[0]}, expected {dim}"
             )
         matrix[i] = arr
@@ -245,7 +245,7 @@ def in_batch_loss(claim_vecs, positive_vecs) -> float:
     if c.shape[0] != p.shape[0]:
         raise ValueError(f"batch sizes differ: {c.shape[0]} vs {p.shape[0]}")
     if c.shape[1] != p.shape[1]:
-        raise DimensionMismatch(f"dimensions differ: {c.shape[1]} vs {p.shape[1]}")
+        raise FactforgeError(f"dimensions differ: {c.shape[1]} vs {p.shape[1]}")
     if c.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(p))):

@@ -17,8 +17,7 @@ from typing import Iterable
 
 from . import jsonlio
 from .corpus import Passage
-from .errors import (ExhaustedRetries, MalformedOutput, MalformedRecord, MissingKey,
-                     OutputParseError, TypeMismatch)
+from .errors import FactforgeError, MalformedRecord, OutputParseError
 from .textnorm import normalize_for_match, unigram_jaccard
 
 CLAIM_WORD_LIMIT = 15
@@ -101,7 +100,7 @@ def extract_first_object(raw: str) -> dict:
     """Pull the first well-formed object literal out of free-form model output.
 
     Tolerates preamble text and markdown fencing; falls back to a Python
-    literal parse for single-quoted pseudo-JSON. Raises MalformedOutput
+    literal parse for single-quoted pseudo-JSON. Raises OutputParseError
     when nothing object-shaped can be recovered.
     """
     decoder = json.JSONDecoder()
@@ -124,7 +123,7 @@ def extract_first_object(raw: str) -> dict:
         else:
             if isinstance(obj, dict):
                 return obj
-    raise MalformedOutput("no object literal found in model output")
+    raise OutputParseError("no object literal found in model output")
 
 
 def clean_claims(claims) -> list[str] | None:
@@ -140,28 +139,28 @@ def parse_generation_output(raw: str) -> StepOutputs:
 
     step_1 must be a list of strings, kept as `clean_claims` leaves it;
     step_2 a two-element pair of strings (altered first, original second),
-    step_3 and step_4 strings. Raises MissingKey / TypeMismatch naming the
+    step_3 and step_4 strings. Raises OutputParseError naming the
     offending key in the message.
     """
     obj = extract_first_object(raw)
     for key in ("step_1", "step_2", "step_3", "step_4"):
         if key not in obj:
-            raise MissingKey(f"output object lacks {key!r}")
+            raise OutputParseError(f"output object lacks {key!r}")
 
     claims = clean_claims(obj["step_1"])
     if claims is None:
-        raise TypeMismatch("step_1 must be a list of strings")
+        raise OutputParseError("step_1 must be a list of strings")
     pair = obj["step_2"]
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
         or not all(isinstance(x, str) for x in pair)
     ):
-        raise TypeMismatch("step_2 must be a pair of strings")
+        raise OutputParseError("step_2 must be a pair of strings")
     if not isinstance(obj["step_3"], str):
-        raise TypeMismatch("step_3 must be a string")
+        raise OutputParseError("step_3 must be a string")
     if not isinstance(obj["step_4"], str):
-        raise TypeMismatch("step_4 must be a string")
+        raise OutputParseError("step_4 must be a string")
 
     return StepOutputs(
         claims=tuple(claims),
@@ -272,7 +271,7 @@ def generate_record(
     Makes one chat call, parses and validates; a parse error or hard
     validation failure burns one retry, up to max_retries beyond the first
     attempt. Transport errors propagate untouched. When every attempt
-    fails, ExhaustedRetries names the attempt count and the last failure.
+    fails, FactforgeError names the attempt count and the last failure.
     """
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
@@ -296,5 +295,5 @@ def generate_record(
             validation=report,
             retries=attempt,
         )
-    raise ExhaustedRetries(
+    raise FactforgeError(
         f"generation failed after {max_retries + 1} attempts: {failure!r}")

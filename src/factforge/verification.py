@@ -16,7 +16,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence
 
-from .errors import UnverifiableText
+from .errors import FactforgeError
 from .synthgen import CLAIM_EXTRACTION_INSTRUCTIONS, clean_claims, extract_first_object
 
 DEFAULT_TOP_K = 30
@@ -99,13 +99,13 @@ def verify_text(
     The claims are embedded in one call and ranked on the calling thread;
     their NLI calls are then scheduled across claims, up to the NLI
     backend's width (see `backends.fan_width`) at once. Raises
-    UnverifiableText when claim extraction yields nothing.
+    FactforgeError when claim extraction yields nothing.
     """
     from .backends import fan_width
 
     claims = extractor.extract_claims(text)
     if not claims:
-        raise UnverifiableText("claim extraction produced zero claims")
+        raise FactforgeError("claim extraction produced zero claims")
     vecs = embedder.embed(claims)
     jobs = [(claim, index.top_k(vec, k)) for claim, vec in zip(claims, vecs, strict=True)]
     traces = _scan(jobs, nli, index.text_of, fan_width(nli))

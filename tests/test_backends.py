@@ -41,10 +41,8 @@ from factforge.errors import (
     BackendError,
     BackendTimeout,
     FactforgeError,
-    InvalidDistribution,
     MalformedResponse,
     RateLimited,
-    ScriptExhausted,
 )
 from factforge.retrieval import index_build
 from factforge.synthgen import build_unified_prompt
@@ -111,6 +109,33 @@ def test_load_profiles(tmp_path):
     assert profiles["embed"].transport == "mock"
 
 
+def test_profiles_are_checked_at_load_without_urllib_or_numpy(tmp_path):
+    config = {"profiles": {
+        "judge": {"kind": "chat", "endpoint": "http://h"},
+        "embed": {"kind": "embedding", "transport": "mock", "options": {"dimension": 8}},
+        "gen": {"kind": "chat", "transport": "mock",
+                "options": {"mock": "script", "script": "not-read.jsonl"}},
+    }}
+    path = tmp_path / "backends.json"
+    path.write_text(json.dumps(config))
+    script = ("import sys\n"
+              "from factforge import cli\n"
+              "cli.RunConfig.load(sys.argv[1])\n"
+              "print(sorted({'numpy', 'urllib.request'} & set(sys.modules)))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", script, str(path)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "[]\n"
+
+    config["profiles"]["embed"]["options"]["dimension"] = 0
+    path.write_text(json.dumps(config))
+    with pytest.raises(FactforgeError, match="profile 'embed': mock option 'dimension'"):
+        cli.RunConfig.load(path)
+
+
 def test_profiles_never_hold_keys(tmp_path):
     # an api key belongs in the environment, not the config file
     config = {"profiles": {"judge": {"kind": "chat", "api_key": "sk-123"}}}
@@ -173,13 +198,13 @@ def test_scripted_replay_in_order():
     chat = ScriptedChatBackend(profile, [(fp, "first"), (fp, "second")])
     assert chat.complete(msgs) == "first"
     assert chat.complete(msgs) == "second"
-    with pytest.raises(ScriptExhausted):
+    with pytest.raises(BackendError, match="no scripted response left for "):
         chat.complete(msgs)
 
 
 def test_scripted_unknown_fingerprint():
     chat = ScriptedChatBackend(mock_chat_profile(), [])
-    with pytest.raises(ScriptExhausted):
+    with pytest.raises(BackendError, match="no scripted response left for "):
         chat.complete([{"role": "user", "content": "never scripted"}])
 
 
@@ -208,7 +233,7 @@ def test_scripted_thread_safety():
     def call(_):
         try:
             return chat.complete(msgs)
-        except ScriptExhausted:
+        except BackendError:
             return None
 
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -635,7 +660,7 @@ def test_http_nli_invalid_distribution(http_server):
     body = {"entailment": 0.9, "neutral": 0.9, "contradiction": 0.9}
     endpoint, _ = http_server([(200, body)])
     nli = HttpNliBackend(_http_profile(endpoint, kind="nli"))
-    with pytest.raises(InvalidDistribution):
+    with pytest.raises(MalformedResponse, match="probabilities sum to"):
         nli.classify("p", "h")
 
 

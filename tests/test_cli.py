@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from factforge.backends import BackendProfile, VerdictRuleChatBackend, chat_fingerprint
-from factforge.cli import main
+from factforge.cli import KEY_TYPES, SETTINGS, main
 from factforge.corpus import Page, Passage, page_passages, sample_passage
 from factforge.errors import BackendError
 from factforge.evalharness import RAG_INSTRUCTIONS, ZERO_SHOT_INSTRUCTIONS
@@ -321,6 +321,13 @@ def test_config_faults_are_domain_errors(ws, capsys, change, command):
         (lambda c: c.update(window=2.7), "ingest", "window"),
         (lambda c: c.update(seed=True), "ingest", "seed"),
         (lambda c: c.update(seed=None), "ingest", "seed"),
+        # Checked when the config loads, though only verify and eval read
+        # top_k and only eval builds the judge.
+        (lambda c: c.update(top_k="5"), "ingest", "top_k"),
+        (lambda c: c["profiles"]["judge"]["options"].update(markers="implausibly"), "ingest",
+         "markers"),
+        (lambda c: c["profiles"]["judge"]["options"].update(markers="implausibly"), "generate",
+         "markers"),
     ],
     ids=["config-key-no-subcommand-reads", "option-the-mock-does-not-read",
          "mock-option-of-the-wrong-type", "options-on-an-http-profile",
@@ -328,7 +335,8 @@ def test_config_faults_are_domain_errors(ws, capsys, change, command):
          "infinite-timeout", "string-retry-backoff", "nan-retry-backoff",
          "negative-retry-backoff", "string-temperature", "zero-max-batch",
          "fractional-max-batch", "boolean-max-batch", "fractional-window-default",
-         "boolean-seed-default", "null-seed-default"],
+         "boolean-seed-default", "null-seed-default", "default-ingest-never-reads",
+         "profile-ingest-never-builds", "profile-generate-never-builds"],
 )
 def test_unread_settings_are_named_errors(ws, capsys, change, command, key):
     config = json.loads(ws["config"].read_text())
@@ -341,11 +349,19 @@ def test_unread_settings_are_named_errors(ws, capsys, change, command, key):
     args = {
         "ingest": ["--pages", ws["pages"]],
         "index": ["--passages", passages, "--backend", "embed"],
+        "generate": ["--passages", passages, "--backend", "gen"],
     }[command]
     assert run([command, *args, "--out", ws["dir"] / "o.out", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
     assert not (ws["dir"] / "o.out").exists()
+
+
+def test_each_config_key_has_one_type():
+    for rows in SETTINGS.values():
+        for _, key, default, kind in rows:
+            assert KEY_TYPES[key] == (kind, default is None), key
+            assert default is None or type(default) is kind, key
 
 
 # --- ingest ------------------------------------------------------------------------
@@ -988,7 +1004,7 @@ def test_sampling_judge_fills_its_width_across_seeds(ws, monkeypatch):
 
 @pytest.mark.parametrize(
     "rows, seeds, message",
-    [(_JUDGED[:2] + _JUDGED[4:], 3, "single class"), (_JUDGED, 0, "--seeds")],
+    [(_JUDGED[:2] + _JUDGED[4:], 3, "single class"), (_JUDGED, 0, "need at least one seed")],
     ids=["single-class-golds", "no-seeds"],
 )
 def test_unscorable_eval_fails_before_any_judge_call(ws, monkeypatch, capsys, rows, seeds,

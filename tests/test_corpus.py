@@ -19,7 +19,7 @@ from factforge.corpus import (
     window_passages,
     write_passages,
 )
-from factforge.errors import DuplicatePageId
+from factforge.errors import FactforgeError
 
 
 # --- split_sentences ---------------------------------------------------------
@@ -218,7 +218,7 @@ def test_pages_roundtrip_and_duplicate_detection(tmp_path):
     assert [p.page_id for p in pages] == ["a", "b"]
 
     path.write_text("\n".join(json.dumps(r) for r in rows + [rows[0]]) + "\n")
-    with pytest.raises(DuplicatePageId):
+    with pytest.raises(FactforgeError, match="duplicate page_id "):
         read_pages(path)
 
 

@@ -17,7 +17,7 @@ from factforge.dataset import (
     mine_neutral_passage,
     split_train_val,
 )
-from factforge.errors import InvalidRecord, NoCandidatePassages, NotEnoughRecords
+from factforge.errors import FactforgeError
 from factforge.jsonlio import to_row
 from factforge.synthgen import generate_record
 from factforge.verification import NliLabel
@@ -143,7 +143,7 @@ def test_mine_neutral_tie_breaks_on_passage_id():
 
 def test_mine_neutral_empty_candidates():
     nli = synth_nli(1)
-    with pytest.raises(NoCandidatePassages):
+    with pytest.raises(FactforgeError, match="neutral mining needs at least one candidate"):
         mine_neutral_passage("claim", [], nli)
 
 
@@ -202,7 +202,7 @@ def test_derivations_reject_records_with_hard_failures(derive):
     from factforge.synthgen import ValidationReport
 
     broken = replace(synth_record(0), validation=ValidationReport(("empty_claims",)))
-    with pytest.raises(InvalidRecord, match="empty_claims"):
+    with pytest.raises(FactforgeError, match="hard validation failures: .*empty_claims"):
         derive(broken)
 
 
@@ -243,7 +243,7 @@ def test_split_ratio_extremes_clamp():
 
 
 def test_split_needs_two_records():
-    with pytest.raises(NotEnoughRecords):
+    with pytest.raises(FactforgeError, match="need at least 2 records to split"):
         split_train_val(synth_records(1), seed=0)
 
 

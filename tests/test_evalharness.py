@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from factforge.errors import MetricUndefined, UnparseableVerdict
+from factforge.errors import FactforgeError, UnparseableVerdict
 from factforge.jsonlio import to_row
 from factforge.evalharness import (
     DEFAULT_EVIDENCE_SEPARATOR,
@@ -64,11 +64,11 @@ def test_balanced_accuracy_perfect_and_inverted():
 
 
 def test_balanced_accuracy_single_class_undefined():
-    with pytest.raises(MetricUndefined):
+    with pytest.raises(FactforgeError, match="gold labels contain a single class"):
         balanced_accuracy([True, False], [True, True])
-    with pytest.raises(MetricUndefined):
+    with pytest.raises(FactforgeError, match="gold labels contain a single class"):
         balanced_accuracy([False], [False])
-    with pytest.raises(MetricUndefined):
+    with pytest.raises(FactforgeError, match="no instances to evaluate"):
         balanced_accuracy([], [])
 
 
@@ -181,9 +181,9 @@ def test_easiness_f1_zero_when_disjoint():
 
 
 def test_easiness_requires_nonempty_sides():
-    with pytest.raises(MetricUndefined):
+    with pytest.raises(FactforgeError, match="easiness needs non-empty claim sets"):
         easiness_p([], ["x"])
-    with pytest.raises(MetricUndefined):
+    with pytest.raises(FactforgeError, match="easiness needs non-empty claim sets"):
         easiness_r(["x"], [])
 
 
@@ -513,10 +513,10 @@ def test_run_benchmark_validates_inputs():
     system = _OracleSystem({i.text: True for i in instances})
     with pytest.raises(ValueError):
         run_benchmark("end_to_end_factuality", system, instances, seeds=[])
-    with pytest.raises(MetricUndefined):
+    with pytest.raises(FactforgeError, match="no instances to evaluate"):
         run_benchmark("end_to_end_factuality", system, [], seeds=[0])
     single_class = [_Instance("a", True), _Instance("b", True)]
-    with pytest.raises(MetricUndefined):
+    with pytest.raises(FactforgeError, match="gold labels contain a single class"):
         run_benchmark("end_to_end_factuality", system, single_class, seeds=[0])
 
 

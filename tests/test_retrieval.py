@@ -11,12 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from factforge.backends import BackendProfile, HttpEmbeddingBackend
-from factforge.errors import (
-    CorruptIndexFile,
-    DimensionMismatch,
-    DuplicatePassageId,
-    EmptyIndex,
-)
+from factforge.errors import FactforgeError, MalformedRecord
 from factforge.retrieval import (
     PassageIndex,
     _row_blocks,
@@ -61,7 +56,7 @@ def test_top_k_invalid_inputs():
     idx = _index([[1.0, 0.0]])
     with pytest.raises(ValueError):
         idx.top_k(np.array([1.0, 0.0]), k=0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(FactforgeError, match="query has dimension 3, index has 2"):
         idx.top_k(np.array([1.0, 0.0, 3.0]), k=1)
 
 
@@ -172,9 +167,9 @@ def test_load_peak_memory_holds_one_matrix(tmp_path):
 
 
 def test_build_rejects_duplicates_and_empty():
-    with pytest.raises(DuplicatePassageId):
+    with pytest.raises(FactforgeError, match="duplicate passage_id 'a'"):
         _index([[1.0], [2.0]], ids=["a", "a"])
-    with pytest.raises(EmptyIndex):
+    with pytest.raises(FactforgeError, match="cannot build an index with zero passages"):
         PassageIndex([], [], np.zeros((0, 3), dtype=np.float32))
 
 
@@ -208,7 +203,7 @@ def test_index_build_checks_every_vector():
             return self.vectors
 
     pairs = [("a", "x"), ("b", "y"), ("c", "z")]
-    with pytest.raises(DimensionMismatch, match=r"passage 'c' embedded with dimension 3, expected 2"):
+    with pytest.raises(FactforgeError, match=r"passage 'c' embedded with dimension 3, expected 2"):
         index_build(pairs, Emb([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0, 1.0]]))
     with pytest.raises(ValueError, match="non-finite"):
         index_build(pairs, Emb([[1.0, 0.0], [0.0, 1.0], [1.0, float("inf")]]))
@@ -245,17 +240,17 @@ def test_load_rejects_corruption(tmp_path):
 
     bad_magic = tmp_path / "m.ffidx"
     bad_magic.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(CorruptIndexFile):
+    with pytest.raises(MalformedRecord, match="bad magic or unsupported version"):
         PassageIndex.load(bad_magic)
 
     truncated = tmp_path / "t.ffidx"
     truncated.write_bytes(raw[:-3])
-    with pytest.raises(CorruptIndexFile):
+    with pytest.raises(MalformedRecord, match="truncated vector"):
         PassageIndex.load(truncated)
 
     trailing = tmp_path / "x.ffidx"
     trailing.write_bytes(raw + b"\x00")
-    with pytest.raises(CorruptIndexFile):
+    with pytest.raises(MalformedRecord, match="trailing bytes after final record"):
         PassageIndex.load(trailing)
 
     # headers that claim far more rows than the file holds: 1 PiB of float32,
@@ -263,7 +258,7 @@ def test_load_rejects_corruption(tmp_path):
     for count, dim in ((2**40, 256), (2**62, 2**31)):
         huge = tmp_path / f"h{count}.ffidx"
         huge.write_bytes(raw[:6] + struct.pack("<IQ", dim, count))
-        with pytest.raises(CorruptIndexFile):
+        with pytest.raises(MalformedRecord, match="more than the file holds"):
             PassageIndex.load(huge)
 
 
@@ -275,14 +270,14 @@ def test_load_rejects_every_truncation_and_bad_utf8(tmp_path):
     cut = tmp_path / "cut.ffidx"
     for size in range(len(raw)):
         cut.write_bytes(raw[:size])
-        with pytest.raises(CorruptIndexFile):
+        with pytest.raises(MalformedRecord, match="shorter than header|truncated|more than the file holds"):
             PassageIndex.load(cut)
 
     # the first id is b"a" right after the header and its length prefix
     at = raw.index(b"a", 22)
     bad_id = tmp_path / "u.ffidx"
     bad_id.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
-    with pytest.raises(CorruptIndexFile):
+    with pytest.raises(MalformedRecord, match="string is not UTF-8"):
         PassageIndex.load(bad_id)
 
 
@@ -347,7 +342,7 @@ def test_loss_input_validation():
     v = np.ones((2, 3))
     with pytest.raises(ValueError):
         in_batch_loss(v, np.ones((3, 3)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(FactforgeError, match="dimensions differ: 3 vs 4"):
         in_batch_loss(v, np.ones((2, 4)))
     with pytest.raises(ValueError):
         in_batch_loss(np.ones((0, 3)), np.ones((0, 3)))

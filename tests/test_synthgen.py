@@ -10,13 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from factforge.corpus import Passage
-from factforge.errors import (
-    ExhaustedRetries,
-    MalformedOutput,
-    MalformedRecord,
-    MissingKey,
-    TypeMismatch,
-)
+from factforge.errors import BackendError, FactforgeError, MalformedRecord, OutputParseError
 from factforge.synthgen import (
     CLAIM_WORD_LIMIT,
     HARD_ALTERED_EQUALS_ORIGINAL,
@@ -104,9 +98,9 @@ def test_extract_python_literal_fallback():
 
 
 def test_extract_no_object_raises():
-    with pytest.raises(MalformedOutput):
+    with pytest.raises(OutputParseError, match="no object literal found"):
         extract_first_object("no braces anywhere")
-    with pytest.raises(MalformedOutput):
+    with pytest.raises(OutputParseError, match="no object literal found"):
         extract_first_object("{ broken [ } ]")
 
 
@@ -136,23 +130,23 @@ def test_parse_happy_path():
 
 def test_parse_missing_key_names_the_key():
     raw = json.dumps({"step_1": ["c"], "step_2": ["a", "b"], "step_3": "f"})
-    with pytest.raises(MissingKey, match="'step_4'"):
+    with pytest.raises(OutputParseError, match="output object lacks 'step_4'"):
         parse_generation_output(raw)
 
 
 def test_parse_type_errors():
-    with pytest.raises(TypeMismatch):
+    with pytest.raises(OutputParseError, match="step_1 must be a list of strings"):
         parse_generation_output(_payload(step_1="not a list"))
-    with pytest.raises(TypeMismatch):
+    with pytest.raises(OutputParseError, match="step_1 must be a list of strings"):
         parse_generation_output(_payload(step_1=["ok", 3]))
-    with pytest.raises(TypeMismatch):
+    with pytest.raises(OutputParseError, match="step_2 must be a pair of strings"):
         parse_generation_output(_payload(step_2=["only one"]))
-    with pytest.raises(TypeMismatch):
+    with pytest.raises(OutputParseError, match="step_3 must be a string"):
         parse_generation_output(_payload(step_3=["list not str"]))
 
 
 def test_parse_not_an_object():
-    with pytest.raises(MalformedOutput):
+    with pytest.raises(OutputParseError, match="no object literal found"):
         parse_generation_output("[1, 2, 3]")
 
 
@@ -304,6 +298,34 @@ def test_generate_record_retries_after_malformed_output():
     assert record.validation.ok
 
 
+@pytest.mark.parametrize(
+    "change",
+    [lambda step: step.pop("step_4"), lambda step: step.update(step_3=["not", "a string"])],
+    ids=["missing-step-key", "step-of-the-wrong-type"],
+)
+def test_generate_record_retries_once_after_an_unreadable_step(change):
+    passage = amazon_passage()
+    bad = json.loads(amazon_step_json())
+    change(bad)
+    chat = scripted_chat_for(passage, [json.dumps(bad), amazon_step_json()])
+    record = generate_record(passage, chat, max_retries=1)
+    assert record.retries == 1
+    assert record.validation.ok
+
+
+def test_generate_record_propagates_backend_errors_without_retry():
+    calls = []
+
+    class DownChat:
+        def complete(self, messages):
+            calls.append(messages)
+            raise BackendError("endpoint down", "f" * 16)
+
+    with pytest.raises(BackendError, match="endpoint down"):
+        generate_record(amazon_passage(), DownChat(), max_retries=3)
+    assert len(calls) == 1
+
+
 def test_generate_record_retries_after_hard_failure():
     passage = amazon_passage()
     bad = json.loads(amazon_step_json())
@@ -317,14 +339,14 @@ def test_generate_record_retries_after_hard_failure():
 def test_generate_record_exhausts_retries():
     passage = amazon_passage()
     chat = scripted_chat_for(passage, ["junk", "junk", "junk"])
-    with pytest.raises(ExhaustedRetries, match=r"after 3 attempts: MalformedOutput\("):
+    with pytest.raises(FactforgeError, match=r"after 3 attempts: OutputParseError\("):
         generate_record(passage, chat, max_retries=2)
 
 
 def test_generate_record_zero_retries_single_attempt():
     passage = amazon_passage()
     chat = scripted_chat_for(passage, ["junk", amazon_step_json()])
-    with pytest.raises(ExhaustedRetries, match="after 1 attempts"):
+    with pytest.raises(FactforgeError, match="generation failed after 1 attempts"):
         generate_record(passage, chat, max_retries=0)
 
 

@@ -16,7 +16,7 @@ from factforge.backends import (
     HttpNliBackend,
     RuleNliBackend,
 )
-from factforge.errors import UnverifiableText
+from factforge.errors import FactforgeError
 from factforge.retrieval import index_build
 from factforge.verification import (
     CLAIM_EXTRACTION_INSTRUCTIONS,
@@ -211,7 +211,7 @@ def test_verify_text_single_false_claim_flips_verdict():
 def test_verify_text_no_claims_is_error():
     _, embedder, index, nli = _verify_env()
     extractor = ScriptedClaimExtractor({"whatever": []})
-    with pytest.raises(UnverifiableText):
+    with pytest.raises(FactforgeError, match="claim extraction produced zero claims"):
         verify_text("whatever", extractor, index, embedder, nli)
 
 
