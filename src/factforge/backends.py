@@ -19,7 +19,7 @@ import os
 import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, TypeVar
@@ -125,9 +125,10 @@ def fan_width(backend) -> int:
 def fan_out(fn: Callable[[T], R], items: Iterable[T], width: int) -> list[R]:
     """`[fn(item) for item in items]` with at most `width` calls running at once.
 
-    Results keep item order. Once a call raises, no further item starts;
-    the calls already running finish, then the error of the earliest
-    failing item is raised. Width 1 runs serially on the calling thread.
+    Results keep item order. Once a call raises, or the calling thread is
+    interrupted, no further item starts; the calls already running finish,
+    then the error of the earliest failing item is raised. Width 1 runs
+    serially on the calling thread.
     """
     items = list(items)
     if width <= 1 or len(items) <= 1:
@@ -145,9 +146,15 @@ def fan_out(fn: Callable[[T], R], items: Iterable[T], width: int) -> list[R]:
 
     # The pool starts items in index order, so a skipped item comes after the
     # failure that skipped it, and the first result to raise is the earliest.
+    # One wait for them all wakes the calling thread once, not per item.
     with ThreadPoolExecutor(max_workers=min(width, len(items))) as pool:
-        futures = [pool.submit(run, item) for item in items]
-    return [future.result() for future in futures]
+        try:
+            futures = [pool.submit(run, item) for item in items]
+            wait(futures, return_when=FIRST_EXCEPTION)
+            return [future.result() for future in futures]
+        except BaseException:
+            failed.set()  # the queued items then start nothing
+            raise
 
 
 # --- HTTP transport --------------------------------------------------------

@@ -90,6 +90,7 @@ class RunConfig:
             elif type(value) is not kind and not (value is None and nullable):
                 raise FactforgeError(f"config value {key!r} must be of type {kind.__name__}, "
                                      f"got {value!r}")
+            _check_range(key, defaults[key], f"config {key!r}")
         return cls(profiles=profiles, defaults=defaults, base_dir=Path(path).parent)
 
     def profile(self, name: str) -> be.BackendProfile:
@@ -126,8 +127,6 @@ SETTINGS: dict[str, tuple[tuple[str, str, Any, type], ...]] = {
         ("seed", "seed", 0, int),
         ("top_k", "top_k", DEFAULT_TOP_K, int),
         ("token_budget", "token_budget", None, int),
-        ("evidence_separator", "evidence_separator",
-         evalharness.DEFAULT_EVIDENCE_SEPARATOR, str),
     ),
 }
 
@@ -136,21 +135,64 @@ KEY_TYPES = {key: (kind, default is None)
              for rows in SETTINGS.values() for _, key, default, kind in rows}
 
 
+# The least value of each bounded setting, by config key, and the message
+# that refuses a smaller one. A split ratio is checked only by `derive
+# --split`, the one run that reads it, so an idle config ratio stays allowed.
+RANGES = {
+    "window": (1, "window must be >= 1"),
+    "stride": (1, "stride must be >= 1"),
+    "top_k": (1, "k must be >= 1"),
+    "seeds": (1, "need at least one seed"),
+    "max_retries": (0, "max_retries must be >= 0"),
+}
+
+
+def _check_range(key: str, value: Any, source: str) -> None:
+    if key in RANGES and value < RANGES[key][0]:
+        raise FactforgeError(f"{RANGES[key][1]}, got {source} {value!r}")
+
+
 def _settle(args: argparse.Namespace, config: RunConfig) -> None:
     """Fill each setting of the subcommand: the flag, else the config value
-    (typed when the config loaded), else the default."""
+    (typed and range-checked when the config loaded), else the default. A
+    flag, and the ratio a split reads, are range-checked here."""
     for attr, key, default, _ in SETTINGS[args.command]:
-        if getattr(args, attr, None) is None:
+        flag = getattr(args, attr, None)
+        if flag is None:
             setattr(args, attr, config.defaults.get(key, default))
+        else:
+            _check_range(key, flag, "--" + attr.replace("_", "-"))
+    if args.command == "derive" and args.split and not 0.0 < args.ratio < 1.0:
+        raise FactforgeError(f"ratio must be strictly between 0 and 1, got {args.ratio!r}")
 
 
 def _refuse_idle_flags(args: argparse.Namespace) -> None:
-    """Refuse a --seed or --ratio flag that would change nothing. Only flags
-    count: the same config keys stay allowed, as other subcommands read them."""
+    """Refuse a flag combination the run cannot use, before any file is read.
+
+    A --seed or --ratio flag that would change nothing is refused; only
+    flags count, so the same config keys stay allowed, as other subcommands
+    read them.
+    """
     if args.command == "ingest" and args.seed is not None and not args.sample_per_page:
         raise FactforgeError("--seed applies to ingest --sample-per-page only")
-    if args.command == "derive" and not args.split and (args.seed, args.ratio) != (None, None):
-        raise FactforgeError("--seed and --ratio apply to derive --split only")
+    if args.command == "derive":
+        if not args.split and (args.seed, args.ratio) != (None, None):
+            raise FactforgeError("--seed and --ratio apply to derive --split only")
+        if args.what != "nli" and (args.passages or args.nli_backend):
+            raise FactforgeError("--passages and --nli-backend apply to --what nli only")
+        if bool(args.passages) != bool(args.nli_backend):
+            raise FactforgeError("neutral mining needs both --passages and --nli-backend")
+    if args.command == "eval":
+        rag_task1 = args.task == "1" and args.mode == evalharness.MODE_RAG
+        if rag_task1 and not (args.index and args.embed_backend):
+            raise FactforgeError("RAG on task 1 needs --index and --embed-backend")
+        if not rag_task1 and (args.index or args.embed_backend):
+            raise FactforgeError("--index and --embed-backend apply to --task 1 --mode rag only")
+        few_shot = args.mode in (evalharness.MODE_FS, evalharness.MODE_FS_EX)
+        if args.few_shot and not few_shot:
+            raise FactforgeError("--few-shot applies to --mode fs and fs_ex only")
+        if few_shot and not args.few_shot:
+            raise FactforgeError("few-shot modes need --few-shot with example records")
 
 
 # --- subcommand implementations --------------------------------------------------
@@ -207,8 +249,6 @@ def _cmd_generate(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _cmd_derive(args: argparse.Namespace, config: RunConfig) -> int:
-    if args.what != "nli" and (args.passages or args.nli_backend):
-        raise FactforgeError("--passages and --nli-backend apply to --what nli only")
     records = synthgen.read_records(args.records)
     if args.split:
         train, val = dataset.split_train_val(records, args.ratio, args.seed)
@@ -223,8 +263,6 @@ def _cmd_derive(args: argparse.Namespace, config: RunConfig) -> int:
         items = [p for r in valid for p in dataset.derive_retriever_pairs(r)]
     elif args.what == "nli":
         mine_neutrals = bool(args.passages)
-        if mine_neutrals != bool(args.nli_backend):
-            raise FactforgeError("neutral mining needs both --passages and --nli-backend")
         neutrals: list[list[str] | None] = [None] * len(valid)
         if mine_neutrals:
             nli = config.backend(args.nli_backend, be.KIND_NLI)
@@ -405,13 +443,6 @@ def _judge_system(
 
 
 def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
-    rag_task1 = args.task == "1" and args.mode == evalharness.MODE_RAG
-    if rag_task1 and not (args.index and args.embed_backend):
-        raise FactforgeError("RAG on task 1 needs --index and --embed-backend")
-    if not rag_task1 and (args.index or args.embed_backend):
-        raise FactforgeError("--index and --embed-backend apply to --task 1 --mode rag only")
-    if args.few_shot and args.mode not in (evalharness.MODE_FS, evalharness.MODE_FS_EX):
-        raise FactforgeError("--few-shot applies to --mode fs and fs_ex only")
     instances = _load_instances(args.instances, args.task)
     if not instances:
         raise FactforgeError(f"no instances found in {args.instances}")
@@ -422,17 +453,16 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         mode=args.mode,
         few_shot_examples=_load_few_shot(args.few_shot),
         token_budget=args.token_budget,
-        evidence_separator=args.evidence_separator,
         system_slot=not args.no_system_slot,
     )
     index = embedder = None
-    if rag_task1:
+    if args.index:
         from .retrieval import PassageIndex
 
         index = PassageIndex.load(args.index)
         embedder = config.backend(args.embed_backend, be.KIND_EMBEDDING)
     if spec.few_shot and not spec.few_shot_examples:
-        raise FactforgeError("few-shot modes need --few-shot with example records")
+        raise FactforgeError(f"{args.few_shot} holds no few-shot examples")
 
     task_name = (
         evalharness.TASK_END_TO_END if args.task == "1" else evalharness.TASK_CLAIM_VERIFICATION

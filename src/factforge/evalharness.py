@@ -153,18 +153,17 @@ class PromptSpec:
     """Everything needed to turn a text into judge messages.
 
     `evidence` holds the evidence texts, best-first, that follow the text
-    after `evidence_separator` in any mode; in RAG mode they are retrieved
-    passages, and under a token budget the lowest-ranked are dropped first,
-    whole passages only. `system_slot` says whether the backend supports a
-    system message; without one, instructions are prefixed to the first
-    user message.
+    after `DEFAULT_EVIDENCE_SEPARATOR` in any mode; in RAG mode they are
+    retrieved passages, and under a token budget the lowest-ranked are
+    dropped first, whole passages only. `system_slot` says whether the
+    backend supports a system message; without one, instructions are
+    prefixed to the first user message.
     """
 
     mode: str
     few_shot_examples: tuple[tuple[str, bool], ...] = ()
     evidence: tuple[str, ...] = ()
     token_budget: int | None = None
-    evidence_separator: str = DEFAULT_EVIDENCE_SEPARATOR
     system_slot: bool = True
 
     def __post_init__(self) -> None:
@@ -199,7 +198,7 @@ def _instruction_block(spec: PromptSpec) -> str:
 def _assemble(spec: PromptSpec, text_to_verify: str, evidence: Sequence[str]) -> list[dict[str, str]]:
     body = text_to_verify
     if evidence:
-        body = text_to_verify + spec.evidence_separator + "\n".join(evidence)
+        body = text_to_verify + DEFAULT_EVIDENCE_SEPARATOR + "\n".join(evidence)
     turns: list[dict[str, str]] = []
     if spec.few_shot:
         for example_text, example_label in spec.few_shot_examples:
@@ -220,7 +219,7 @@ def build_prompt(spec: PromptSpec, text_to_verify: str) -> list[dict[str, str]]:
 
     Evidence texts follow the text after a separator. In RAG mode, when a
     token budget is set, whole passages are dropped lowest-rank first until
-    the message total fits.
+    the message total fits; a budget that fits no passage is a ValueError.
     """
     if spec.mode == MODE_RAG and not spec.evidence:
         raise ValueError("RAG mode requires at least one evidence passage")
@@ -236,6 +235,9 @@ def build_prompt(spec: PromptSpec, text_to_verify: str) -> list[dict[str, str]]:
         ):
             evidence.pop()
             messages = _assemble(spec, text_to_verify, evidence)
+        if not evidence:
+            raise ValueError(f"token budget {spec.token_budget} leaves no room for any "
+                             "evidence passage")
     return messages
 
 

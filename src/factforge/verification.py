@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 from .errors import FactforgeError
 from .synthgen import CLAIM_EXTRACTION_INSTRUCTIONS, clean_claims, extract_first_object
@@ -107,18 +107,19 @@ def verify_text(
     if not claims:
         raise FactforgeError("claim extraction produced zero claims")
     vecs = embedder.embed(claims)
-    jobs = [(claim, index.top_k(vec, k)) for claim, vec in zip(claims, vecs, strict=True)]
-    traces = _scan(jobs, nli, index.text_of, fan_width(nli))
+    jobs = [(claim, [(pid, index.text_of(pid)) for pid, _ in index.top_k(vec, k)])
+            for claim, vec in zip(claims, vecs, strict=True)]
+    traces = _scan(jobs, nli, fan_width(nli))
     return Verdict(factual=all(t.decision for t in traces), claim_traces=tuple(traces))
 
 
 def _scan(
-    jobs: Sequence[tuple[str, Sequence[tuple[str, float]]]],
+    jobs: Sequence[tuple[str, Sequence[tuple[str, str]]]],
     nli: NliBackend,
-    resolve: Callable[[str], str],
     width: int,
 ) -> list[ClaimTrace]:
-    """Decide each (claim, ranked hits) job with up to `width` NLI calls in flight.
+    """Decide each (claim, ranked (passage_id, text) hits) job with up to
+    `width` NLI calls in flight.
 
     A free slot takes the next unasked rank of an undecided claim, preferring
     the claim with the fewest calls in flight, then the lowest next rank,
@@ -131,17 +132,19 @@ def _scan(
     dropped. An error the serial scan would reach starts no further call;
     once the calls in flight finish, the earliest such claim's error is
     raised.
-    """
-    from .backends import fan_out
 
+    Only the calling thread starts calls and records answers; pool threads
+    just make the calls. So an interrupt, or a BaseException from a call,
+    starts no further call.
+    """
     n = len(jobs)
     answers: list[dict] = [{} for _ in jobs]  # rank -> label, or the error raised
-    asked, settled, in_flight = [0] * n, [0] * n, [0] * n
+    asked, settled = [0] * n, [0] * n
     # The serial scan stops at or before the best rank known to be non-neutral.
     stop = [len(hits) for _, hits in jobs]
     traces: list = [None] * n
     errors: dict[int, Exception] = {}
-    changed = threading.Condition()
+    running: dict = {}  # future -> (claim, rank) of each call in flight
 
     def settle(i: int) -> None:
         claim, hits = jobs[i]
@@ -156,43 +159,37 @@ def _scan(
         elif settled[i] == len(hits):
             traces[i] = ClaimTrace(claim, True, None, len(hits))
 
-    def askable() -> list[int]:
-        if errors:
-            return []
-        return [i for i in range(n)
-                if traces[i] is None and asked[i] < min(stop[i], settled[i] + width)]
-
-    def worker(_slot: int) -> None:
-        while True:
-            with changed:
-                # Wait for a rank to ask, or for the last call to come back.
-                changed.wait_for(lambda: askable() or not any(in_flight))
-                claims = askable()
-                if not claims:
-                    return
-                i = min(claims, key=lambda i: (in_flight[i], asked[i], i))
-                rank = asked[i]
-                asked[i] += 1
-                in_flight[i] += 1
-            claim, hits = jobs[i]
-            answer = None
-            try:
-                answer = classify(nli, resolve(hits[rank][0]), claim)
-            except Exception as exc:  # raised later, if the serial scan reaches it
-                answer = exc
-            finally:  # an interrupt leaves `answer` None and fan_out raises it
-                with changed:
-                    in_flight[i] -= 1
-                    if answer is not None:
-                        answers[i][rank] = answer
-                        if answer is not NliLabel.NEUTRAL:
-                            stop[i] = min(stop[i], rank + 1)
-                        settle(i)
-                    changed.notify_all()
+    def next_call() -> tuple[int, int] | None:
+        claims = [i for i in range(n)
+                  if traces[i] is None and asked[i] < min(stop[i], settled[i] + width)]
+        if errors or not claims or len(running) == width:
+            return None
+        in_flight = [i for i, _ in running.values()]
+        i = min(claims, key=lambda i: (in_flight.count(i), asked[i], i))
+        asked[i] += 1
+        return i, asked[i] - 1
 
     for i in range(n):
         settle(i)  # a claim without evidence is decided before any call
-    fan_out(worker, range(width), width)
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        while True:
+            while call := next_call():
+                i, rank = call
+                claim, hits = jobs[i]
+                running[pool.submit(classify, nli, hits[rank][1], claim)] = call
+            if not running:
+                break
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                i, rank = running.pop(future)
+                try:
+                    answer = future.result()  # a BaseException propagates
+                except Exception as exc:  # raised later, if the serial scan reaches it
+                    answer = exc
+                answers[i][rank] = answer
+                if answer is not NliLabel.NEUTRAL:
+                    stop[i] = min(stop[i], rank + 1)
+                settle(i)
     if errors:
         raise errors[min(errors)]
     return traces

@@ -1,9 +1,11 @@
 """Shared fixtures: the rainforest worked example, synthetic record sets,
-mock backend factories, and a scriptable local HTTP endpoint."""
+mock backend factories, a scriptable local HTTP endpoint, and a SIGINT
+sender."""
 
 from __future__ import annotations
 
 import json
+import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -317,3 +319,35 @@ def http_server():
     for server in servers:
         server.shutdown()
         server.server_close()
+
+
+class Interrupted(BaseException):
+    """What the `sigint` fixture's handler raises on the main thread."""
+
+
+class _Sigint:
+    def __init__(self):
+        self.handled = threading.Event()
+
+    def send(self) -> None:
+        """Deliver a SIGINT to the main thread; callable from any thread."""
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+    def _handle(self, signum, frame):
+        self.handled.set()
+        raise Interrupted
+
+
+@pytest.fixture
+def sigint():
+    """A SIGINT sender whose handler sets `handled` and raises `Interrupted`
+    on the main thread, as Ctrl-C raises KeyboardInterrupt. The previous
+    handler is restored afterwards."""
+    if not hasattr(signal, "pthread_kill"):
+        pytest.skip("needs signal.pthread_kill")
+    sender = _Sigint()
+    previous = signal.signal(signal.SIGINT, sender._handle)
+    try:
+        yield sender
+    finally:
+        signal.signal(signal.SIGINT, previous)

@@ -55,6 +55,7 @@ from factforge.verification import (
 )
 
 from conftest import (
+    Interrupted,
     embedding_reply,
     mock_chat_profile,
     page_rows,
@@ -955,6 +956,29 @@ def test_fan_out_serial_and_pooled_paths_keep_one_contract(width, n, failing):
     # item that had not started yet), and no item starts after the first raise.
     assert info.value.args == (min(failing & set(started)),)
     assert len(started) == raised[0]
+
+
+def test_fan_out_starts_no_item_after_an_interrupt(sigint):
+    lock = threading.Lock()
+    started, late = [], []  # items started; items started after the handler ran
+
+    def work(i):
+        with lock:
+            started.append(i)
+            if sigint.handled.is_set():
+                late.append(i)
+        if i == 10:
+            sigint.send()
+        time.sleep(0.005)
+        return i
+
+    with pytest.raises(Interrupted):
+        fan_out(work, range(200), 2)
+    n_started = len(started)
+    time.sleep(0.05)  # a pool still draining its queue would start ~20 more meanwhile
+    assert len(started) == n_started
+    # only an item that passed the failure check before the handler ran, one per worker
+    assert len(late) <= 2, late
 
 
 def test_verify_text_over_http_is_width_independent(http_server):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from factforge import backends
 from factforge.backends import BackendProfile, VerdictRuleChatBackend, chat_fingerprint
 from factforge.cli import KEY_TYPES, SETTINGS, main
 from factforge.corpus import Page, Passage, page_passages, sample_passage
@@ -206,8 +207,7 @@ def test_missing_pages_file_is_domain_error(tmp_path, capsys):
 
 def test_dry_run_plan_holds_every_settled_argument(ws, capsys):
     cfg = ws["dir"] / "settled.json"
-    cfg.write_text(json.dumps({"ratio": 0.5, "seed": 7, "top_k": 9,
-                               "evidence_separator": " | "}))
+    cfg.write_text(json.dumps({"ratio": 0.5, "seed": 7, "top_k": 9}))
     assert run(["derive", "--records", "r", "--what", "task1", "--out", "o",
                 "--split", "val", "--config", cfg, "--dry-run"]) == 0
     plan = json.loads(capsys.readouterr().out)["plan"]
@@ -215,8 +215,9 @@ def test_dry_run_plan_holds_every_settled_argument(ws, capsys):
     assert run(["eval", "--task", "1", "--mode", "zs", "--instances", "i",
                 "--backend", "judge", "--report", "r", "--config", cfg, "--dry-run"]) == 0
     plan = json.loads(capsys.readouterr().out)["plan"]
-    assert (plan["top_k"], plan["evidence_separator"], plan["seed"]) == (9, " | ", 7)
+    assert (plan["top_k"], plan["seed"]) == (9, 7)
     assert plan["seeds"] == 5 and plan["token_budget"] is None
+    assert "evidence_separator" not in plan
 
 
 @pytest.mark.parametrize("command", ["generate", "index", "verify"])
@@ -521,11 +522,12 @@ def test_derive_nli_drops_blank_claims_of_an_old_records_file(pipeline):
 )
 def test_derive_nli_mining_flags_go_together(pipeline, capsys, flags):
     out = pipeline["dir"] / "nli_half.jsonl"
-    assert run(["derive", "--records", pipeline["records"], "--what", "nli",
-                "--out", out, "--config", pipeline["config"], *flags(pipeline)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--passages" in err and "--nli-backend" in err
-    assert not out.exists()
+    for extra in ([], ["--dry-run"]):
+        assert run(["derive", "--records", pipeline["records"], "--what", "nli", "--out", out,
+                    "--config", pipeline["config"], *flags(pipeline), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--passages" in err and "--nli-backend" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("what", ["retriever", "task1", "task2"])
@@ -536,11 +538,12 @@ def test_derive_nli_mining_flags_go_together(pipeline, capsys, flags):
 )
 def test_derive_mining_flags_need_what_nli(pipeline, capsys, what, flags):
     out = pipeline["dir"] / f"{what}_mined.jsonl"
-    assert run(["derive", "--records", pipeline["records"], "--what", what,
-                "--out", out, "--config", pipeline["config"], *flags(pipeline)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--what nli" in err
-    assert not out.exists()
+    for extra in ([], ["--dry-run"]):
+        assert run(["derive", "--records", pipeline["records"], "--what", what, "--out", out,
+                    "--config", pipeline["config"], *flags(pipeline), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--what nli" in err
+        assert not out.exists()
 
 
 def test_derive_task_instances(pipeline):
@@ -697,7 +700,8 @@ def test_eval_task1_rag(pipeline):
 def test_eval_task1_rag_requires_index(pipeline, capsys):
     instances = _derive_task(pipeline, "task1")
     report = pipeline["dir"] / "r.json"
-    for flags in ([], ["--index", pipeline["index"]], ["--embed-backend", "embed"]):
+    for flags in ([], ["--index", pipeline["index"]], ["--embed-backend", "embed"],
+                  ["--dry-run"], ["--index", pipeline["index"], "--dry-run"]):
         code = run(["eval", "--task", "1", "--mode", "rag", "--instances", instances,
                     "--backend", "judge", "--seeds", 1, "--report", report,
                     "--config", pipeline["config"], *flags])
@@ -717,13 +721,14 @@ def test_eval_retrieval_flags_apply_to_task1_rag_only(pipeline, capsys, task, mo
     instances = _derive_task(pipeline, f"task{task}")
     report = pipeline["dir"] / "r.json"
     value = {"--index": str(bad_index), "--embed-backend": "embed"}[flag]
-    code = run(["eval", "--task", task, "--mode", mode, "--instances", instances,
-                "--backend", "judge", "--seeds", 1, "--report", report,
-                "--config", pipeline["config"], flag, value])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--task 1 --mode rag only" in err
-    assert not report.exists()
+    for extra in ([], ["--dry-run"]):
+        code = run(["eval", "--task", task, "--mode", mode, "--instances", instances,
+                    "--backend", "judge", "--seeds", 1, "--report", report,
+                    "--config", pipeline["config"], flag, value, *extra])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--task 1 --mode rag only" in err
+        assert not report.exists()
 
 
 def test_eval_task1_rag_retrieval_error_fails_the_command(pipeline, capsys):
@@ -778,13 +783,15 @@ def test_eval_few_shot_applies_to_few_shot_modes_only(pipeline, capsys, mode):
     report = pipeline["dir"] / "r.json"
     rag = ["--index", pipeline["index"], "--embed-backend", "embed"] if mode == "rag" else []
     # The instance file does not exist: the flag is rejected before any file is read.
-    code = run(["eval", "--task", "1", "--mode", mode, "--instances", pipeline["dir"] / "nope",
-                "--backend", "judge", "--seeds", 1, "--report", report, "--few-shot", shots,
-                "--config", pipeline["config"], *rag])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--few-shot" in err
-    assert not report.exists()
+    for extra in ([], ["--dry-run"]):
+        code = run(["eval", "--task", "1", "--mode", mode, "--instances",
+                    pipeline["dir"] / "nope", "--backend", "judge", "--seeds", 1,
+                    "--report", report, "--few-shot", shots, "--config", pipeline["config"],
+                    *rag, *extra])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--few-shot" in err
+        assert not report.exists()
 
 
 _PIN_PASSAGES = ["Ada wrote notes on the engine.", "The engine was never built.",
@@ -859,6 +866,20 @@ def test_eval_judge_messages_are_pinned(ws, monkeypatch, task, mode, flags, expe
                 "--backend", "judge", "--seeds", 1, "--report", d / "pin.json",
                 "--config", ws["config"], *rag, *flags]) == 0
     assert sent == expected
+
+
+def test_eval_rag_budget_that_fits_no_evidence_fails_before_any_judge_call(pipeline, monkeypatch,
+                                                                          capsys):
+    sent = _record_judge(monkeypatch)
+    report = pipeline["dir"] / "r.json"
+    assert run(["eval", "--task", "1", "--mode", "rag", "--instances",
+                _derive_task(pipeline, "task1"), "--backend", "judge", "--seeds", 1,
+                "--report", report, "--index", pipeline["index"], "--embed-backend", "embed",
+                "--token-budget", 10, "--config", pipeline["config"]]) == 1
+    assert sent == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "token budget 10" in err
+    assert not report.exists()
 
 
 def test_eval_report_is_deterministic_modulo_runtime(pipeline):
@@ -1185,6 +1206,14 @@ def _verify_k_0(p):
             "--backends", "extractor=gen,embedder=embed,nli=nli", "--config", p["config"]]
 
 
+def _eval_rag_top_k_0(p):
+    cfg = p["dir"] / "top_k_0.json"
+    cfg.write_text(json.dumps({**json.loads(p["config"].read_text()), "top_k": 0}))
+    return ["eval", "--task", "1", "--mode", "rag", "--instances", _derive_task(p, "task1"),
+            "--backend", "judge", "--seeds", 1, "--report", "o.jsonl", "--index", p["index"],
+            "--embed-backend", "embed", "--config", cfg]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1199,19 +1228,24 @@ def _verify_k_0(p):
         lambda p: ["generate", "--passages", p["passages"], "--backend", "gen",
                    "--max-retries", -1, "--out", "o.jsonl", "--config", p["config"]],
         _non_utf8_config,
+        _eval_rag_top_k_0,
     ],
     ids=["ingest-window-0", "ingest-stride-negative", "derive-ratio-above-1", "eval-seeds-0",
-         "verify-k-0", "generate-max-retries-negative", "config-not-utf8"],
+         "verify-k-0", "generate-max-retries-negative", "config-not-utf8", "eval-rag-top-k-0"],
 )
 def test_bad_values_are_domain_errors(pipeline, capsys, monkeypatch, argv):
     monkeypatch.chdir(pipeline["dir"])
     argv = argv(pipeline)
+    built = []  # refused before any backend is built, so before any call
+    monkeypatch.setattr(backends, "build_backend", lambda *a, **k: built.append(a))
     capsys.readouterr()
-    assert run(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:"), err
-    assert "Traceback" not in err
-    assert not (pipeline["dir"] / "o.jsonl").exists()
+    for extra in ([], ["--dry-run"]):
+        assert run([*argv, *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:"), err
+        assert "Traceback" not in err
+        assert not (pipeline["dir"] / "o.jsonl").exists()
+    assert built == []
 
 
 # --- start-up cost -----------------------------------------------------------------

@@ -290,11 +290,10 @@ def test_rag_mode_requires_evidence():
 
 
 def test_rag_custom_separator():
-    spec = PromptSpec(
-        mode=MODE_RAG, evidence=("e1",), evidence_separator="\n---\n"
-    )
-    body = build_prompt(spec, "txt")[-1]["content"]
-    assert body == "txt\n---\ne1"
+    with pytest.raises(TypeError):  # the separator is a constant, not a setting
+        PromptSpec(mode=MODE_RAG, evidence=("e1",), evidence_separator="\n---\n")
+    body = build_prompt(PromptSpec(mode=MODE_RAG, evidence=("e1",)), "txt")[-1]["content"]
+    assert body == "txt" + DEFAULT_EVIDENCE_SEPARATOR + "e1" == "txt\n\nEvidence:\ne1"
 
 
 def test_invalid_mode_rejected():
@@ -319,6 +318,12 @@ def test_rag_budget_drops_lowest_ranked_evidence_first():
     body = build_prompt(spec, text)[-1]["content"]
     assert keep in body
     assert drop not in body
+
+
+def test_rag_budget_that_fits_no_evidence_is_an_error():
+    spec = PromptSpec(mode=MODE_RAG, evidence=("Granite is igneous.",), token_budget=10)
+    with pytest.raises(ValueError, match="token budget 10"):
+        build_prompt(spec, "Granite is a rock.")
 
 
 def test_rag_budget_keeps_everything_when_roomy():

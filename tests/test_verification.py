@@ -31,6 +31,7 @@ from factforge.verification import (
 
 from conftest import (
     EchoEmbedder,
+    Interrupted,
     RankIndex,
     scan_oracle,
     synth_embedder,
@@ -358,6 +359,61 @@ def test_one_neutral_claim_over_http_keeps_both_slots_busy(http_server):
     assert verdict.claim_traces[0].deciding_passage_id is None
     assert sum(r["path"] == "/nli" for r in recorder.requests) == 5  # no call wasted
     assert recorder.max_active == 2
+
+
+def test_width_1_scan_asks_in_the_serial_order():
+    tables = {"claim0": "NNE", "claim1": "E", "claim2": "NE"}
+    nli = _RankNli(lambda claim, rank: _LABELS[tables[claim][rank]], 1)
+    _verify_ranked(tables, nli)
+    assert nli.calls == [("claim0", 0), ("claim1", 0), ("claim2", 0),
+                         ("claim0", 1), ("claim2", 1), ("claim0", 2)]
+
+
+_ALL_NEUTRAL = {f"claim{i}": "N" * 30 for i in range(3)}
+
+
+def test_scheduler_starts_no_call_after_a_call_raises_an_interrupt():
+    raised = threading.Event()
+    late = []  # calls started after the interrupt was raised
+
+    def answer(claim, rank):
+        if raised.is_set():
+            late.append((claim, rank))
+        if (claim, rank) == ("claim1", 1):
+            raised.set()
+            raise _Interrupt
+        time.sleep(0.005)
+        return NliLabel.NEUTRAL
+
+    nli = _RankNli(answer, 2)
+    with pytest.raises(_Interrupt):
+        _verify_ranked(_ALL_NEUTRAL, nli, k=30)
+    n_calls = len(nli.calls)
+    time.sleep(0.05)
+    assert len(nli.calls) == n_calls
+    # only a call started into the other slot before the raise was seen
+    assert len(late) <= 1, late
+
+
+def test_scheduler_starts_no_call_after_a_sigint(sigint):
+    late = []  # calls started after the handler ran
+
+    def answer(claim, rank):
+        if sigint.handled.is_set():
+            late.append((claim, rank))
+        if (claim, rank) == ("claim1", 3):
+            sigint.send()
+        time.sleep(0.005)
+        return NliLabel.NEUTRAL
+
+    nli = _RankNli(answer, 2)
+    with pytest.raises(Interrupted):
+        _verify_ranked(_ALL_NEUTRAL, nli, k=30)
+    n_calls = len(nli.calls)
+    time.sleep(0.05)
+    assert len(nli.calls) == n_calls
+    # only a call submitted just before the handler ran
+    assert len(late) <= 1, late
 
 
 # --- extraction prompt ------------------------------------------------------------------
