@@ -125,10 +125,11 @@ def fan_width(backend) -> int:
 def fan_out(fn: Callable[[T], R], items: Iterable[T], width: int) -> list[R]:
     """`[fn(item) for item in items]` with at most `width` calls running at once.
 
-    Results keep item order. Once a call raises, or the calling thread is
-    interrupted, no further item starts; the calls already running finish,
-    then the error of the earliest failing item is raised. Width 1 runs
-    serially on the calling thread.
+    Results keep item order. Once fan_out has caught a failing call's error
+    (when the call returns, in the thread that made it) or an interrupt of
+    the calling thread, no further item starts; the items already started
+    finish, then the error of the earliest failing item is raised. Width 1
+    runs serially on the calling thread.
     """
     items = list(items)
     if width <= 1 or len(items) <= 1:
@@ -480,73 +481,70 @@ def _strings(value) -> bool:  # a blank one would match every text
     return isinstance(value, list) and all(isinstance(v, str) and v.strip() for v in value)
 
 
-_DIMENSION = ("dimension", lambda v: type(v) is int and v >= 1, "an int >= 1", 64)
-_CONTRADICTIONS = ("contradictions", lambda v: isinstance(v, list) and all(
-    _strings(pair) and len(pair) == 2 for pair in v), "a list of pairs of non-blank strings", [])
+def _pairs(value) -> bool:
+    return isinstance(value, list) and all(_strings(pair) and len(pair) == 2 for pair in value)
 
-# The option each mock reads, as (key, check, what the check wants, default),
-# by kind and "mock" option; embedding and NLI profiles have one mock each,
-# which an empty or absent "mock" also names.
-_MOCK_OPTIONS = {
-    (KIND_CHAT, "script"): ("script", lambda v: isinstance(v, str), "a path string", None),
-    (KIND_CHAT, "verdict_rule"): ("markers", _strings, "a list of non-blank strings", []),
-    (KIND_EMBEDDING, ""): _DIMENSION,
-    (KIND_EMBEDDING, "hashed_bow"): _DIMENSION,
-    (KIND_NLI, ""): _CONTRADICTIONS,
-    (KIND_NLI, "rules"): _CONTRADICTIONS,
+
+# Each mock, by kind and "mock" option: what builds it from the profile and
+# its one option, and that option as (key, check, what the check wants,
+# default). Embedding and NLI profiles have one mock each, which an empty or
+# absent "mock" also names.
+_MOCKS = {
+    (KIND_CHAT, "script"): (ScriptedChatBackend.from_file, "script",
+                            lambda v: isinstance(v, str), "a path string", None),
+    (KIND_CHAT, "verdict_rule"): (VerdictRuleChatBackend, "markers", _strings,
+                                  "a list of non-blank strings", []),
+    (KIND_EMBEDDING, "hashed_bow"): (HashedBowEmbedder, "dimension",
+                                     lambda v: type(v) is int and v >= 1, "an int >= 1", 64),
+    (KIND_NLI, "rules"): (RuleNliBackend, "contradictions", _pairs,
+                          "a list of pairs of non-blank strings", []),
 }
+_HTTP = {KIND_CHAT: HttpChatBackend, KIND_EMBEDDING: HttpEmbeddingBackend, KIND_NLI: HttpNliBackend}
 
 
-def check_profile(profile: BackendProfile) -> Any:
+def check_profile(profile: BackendProfile) -> tuple[Callable, Any]:
     """Check what building `profile` would read, without building it: an
     http profile's endpoint scheme and empty options, a mock profile's mock
-    name and its one option's key and type. Returns that option's value
-    (None for http); a wrong profile is a ValueError naming it."""
+    name and its one option's key and type. Returns what builds the backend
+    and that option's value (None for http); a wrong profile is a
+    ValueError naming it."""
     if profile.transport == "http":
         if not profile.endpoint.lower().startswith(("http://", "https://")):
             raise ValueError(f"profile {profile.name!r} needs an http:// or https:// endpoint")
         if profile.options:
             raise ValueError(f"profile {profile.name!r}: the http transport does not read "
                              f"options {sorted(profile.options)}")
-        return None
+        return _HTTP[profile.kind], None
     opts = dict(profile.options)
     mock = opts.pop("mock", "")
-    option = _MOCK_OPTIONS.get((profile.kind, mock)) if isinstance(mock, str) else None
-    if option is None:
+    named = [name for kind, name in _MOCKS if kind == profile.kind]
+    if mock == "" and len(named) == 1:
+        mock = named[0]
+    found = _MOCKS.get((profile.kind, mock)) if isinstance(mock, str) else None
+    if found is None:
         raise ValueError(f"profile {profile.name!r}: unknown {profile.kind} mock {mock!r}")
-    key, valid, what, default = option
+    make, key, valid, what, default = found
     if set(opts) - {key}:
-        raise ValueError(f"profile {profile.name!r}: {mock or profile.kind} mock does not "
+        raise ValueError(f"profile {profile.name!r}: {mock} mock does not "
                          f"read options {sorted(set(opts) - {key})}")
-    if mock == "script" and key not in opts:
-        raise ValueError(f"profile {profile.name!r}: the script mock needs 'script'")
+    if default is None and key not in opts:
+        raise ValueError(f"profile {profile.name!r}: the {mock} mock needs {key!r}")
     value = opts.get(key, default)
     if not valid(value):
         raise ValueError(f"profile {profile.name!r}: mock option {key!r} must be {what}, "
                          f"got {value!r}")
-    return value
+    return make, value
 
 
 def build_backend(profile: BackendProfile, base_dir: str | Path | None = None):
     """Construct the backend object a profile describes, once `check_profile`
     passes it.
 
-    `base_dir` anchors relative paths in mock options (e.g. script files).
+    `base_dir` anchors a relative path in a mock option (a script file).
     """
-    option = check_profile(profile)
+    make, option = check_profile(profile)
     if profile.transport == "http":
-        return {
-            KIND_CHAT: HttpChatBackend,
-            KIND_EMBEDDING: HttpEmbeddingBackend,
-            KIND_NLI: HttpNliBackend,
-        }[profile.kind](profile)
-    if profile.kind == KIND_EMBEDDING:
-        return HashedBowEmbedder(profile, option)
-    if profile.kind == KIND_NLI:
-        return RuleNliBackend(profile, option)
-    if profile.options.get("mock") == "verdict_rule":
-        return VerdictRuleChatBackend(profile, option)
-    script = Path(option)
-    if base_dir is not None and not script.is_absolute():
-        script = Path(base_dir) / script
-    return ScriptedChatBackend.from_file(profile, script)
+        return make(profile)
+    if isinstance(option, str) and base_dir is not None:
+        option = Path(base_dir, option)
+    return make(profile, option)

@@ -78,31 +78,29 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise FactforgeError(f"{path}: {exc}") from exc
         defaults = {k: v for k, v in raw.items() if k != "profiles"}
-        unknown = set(defaults) - set(KEY_TYPES)
+        unknown = set(defaults) - set(SETTINGS)
         if unknown:
             raise FactforgeError(f"{path}: unknown config keys {sorted(unknown)}")
         # A default takes its key's exact type, as a flag does (a float key
         # also takes an int); only a key whose default is None may be null.
         for key, value in defaults.items():
-            kind, nullable = KEY_TYPES[key]
+            kind, default, _, _ = SETTINGS[key]
             if kind is float and type(value) is int:
                 defaults[key] = float(value)
-            elif type(value) is not kind and not (value is None and nullable):
+            elif type(value) is not kind and not (value is None and default is None):
                 raise FactforgeError(f"config value {key!r} must be of type {kind.__name__}, "
                                      f"got {value!r}")
             _check_range(key, defaults[key], f"config {key!r}")
         return cls(profiles=profiles, defaults=defaults, base_dir=Path(path).parent)
 
-    def profile(self, name: str) -> be.BackendProfile:
-        if name not in self.profiles:
+    def backend(self, name: str, kind: str):
+        """Build profile `name`, which must be a `kind` backend."""
+        profile = self.profiles.get(name)
+        if profile is None:
             raise FactforgeError(
                 f"backend profile {name!r} not found in config "
                 f"(available: {sorted(self.profiles)})"
             )
-        return self.profiles[name]
-
-    def backend(self, name: str, kind: str):
-        profile = self.profile(name)
         if profile.kind != kind:
             raise FactforgeError(
                 f"profile {name!r} has kind {profile.kind!r}, expected {kind!r}"
@@ -110,58 +108,49 @@ class RunConfig:
         return be.build_backend(profile, base_dir=self.base_dir)
 
 
-# The settings of each subcommand, as (attribute, config key, default, type).
-# A flag of that attribute wins, then the config value, then the default.
-SETTINGS: dict[str, tuple[tuple[str, str, Any, type], ...]] = {
-    "ingest": (
-        ("window", "window", corpus.DEFAULT_WINDOW, int),
-        ("stride", "stride", corpus.DEFAULT_STRIDE, int),
-        ("seed", "seed", 0, int),
-    ),
-    "generate": (("max_retries", "max_retries", synthgen.DEFAULT_MAX_RETRIES, int),),
-    "derive": (("ratio", "ratio", dataset.SPLIT_RATIO, float), ("seed", "seed", 0, int)),
-    "index": (),
-    "verify": (("k", "top_k", DEFAULT_TOP_K, int),),
-    "eval": (
-        ("seeds", "seeds", DEFAULT_SEEDS, int),
-        ("seed", "seed", 0, int),
-        ("top_k", "top_k", DEFAULT_TOP_K, int),
-        ("token_budget", "token_budget", None, int),
-    ),
+# Each setting, by config key: its type, its built-in default, and its least
+# value (None: unbounded) with the message that refuses a smaller one. A
+# split ratio is checked only by `derive --split`, the one run that reads
+# it, so an idle config ratio stays allowed.
+SETTINGS: dict[str, tuple[type, Any, Any, str]] = {
+    "window": (int, corpus.DEFAULT_WINDOW, 1, "window must be >= 1"),
+    "stride": (int, corpus.DEFAULT_STRIDE, 1, "stride must be >= 1"),
+    "seed": (int, 0, None, ""),
+    "max_retries": (int, synthgen.DEFAULT_MAX_RETRIES, 0, "max_retries must be >= 0"),
+    "ratio": (float, dataset.SPLIT_RATIO, None, ""),
+    "top_k": (int, DEFAULT_TOP_K, 1, "k must be >= 1"),
+    "seeds": (int, DEFAULT_SEEDS, 1, "need at least one seed"),
+    "token_budget": (int, None, None, ""),
 }
 
-# Each config key's one type, and whether it may be null (its default is None).
-KEY_TYPES = {key: (kind, default is None)
-             for rows in SETTINGS.values() for _, key, default, kind in rows}
-
-
-# The least value of each bounded setting, by config key, and the message
-# that refuses a smaller one. A split ratio is checked only by `derive
-# --split`, the one run that reads it, so an idle config ratio stays allowed.
-RANGES = {
-    "window": (1, "window must be >= 1"),
-    "stride": (1, "stride must be >= 1"),
-    "top_k": (1, "k must be >= 1"),
-    "seeds": (1, "need at least one seed"),
-    "max_retries": (0, "max_retries must be >= 0"),
+# The settings each subcommand reads. A flag stores into its key; `verify
+# --k` stores into `top_k`.
+READS = {
+    "ingest": ("window", "stride", "seed"),
+    "generate": ("max_retries",),
+    "derive": ("ratio", "seed"),
+    "index": (),
+    "verify": ("top_k",),
+    "eval": ("seeds", "seed", "top_k", "token_budget"),
 }
 
 
 def _check_range(key: str, value: Any, source: str) -> None:
-    if key in RANGES and value < RANGES[key][0]:
-        raise FactforgeError(f"{RANGES[key][1]}, got {source} {value!r}")
+    _, _, least, refusal = SETTINGS[key]
+    if least is not None and value < least:
+        raise FactforgeError(f"{refusal}, got {source} {value!r}")
 
 
 def _settle(args: argparse.Namespace, config: RunConfig) -> None:
     """Fill each setting of the subcommand: the flag, else the config value
     (typed and range-checked when the config loaded), else the default. A
     flag, and the ratio a split reads, are range-checked here."""
-    for attr, key, default, _ in SETTINGS[args.command]:
-        flag = getattr(args, attr, None)
+    for key in READS[args.command]:
+        flag = getattr(args, key, None)
         if flag is None:
-            setattr(args, attr, config.defaults.get(key, default))
-        else:
-            _check_range(key, flag, "--" + attr.replace("_", "-"))
+            setattr(args, key, config.defaults.get(key, SETTINGS[key][1]))
+        else:  # a refusal names the flag as typed
+            _check_range(key, flag, "--k" if key == "top_k" else "--" + key.replace("_", "-"))
     if args.command == "derive" and args.split and not 0.0 < args.ratio < 1.0:
         raise FactforgeError(f"ratio must be strictly between 0 and 1, got {args.ratio!r}")
 
@@ -266,7 +255,7 @@ def _cmd_derive(args: argparse.Namespace, config: RunConfig) -> int:
         neutrals: list[list[str] | None] = [None] * len(valid)
         if mine_neutrals:
             nli = config.backend(args.nli_backend, be.KIND_NLI)
-            by_page: dict[str, list[corpus.Passage]] = {}
+            by_page: dict[str | int, list[corpus.Passage]] = {}
             for p in corpus.read_passages(args.passages):
                 by_page.setdefault(p.page_id, []).append(p)
 
@@ -342,9 +331,9 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     if not text.strip():
         raise FactforgeError("no text to verify")
 
-    verdict = verify_text(text, extractor, index, embedder, nli, args.k)
+    verdict = verify_text(text, extractor, index, embedder, nli, args.top_k)
     write_jsonl(args.trace, [
-        {"schema": "verification_trace", "version": 1, "k": args.k},
+        {"schema": "verification_trace", "version": 1, "k": args.top_k},
         *map(to_row, verdict.claim_traces),
         {"factual": verdict.factual},
     ])
@@ -471,12 +460,12 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     started = time.monotonic()
     system = _judge_system(chat, spec, args.task, instances, seeds, index, embedder, args.top_k)
     report = evalharness.run_benchmark(task_name, system, instances, seeds)
-    report = replace(report, runtime_seconds=time.monotonic() - started)
     with atomic_write(args.report, encoding="utf-8") as fh:
         fh.write(json.dumps(to_row(report), indent=2, sort_keys=True, ensure_ascii=False) + "\n")
     log.info(
-        "balanced accuracy %.4f +/- %.4f over %d seeds -> %s",
-        report.balanced_accuracy, report.balanced_accuracy_std, args.seeds, args.report,
+        "balanced accuracy %.4f +/- %.4f over %d seeds in %.2f s -> %s",
+        report.balanced_accuracy, report.balanced_accuracy_std, args.seeds,
+        time.monotonic() - started, args.report,
     )
     return 0
 
@@ -545,7 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backends", required=True,
         help="role assignments: extractor=NAME,embedder=NAME,nli=NAME",
     )
-    p.add_argument("--k", type=int, default=None, help="passages retrieved per claim")
+    p.add_argument("--k", dest="top_k", type=int, default=None,
+                   help="passages retrieved per claim")
     p.add_argument("--trace", required=True, help="output trace file")
     p.set_defaults(func=_cmd_verify)
 

@@ -41,7 +41,7 @@ _BOUNDARY = re.compile(r"[.!?][.!?\"')\]}”’]*(?= (.))", re.DOTALL)
 class Page:
     """One source document."""
 
-    page_id: str
+    page_id: str | int  # Wikipedia page ids are numbers
     title: str
     text: str
 
@@ -57,7 +57,7 @@ class Passage:
     """A window of consecutive sentences from one page."""
 
     passage_id: str
-    page_id: str
+    page_id: str | int
     start: int
     sentences: tuple[str, ...]
 
@@ -67,7 +67,7 @@ class Passage:
         return " ".join(self.sentences)
 
 
-def passage_id_for(page_id: str, start: int) -> str:
+def passage_id_for(page_id: str | int, start: int) -> str:
     return f"{page_id}:{start}"
 
 
@@ -99,7 +99,7 @@ def window_passages(
     sentences: Sequence[str],
     window: int = DEFAULT_WINDOW,
     stride: int = DEFAULT_STRIDE,
-    page_id: str = "",
+    page_id: str | int = "",
 ) -> list[Passage]:
     """Group sentences into sliding windows of `window` sentences.
 
@@ -168,7 +168,7 @@ def read_pages(path: str | Path) -> list[Page]:
         rows.extend(iter_jsonl(path))
 
     pages: list[Page] = []
-    seen: set[str] = set()
+    seen: set[str | int] = set()
     for row in rows:
         if isinstance(row, dict):
             if "schema" in row and "page_id" not in row:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 import statistics
-import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Protocol, Sequence
@@ -300,7 +299,6 @@ class EvalReport:
     balanced_accuracy: float
     balanced_accuracy_std: float
     runs: tuple[SeedRun, ...]
-    runtime_seconds: float
 
 
 def run_benchmark(
@@ -350,7 +348,6 @@ def run_benchmark(
             n_unparseable=n_unparseable,
         )
 
-    started = time.monotonic()
     runs = [run_seed(seed) for seed in seeds]
     scores = [run.balanced_accuracy for run in runs]
     return EvalReport(
@@ -359,5 +356,4 @@ def run_benchmark(
         balanced_accuracy=statistics.fmean(scores),
         balanced_accuracy_std=statistics.stdev(scores) if len(scores) > 1 else 0.0,
         runs=tuple(runs),
-        runtime_seconds=time.monotonic() - started,
     )

@@ -21,6 +21,7 @@ import itertools
 import json
 import os
 import threading
+import types
 import typing
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, TypeVar
@@ -100,14 +101,27 @@ def _decode_list(item: Codec | None) -> Codec:
     def decode(value: Any) -> tuple:
         if not isinstance(value, list):
             raise MalformedRecord(f"expected a list, got {type(value).__name__}")
-        return tuple(value) if item is None else tuple(item(v) for v in value)
+        return tuple(value) if item is None else tuple(map(item, value))
     return decode
 
 
-def _decode_bool(value: Any) -> bool:
-    if not isinstance(value, bool):
-        raise MalformedRecord(f"expected true or false, got {value!r}")
-    return value
+# The JSON scalar types a field may declare, and how a message names each.
+_SCALARS = {str: "a string", int: "an int", float: "a number", bool: "true or false",
+            type(None): "null"}
+
+
+def _decode_exact(kinds: tuple[type, ...]) -> Codec:
+    """Take a value of exactly one of `kinds` (a bool is not an int); a float
+    field also takes an int, as a float."""
+    wanted = " or ".join(_SCALARS[kind] for kind in kinds)
+
+    def decode(value: Any) -> Any:
+        if type(value) in kinds:
+            return value
+        if type(value) is int and float in kinds:
+            return float(value)
+        raise MalformedRecord(f"expected {wanted}, got {value!r}")
+    return decode
 
 
 def _decode_enum(cls: type[enum.Enum]) -> Codec:
@@ -121,17 +135,16 @@ def _decode_enum(cls: type[enum.Enum]) -> Codec:
 
 def _codecs(hint: Any) -> tuple[Codec | None, Codec | None]:
     """(encode, decode) for one field type; None means the value passes as is."""
-    if hint is bool:
-        return None, _decode_bool
     if _is_record(hint):
         return to_row, functools.partial(from_row, hint)
     if isinstance(hint, type) and issubclass(hint, enum.Enum):
         return (lambda v: v.value), _decode_enum(hint)
-    if typing.get_origin(hint) is tuple:
-        item = typing.get_args(hint)[0]
-        if _is_record(item):
-            return (lambda v: [to_row(x) for x in v]), _decode_list(functools.partial(from_row, item))
-        return list, _decode_list(None)
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+        encode, decode = _codecs(typing.get_args(hint)[0])
+        return (list if encode is None else lambda v: [encode(x) for x in v]), _decode_list(decode)
+    kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    if all(kind in _SCALARS for kind in kinds):
+        return None, _decode_exact(kinds)
     return None, None
 
 
@@ -172,9 +185,10 @@ def from_row(cls: type[R], row: Any) -> R:
     """Rebuild a `cls` record from its row.
 
     A missing field without a default, a tuple field that is not a list,
-    a bool field that is not true or false and a record field that is not
-    an object are MalformedRecord; absent
-    fields with a default take it; extra keys are ignored.
+    a record field that is not an object and a scalar (or tuple item) that
+    is not of its declared type exactly are MalformedRecord; a float field
+    also takes an int, and an `X | None` field null. Absent fields with a
+    default take it; extra keys are ignored.
     """
     if not isinstance(row, dict):
         raise MalformedRecord(f"expected an object, got {type(row).__name__}")

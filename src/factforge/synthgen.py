@@ -17,7 +17,7 @@ from typing import Iterable
 
 from . import jsonlio
 from .corpus import Passage
-from .errors import FactforgeError, MalformedRecord, OutputParseError
+from .errors import FactforgeError, OutputParseError
 from .textnorm import normalize_for_match, unigram_jaccard
 
 CLAIM_WORD_LIMIT = 15
@@ -77,11 +77,6 @@ class StepOutputs:
     original: str
     factual_text: str
     unfactual_text: str
-
-    @property
-    def falsified_pair(self) -> tuple[str, str]:
-        """(altered claim, original claim)."""
-        return (self.altered, self.original)
 
     def to_step_json(self) -> str:
         """Serialize in the step_1..step_4 shape the generation prompt asks for."""
@@ -253,11 +248,8 @@ def read_records(path) -> list[ResourceRecord]:
     cleans them, so a file written before that yields no blank claim."""
     records = []
     for record in jsonlio.read_records(path, ResourceRecord, RECORDS_SCHEMA):
-        claims = clean_claims(list(record.outputs.claims))
-        if claims is None:
-            raise MalformedRecord(f"{path}: record {record.record_id!r}: "
-                                  "field 'claims' must be a list of strings")
-        records.append(replace(record, outputs=replace(record.outputs, claims=tuple(claims))))
+        claims = tuple(clean_claims(list(record.outputs.claims)))
+        records.append(replace(record, outputs=replace(record.outputs, claims=claims)))
     return records
 
 

@@ -281,9 +281,7 @@ def test_criterion_5_retrieval_correctness(capsys):
 def test_criterion_6_generation_round_trip(amazon_record, capsys):
     record = amazon_record
     assert len(record.outputs.claims) == 5
-    assert record.outputs.original == AMAZON_ORIGINAL
-    assert record.outputs.altered == AMAZON_ALTERED
-    assert record.outputs.falsified_pair == (AMAZON_ALTERED, AMAZON_ORIGINAL)
+    assert (record.outputs.altered, record.outputs.original) == (AMAZON_ALTERED, AMAZON_ORIGINAL)
     assert record.outputs.claims == AMAZON_CLAIMS
     assert record.outputs.factual_text.strip()
     assert record.outputs.unfactual_text.strip()
@@ -435,17 +433,7 @@ def _run_pipeline(root: Path) -> dict[str, Path]:
 def test_criterion_9_pipeline_determinism(tmp_path, capsys):
     first = _run_pipeline(tmp_path / "run_a")
     second = _run_pipeline(tmp_path / "run_b")
-    identical = []
     for name, path_a in first.items():
-        path_b = second[name]
-        if name == "report.json":
-            rep_a = json.loads(path_a.read_text())
-            rep_b = json.loads(path_b.read_text())
-            rep_a.pop("runtime_seconds")
-            rep_b.pop("runtime_seconds")
-            assert rep_a == rep_b, "eval reports differ beyond wall-clock runtime"
-        else:
-            assert path_a.read_bytes() == path_b.read_bytes(), f"{name} differs"
-            identical.append(name)
-    _verdict(capsys, 9, f"{len(identical)} artifacts byte-identical across seeded runs; "
-                "eval report identical apart from wall-clock runtime")
+        assert path_a.read_bytes() == second[name].read_bytes(), f"{name} differs"
+    _verdict(capsys, 9, f"{len(first)} artifacts, the eval report included, byte-identical "
+                "across seeded runs")

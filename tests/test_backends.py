@@ -932,17 +932,17 @@ def test_fan_out_failure_stops_new_submissions():
        failing=st.sets(st.integers(0, 11), max_size=3))
 def test_fan_out_serial_and_pooled_paths_keep_one_contract(width, n, failing):
     lock = threading.Lock()
-    started = []  # items, in the order their calls started
-    raised = []  # len(started) when each failing call raised
+    started = []  # (item, thread), in the order their calls started
+    raised = []  # (len(started), thread) when each failing call raised
 
     def pure(i):
         return i * i - 3
 
     def fn(i):
         with lock:
-            started.append(i)
+            started.append((i, threading.get_ident()))
             if i in failing:
-                raised.append(len(started))
+                raised.append((len(started), threading.get_ident()))
                 raise ValueError(i)
         return pure(i)
 
@@ -953,9 +953,12 @@ def test_fan_out_serial_and_pooled_paths_keep_one_contract(width, n, failing):
     with pytest.raises(ValueError) as info:
         fan_out(fn, range(n), width)
     # The earliest item that failed (a pooled run may skip an earlier failing
-    # item that had not started yet), and no item starts after the first raise.
-    assert info.value.args == (min(failing & set(started)),)
-    assert len(started) == raised[0]
+    # item that had not started yet). fan_out catches an error in the thread
+    # whose call raised it, so that thread starts no item after the raise;
+    # another thread may, before the catch, under some interleavings.
+    assert info.value.args == (min(failing & {i for i, _ in started}),)
+    for at, thread in raised:
+        assert thread not in {t for _, t in started[at:]}
 
 
 def test_fan_out_starts_no_item_after_an_interrupt(sigint):

@@ -534,4 +534,3 @@ def test_report_row_is_json_ready():
     assert row["n_instances"] == 6
     assert isinstance(row["runs"], list)
     assert row["runs"][0]["seed"] == 3
-    assert isinstance(row["runtime_seconds"], float)

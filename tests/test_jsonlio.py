@@ -83,9 +83,9 @@ PINNED = [
     ),
     (SEED_RUN, SEED_RUN_ROW),
     (
-        EvalReport("claim_verification", 4, 0.75, 0.0, (SEED_RUN,), 0.25),
+        EvalReport("claim_verification", 4, 0.75, 0.0, (SEED_RUN,)),
         {"task": "claim_verification", "n_instances": 4, "balanced_accuracy": 0.75,
-         "balanced_accuracy_std": 0.0, "runs": [SEED_RUN_ROW], "runtime_seconds": 0.25},
+         "balanced_accuracy_std": 0.0, "runs": [SEED_RUN_ROW]},
     ),
     (
         ClaimTrace("One three.", False, "pg:2", 3),
@@ -123,13 +123,30 @@ def test_absent_fields_take_their_defaults_and_extra_keys_are_ignored():
         (ResourceRecord, {"record_id": "r", "passage": {"passage_id": "x"},
                           "outputs": OUTPUTS_ROW, "validation": {}}, "page_id"),
         (EvalReport, {**to_row(PINNED[9][0]), "runs": [{"seed": 1}]}, "runs"),
+        (Passage, {**PASSAGE_ROW, "passage_id": 7}, "passage_id"),
+        (Passage, {**PASSAGE_ROW, "sentences": ["One two.", 5]}, "sentences"),
+        (Passage, {**PASSAGE_ROW, "start": 2.0}, "start"),
+        (Passage, {**PASSAGE_ROW, "start": True}, "start"),
+        (Passage, {**PASSAGE_ROW, "page_id": None}, "page_id"),
+        (SeedRun, {**SEED_RUN_ROW, "recall_true": "1.0"}, "recall_true"),
+        (ClaimTrace, {"claim": "c", "decision": False, "deciding_passage_id": 3,
+                      "rank_examined": 1}, "deciding_passage_id"),
     ],
     ids=["tuple-not-list", "missing", "bad-enum", "record-not-object", "nested-missing",
-         "nested-list-item"],
+         "nested-list-item", "str-a-number", "tuple-item-a-number", "int-a-float",
+         "int-a-bool", "not-null", "float-a-string", "optional-str-a-number"],
 )
 def test_rows_that_do_not_fit_are_malformed(cls, row, field):
     with pytest.raises(MalformedRecord, match=repr(field)):
         from_row(cls, row)
+
+
+def test_scalar_fields_take_their_declared_types():
+    assert from_row(Passage, {**PASSAGE_ROW, "page_id": 12}).page_id == 12
+    recall = from_row(SeedRun, {**SEED_RUN_ROW, "recall_true": 1}).recall_true
+    assert type(recall) is float and recall == 1.0
+    trace = {"claim": "c", "decision": False, "deciding_passage_id": None, "rank_examined": 0}
+    assert from_row(ClaimTrace, trace).deciding_passage_id is None
 
 
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])

@@ -121,9 +121,7 @@ def _payload(**overrides):
 def test_parse_happy_path():
     out = parse_generation_output(_payload())
     assert out.claims == AMAZON_CLAIMS
-    assert out.falsified_pair == (AMAZON_ALTERED, AMAZON_ORIGINAL)
-    assert out.altered == AMAZON_ALTERED
-    assert out.original == AMAZON_ORIGINAL
+    assert (out.altered, out.original) == (AMAZON_ALTERED, AMAZON_ORIGINAL)
     assert out.factual_text == AMAZON_FACTUAL
     assert out.unfactual_text == AMAZON_UNFACTUAL
 
@@ -374,7 +372,7 @@ def test_records_file_claims_are_cleaned_on_read(tmp_path, amazon_record):
     assert read_records(path) == [amazon_record]
     stored = replace(amazon_record.outputs, claims=(*claims, 5))
     write_records(path, [replace(amazon_record, outputs=stored)])
-    with pytest.raises(MalformedRecord, match="'amazon:0'.*'claims'"):
+    with pytest.raises(MalformedRecord, match=r"records\.jsonl row 2: .*'claims'"):
         read_records(path)
 
 
