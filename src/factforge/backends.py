@@ -88,7 +88,15 @@ class BackendProfile:
         unknown = set(row) - {f.name for f in fields(cls) if f.name != "name"}
         if unknown:
             raise ValueError(f"profile {name!r} has unknown keys {sorted(unknown)}")
-        return cls(name=name, **dict(row))
+        profile = cls(name=name, **dict(row))
+        # A mock reads no transport field (a chat mock's fingerprints read
+        # model and temperature).
+        idle = {"endpoint", "auth_env", "timeout", "max_in_flight", "max_batch",
+                "retry_backoff"} & set(row)
+        if profile.transport == "mock" and idle:
+            raise ValueError(f"profile {name!r}: the mock transport does not read "
+                             f"{sorted(idle)}")
+        return profile
 
 
 def request_fingerprint(payload: Mapping[str, Any]) -> str:
@@ -329,12 +337,9 @@ class HttpNliBackend(_HttpBase):
 
     @staticmethod
     def _decode(reply: Any, body: Mapping[str, Any]) -> NliDistribution:
-        try:
-            return NliDistribution(
-                *(float(reply[label]) for label in ("entailment", "neutral", "contradiction"))
-            )
-        except ValueError as exc:
-            raise MalformedResponse(str(exc))
+        return NliDistribution(
+            *(float(reply[label]) for label in ("entailment", "neutral", "contradiction"))
+        )
 
 
 # --- mocks -------------------------------------------------------------------

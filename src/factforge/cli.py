@@ -9,13 +9,13 @@ One executable with subcommands covering the whole pipeline:
     verify    text -> claim-level verdict trace (all three backends)
     eval      task instances -> benchmark report (chat judge)
 
-Every subcommand accepts --config (JSON file with backend profiles and
-defaults) and --dry-run (print every settled argument as a JSON plan,
-touch nothing); eval, ingest --sample-per-page and derive --split also take
---seed. Each setting is settled once, before the subcommand runs: the flag
-wins, then the config value, then the built-in default. Logs go to stderr;
-data goes to files. Exit codes: 0 success, 1 domain error or bad value (an
-`error:` line on stderr), 2 usage error.
+Every subcommand accepts --config (a JSON file that holds backend profiles
+only) and --dry-run (print every settled argument as a JSON plan, touch
+nothing); eval, ingest --sample-per-page and derive --split also take
+--seed. A run setting is set by its flag alone; each is settled once,
+before the subcommand runs: the flag, else the built-in default. Logs go to
+stderr; data goes to files. Exit codes: 0 success, 1 domain error or bad
+value (an `error:` line on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -54,10 +54,9 @@ DERIVED_SCHEMAS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Defaults and backend profiles loaded from a config file."""
+    """Backend profiles loaded from a config file."""
 
     profiles: Mapping[str, be.BackendProfile] = field(default_factory=dict)
-    defaults: Mapping[str, Any] = field(default_factory=dict)
     base_dir: Path | None = None
 
     @classmethod
@@ -77,21 +76,11 @@ class RunConfig:
                 be.check_profile(profile)
         except (TypeError, ValueError) as exc:
             raise FactforgeError(f"{path}: {exc}") from exc
-        defaults = {k: v for k, v in raw.items() if k != "profiles"}
-        unknown = set(defaults) - set(SETTINGS)
+        unknown = sorted(set(raw) - {"profiles"})
         if unknown:
-            raise FactforgeError(f"{path}: unknown config keys {sorted(unknown)}")
-        # A default takes its key's exact type, as a flag does (a float key
-        # also takes an int); only a key whose default is None may be null.
-        for key, value in defaults.items():
-            kind, default, _, _ = SETTINGS[key]
-            if kind is float and type(value) is int:
-                defaults[key] = float(value)
-            elif type(value) is not kind and not (value is None and default is None):
-                raise FactforgeError(f"config value {key!r} must be of type {kind.__name__}, "
-                                     f"got {value!r}")
-            _check_range(key, defaults[key], f"config {key!r}")
-        return cls(profiles=profiles, defaults=defaults, base_dir=Path(path).parent)
+            raise FactforgeError(f"{path}: unknown config keys {unknown}: a config file holds "
+                                 "only 'profiles', and run settings are flags")
+        return cls(profiles=profiles, base_dir=Path(path).parent)
 
     def backend(self, name: str, kind: str):
         """Build profile `name`, which must be a `kind` backend."""
@@ -108,60 +97,41 @@ class RunConfig:
         return be.build_backend(profile, base_dir=self.base_dir)
 
 
-# Each setting, by config key: its type, its built-in default, and its least
-# value (None: unbounded) with the message that refuses a smaller one. A
-# split ratio is checked only by `derive --split`, the one run that reads
-# it, so an idle config ratio stays allowed.
-SETTINGS: dict[str, tuple[type, Any, Any, str]] = {
-    "window": (int, corpus.DEFAULT_WINDOW, 1, "window must be >= 1"),
-    "stride": (int, corpus.DEFAULT_STRIDE, 1, "stride must be >= 1"),
-    "seed": (int, 0, None, ""),
-    "max_retries": (int, synthgen.DEFAULT_MAX_RETRIES, 0, "max_retries must be >= 0"),
-    "ratio": (float, dataset.SPLIT_RATIO, None, ""),
-    "top_k": (int, DEFAULT_TOP_K, 1, "k must be >= 1"),
-    "seeds": (int, DEFAULT_SEEDS, 1, "need at least one seed"),
-    "token_budget": (int, None, None, ""),
-}
-
-# The settings each subcommand reads. A flag stores into its key; `verify
-# --k` stores into `top_k`.
-READS = {
-    "ingest": ("window", "stride", "seed"),
-    "generate": ("max_retries",),
-    "derive": ("ratio", "seed"),
-    "index": (),
-    "verify": ("top_k",),
-    "eval": ("seeds", "seed", "top_k", "token_budget"),
+# Each run setting, by flag dest (`verify --k` stores into `top_k`): its
+# built-in default, and its least value (None: unbounded) with the message
+# that refuses a smaller one.
+SETTINGS: dict[str, tuple[Any, Any, str]] = {
+    "window": (corpus.DEFAULT_WINDOW, 1, "window must be >= 1"),
+    "stride": (corpus.DEFAULT_STRIDE, 1, "stride must be >= 1"),
+    "seed": (0, None, ""),
+    "max_retries": (synthgen.DEFAULT_MAX_RETRIES, 0, "max_retries must be >= 0"),
+    "ratio": (dataset.SPLIT_RATIO, None, ""),
+    "top_k": (DEFAULT_TOP_K, 1, "k must be >= 1"),
+    "seeds": (DEFAULT_SEEDS, 1, "need at least one seed"),
+    "token_budget": (None, None, ""),
 }
 
 
-def _check_range(key: str, value: Any, source: str) -> None:
-    _, _, least, refusal = SETTINGS[key]
-    if least is not None and value < least:
-        raise FactforgeError(f"{refusal}, got {source} {value!r}")
-
-
-def _settle(args: argparse.Namespace, config: RunConfig) -> None:
-    """Fill each setting of the subcommand: the flag, else the config value
-    (typed and range-checked when the config loaded), else the default. A
-    flag, and the ratio a split reads, are range-checked here."""
-    for key in READS[args.command]:
-        flag = getattr(args, key, None)
+def _settle(args: argparse.Namespace) -> None:
+    """Fill each setting the subcommand has a flag for: the flag,
+    range-checked, else the default. The ratio a split reads must lie
+    strictly between 0 and 1."""
+    for key, (default, least, refusal) in SETTINGS.items():
+        if not hasattr(args, key):
+            continue
+        flag = getattr(args, key)
         if flag is None:
-            setattr(args, key, config.defaults.get(key, SETTINGS[key][1]))
-        else:  # a refusal names the flag as typed
-            _check_range(key, flag, "--k" if key == "top_k" else "--" + key.replace("_", "-"))
+            setattr(args, key, default)
+        elif least is not None and flag < least:  # a refusal names the flag as typed
+            name = "--k" if key == "top_k" else "--" + key.replace("_", "-")
+            raise FactforgeError(f"{refusal}, got {name} {flag!r}")
     if args.command == "derive" and args.split and not 0.0 < args.ratio < 1.0:
         raise FactforgeError(f"ratio must be strictly between 0 and 1, got {args.ratio!r}")
 
 
 def _refuse_idle_flags(args: argparse.Namespace) -> None:
-    """Refuse a flag combination the run cannot use, before any file is read.
-
-    A --seed or --ratio flag that would change nothing is refused; only
-    flags count, so the same config keys stay allowed, as other subcommands
-    read them.
-    """
+    """Refuse a flag combination the run cannot use, before any file is read:
+    a --seed or --ratio flag that would change nothing is refused."""
     if args.command == "ingest" and args.seed is not None and not args.sample_per_page:
         raise FactforgeError("--seed applies to ingest --sample-per-page only")
     if args.command == "derive":
@@ -373,13 +343,13 @@ def _judge_system(
     seeds: Sequence[int],
     index: PassageIndex | None,
     embedder,
-    k: int,
 ):
     """Ask a chat judge for every (seed, instance) cell at once; the
     (instance, seed) -> bool verdict system that scores the answers.
 
-    Task-1 RAG evidence is retrieved once per distinct text, before any
-    judge call. Seed `s` orders the few-shot examples by `random.Random(s)`.
+    Task-1 RAG evidence, the top DEFAULT_TOP_K passages, is retrieved once
+    per distinct text, before any judge call. Seed `s` orders the few-shot
+    examples by `random.Random(s)`.
     A cell's key is its prompt's `chat_fingerprint` for a greedy judge
     (temperature 0), so each distinct prompt is asked once, and (seed,
     position) for a sampling judge. The distinct keys fan out once at the
@@ -389,7 +359,7 @@ def _judge_system(
     if task == "1" and spec.mode == evalharness.MODE_RAG:
         texts = list(dict.fromkeys(instance.text for instance in instances))
         for text, query in zip(texts, embedder.embed(texts), strict=True):
-            hits = index.top_k(query, k)
+            hits = index.top_k(query, DEFAULT_TOP_K)
             evidence[text] = tuple(index.text_of(pid) for pid, _ in hits)
 
     def judged(instance) -> tuple[str, tuple[str, ...]]:
@@ -458,7 +428,7 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     )
     seeds = [args.seed + i for i in range(args.seeds)]
     started = time.monotonic()
-    system = _judge_system(chat, spec, args.task, instances, seeds, index, embedder, args.top_k)
+    system = _judge_system(chat, spec, args.task, instances, seeds, index, embedder)
     report = evalharness.run_benchmark(task_name, system, instances, seeds)
     with atomic_write(args.report, encoding="utf-8") as fh:
         fh.write(json.dumps(to_row(report), indent=2, sort_keys=True, ensure_ascii=False) + "\n")
@@ -475,7 +445,7 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file with backend profiles and defaults")
+    common.add_argument("--config", help="JSON config file with backend profiles")
     common.add_argument(
         "--dry-run", action="store_true",
         help="print every settled argument as a JSON plan and do nothing",
@@ -562,7 +532,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _refuse_idle_flags(args)
         config = RunConfig.load(args.config) if args.config else RunConfig()
-        _settle(args, config)
+        _settle(args)
         if args.dry_run:
             plan = {k: v for k, v in vars(args).items() if k not in ("command", "func", "dry_run")}
             print(dumps_canonical({"command": args.command, "plan": plan}))

@@ -400,6 +400,8 @@ def _run_pipeline(root: Path) -> dict[str, Path]:
     root.mkdir()
     ws = build_workspace(root)
     d = ws["dir"]
+    (d / "factual.txt").write_text(ws["factual_texts"]["page0"])
+    (d / "unfactual.txt").write_text(ws["unfactual_texts"]["page0"])
     steps = [
         ["ingest", "--pages", ws["pages"], "--out", d / "passages.jsonl",
          "--sample-per-page", "--seed", 0, "--config", ws["config"]],
@@ -422,11 +424,19 @@ def _run_pipeline(root: Path) -> dict[str, Path]:
         ["eval", "--task", "1", "--mode", "zs", "--instances", d / "task1.jsonl",
          "--backend", "judge", "--seeds", 3, "--seed", 0,
          "--report", d / "report.json", "--config", ws["config"]],
+        *(["verify", "--text", d / f"{side}.txt", "--index", d / "index.bin",
+           "--backends", "extractor=gen,embedder=embed,nli=nli",
+           "--trace", d / f"{side}_trace.jsonl", "--config", ws["config"]]
+          for side in ("factual", "unfactual")),
     ]
     for step in steps:
         assert run(step) == 0, step
+    for side, factual in (("factual", True), ("unfactual", False)):
+        last = (d / f"{side}_trace.jsonl").read_text().splitlines()[-1]
+        assert json.loads(last) == {"factual": factual}, side
     names = ["passages.jsonl", "windows.jsonl", "records.jsonl", "retriever.jsonl",
-             "nli.jsonl", "task1.jsonl", "task2.jsonl", "index.bin", "report.json"]
+             "nli.jsonl", "task1.jsonl", "task2.jsonl", "index.bin", "report.json",
+             "factual_trace.jsonl", "unfactual_trace.jsonl"]
     return {name: d / name for name in names}
 
 
@@ -435,5 +445,5 @@ def test_criterion_9_pipeline_determinism(tmp_path, capsys):
     second = _run_pipeline(tmp_path / "run_b")
     for name, path_a in first.items():
         assert path_a.read_bytes() == second[name].read_bytes(), f"{name} differs"
-    _verdict(capsys, 9, f"{len(first)} artifacts, the eval report included, byte-identical "
-                "across seeded runs")
+    _verdict(capsys, 9, f"{len(first)} artifacts, the eval report and verify traces included, "
+                "byte-identical across seeded runs")

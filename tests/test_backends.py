@@ -661,8 +661,9 @@ def test_http_nli_invalid_distribution(http_server):
     body = {"entailment": 0.9, "neutral": 0.9, "contradiction": 0.9}
     endpoint, _ = http_server([(200, body)])
     nli = HttpNliBackend(_http_profile(endpoint, kind="nli"))
-    with pytest.raises(MalformedResponse, match="probabilities sum to"):
+    with pytest.raises(MalformedResponse, match="probabilities sum to") as exc:
         nli.classify("p", "h")
+    assert "/nli" in str(exc.value)
 
 
 def _failing_call(endpoint, kind):

@@ -14,7 +14,7 @@ import pytest
 
 from factforge import backends
 from factforge.backends import BackendProfile, VerdictRuleChatBackend, chat_fingerprint
-from factforge.cli import READS, SETTINGS, main
+from factforge.cli import SETTINGS, build_parser, main
 from factforge.corpus import Page, Passage, page_passages, sample_passage
 from factforge.errors import BackendError
 from factforge.evalharness import RAG_INSTRUCTIONS, ZERO_SHOT_INSTRUCTIONS
@@ -206,18 +206,20 @@ def test_missing_pages_file_is_domain_error(tmp_path, capsys):
 
 
 def test_dry_run_plan_holds_every_settled_argument(ws, capsys):
-    cfg = ws["dir"] / "settled.json"
-    cfg.write_text(json.dumps({"ratio": 0.5, "seed": 7, "top_k": 9}))
     assert run(["derive", "--records", "r", "--what", "task1", "--out", "o",
-                "--split", "val", "--config", cfg, "--dry-run"]) == 0
+                "--split", "val", "--ratio", 0.5, "--seed", 7, "--dry-run"]) == 0
     plan = json.loads(capsys.readouterr().out)["plan"]
     assert (plan["ratio"], plan["seed"], plan["split"]) == (0.5, 7, "val")
-    assert run(["eval", "--task", "1", "--mode", "zs", "--instances", "i",
-                "--backend", "judge", "--report", "r", "--config", cfg, "--dry-run"]) == 0
+    assert run(["verify", "--text", "t", "--index", "i", "--trace", "o", "--k", 9,
+                "--backends", "extractor=gen,embedder=embed,nli=nli", "--dry-run"]) == 0
     plan = json.loads(capsys.readouterr().out)["plan"]
-    assert (plan["top_k"], plan["seed"]) == (9, 7)
-    assert plan["seeds"] == 5 and plan["token_budget"] is None
-    assert "evidence_separator" not in plan
+    assert plan["top_k"] == 9
+    assert run(["eval", "--task", "1", "--mode", "zs", "--instances", "i",
+                "--backend", "judge", "--report", "r", "--seed", 7, "--dry-run"]) == 0
+    plan = json.loads(capsys.readouterr().out)["plan"]
+    assert plan["seed"] == 7 and plan["seeds"] == 5 and plan["token_budget"] is None
+    # eval's RAG k is the constant DEFAULT_TOP_K, not a setting
+    assert "top_k" not in plan and "evidence_separator" not in plan
 
 
 @pytest.mark.parametrize("command", ["generate", "index", "verify"])
@@ -256,17 +258,37 @@ def test_seed_and_ratio_flags_that_change_nothing_are_refused(tmp_path, capsys, 
     assert not (tmp_path / "o.jsonl").exists()
 
 
-def test_seed_and_ratio_config_keys_stay_allowed(ws, capsys):
-    cfg = ws["dir"] / "seeded.json"
-    cfg.write_text(json.dumps({"seed": 3, "ratio": 1}))
-    assert run(["ingest", "--pages", ws["pages"], "--out", ws["dir"] / "all.jsonl",
-                "--config", cfg]) == 0
-    assert run(["derive", "--records", "r", "--what", "task1", "--out", "o",
-                "--config", cfg, "--dry-run"]) == 0
-    plan = json.loads(capsys.readouterr().out)["plan"]
-    # a float setting takes an int, as its flag does
-    assert (plan["seed"], plan["ratio"], plan["split"]) == (3, 1.0, None)
-    assert type(plan["ratio"]) is float
+_ABSENT_INPUTS = {
+    "ingest": ["--pages", "absent", "--out", "o.jsonl"],
+    "generate": ["--passages", "absent", "--backend", "gen", "--out", "o.jsonl"],
+    "derive": ["--records", "absent", "--what", "task1", "--out", "o.jsonl"],
+    "index": ["--passages", "absent", "--backend", "embed", "--out", "o.jsonl"],
+    "verify": ["--text", "absent", "--index", "absent", "--trace", "o.jsonl",
+               "--backends", "extractor=gen,embedder=embed,nli=nli"],
+    "eval": ["--task", "1", "--mode", "zs", "--instances", "absent", "--backend", "judge",
+             "--report", "o.jsonl"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(SETTINGS))
+def test_run_settings_in_a_config_are_refused(ws, capsys, monkeypatch, key):
+    """A config file holds profiles only; a run setting there, even at its
+    default, fails every subcommand before any input is read."""
+    config = json.loads(ws["config"].read_text())
+    config[key] = SETTINGS[key][0]
+    cfg = ws["dir"] / "settings.json"
+    cfg.write_text(json.dumps(config))
+    monkeypatch.chdir(ws["dir"])
+    built = []
+    monkeypatch.setattr(backends, "build_backend", lambda *a, **k: built.append(a))
+    for command, args in _ABSENT_INPUTS.items():
+        for extra in ([], ["--dry-run"]):
+            assert run([command, *args, "--config", cfg, *extra]) == 1, command
+            captured = capsys.readouterr()
+            assert captured.out == "", command
+            assert captured.err.startswith("error: ") and repr(key) in captured.err, command
+            assert "absent" not in captured.err and "flags" in captured.err, command
+    assert built == [] and not (ws["dir"] / "o.jsonl").exists()
 
 
 @pytest.mark.parametrize(
@@ -274,11 +296,10 @@ def test_seed_and_ratio_config_keys_stay_allowed(ws, capsys):
     [
         (lambda c: c["profiles"]["gen"].update(api_key="sk-1"), "generate"),
         (lambda c: c.update(profiles=[]), "ingest"),
-        (lambda c: c.update(window="abc"), "ingest"),
         (lambda c: c["profiles"]["gen"]["options"].update(mock="wat"), "generate"),
         (lambda c: c["profiles"]["gen"]["options"].pop("script"), "generate"),
     ],
-    ids=["unknown-profile-key", "profiles-not-a-table", "non-numeric-default", "unknown-mock",
+    ids=["unknown-profile-key", "profiles-not-a-table", "unknown-mock",
          "script-mock-without-file"],
 )
 def test_config_faults_are_domain_errors(ws, capsys, change, command):
@@ -319,12 +340,10 @@ def test_config_faults_are_domain_errors(ws, capsys, change, command):
         (lambda c: c["profiles"]["embed"].update(max_batch=0), "index", "max_batch"),
         (lambda c: c["profiles"]["embed"].update(max_batch=2.5), "index", "max_batch"),
         (lambda c: c["profiles"]["embed"].update(max_batch=True), "index", "max_batch"),
-        (lambda c: c.update(window=2.7), "ingest", "window"),
-        (lambda c: c.update(seed=True), "ingest", "seed"),
-        (lambda c: c.update(seed=None), "ingest", "seed"),
-        # Checked when the config loads, though only verify and eval read
-        # top_k and only eval builds the judge.
-        (lambda c: c.update(top_k="5"), "ingest", "top_k"),
+        (lambda c: c["profiles"]["nli"].update(max_in_flight=8, endpoint="http://nowhere",
+                                               timeout=1, auth_env="NOPE"), "ingest",
+         "max_in_flight"),
+        # Checked when the config loads, though only eval builds the judge.
         (lambda c: c["profiles"]["judge"]["options"].update(markers="implausibly"), "ingest",
          "markers"),
         (lambda c: c["profiles"]["judge"]["options"].update(markers="implausibly"), "generate",
@@ -335,8 +354,7 @@ def test_config_faults_are_domain_errors(ws, capsys, change, command):
          "fractional-max-in-flight", "boolean-max-in-flight", "string-timeout", "nan-timeout",
          "infinite-timeout", "string-retry-backoff", "nan-retry-backoff",
          "negative-retry-backoff", "string-temperature", "zero-max-batch",
-         "fractional-max-batch", "boolean-max-batch", "fractional-window-default",
-         "boolean-seed-default", "null-seed-default", "default-ingest-never-reads",
+         "fractional-max-batch", "boolean-max-batch", "transport-fields-on-a-mock",
          "profile-ingest-never-builds", "profile-generate-never-builds"],
 )
 def test_unread_settings_are_named_errors(ws, capsys, change, command, key):
@@ -359,10 +377,13 @@ def test_unread_settings_are_named_errors(ws, capsys, change, command, key):
 
 
 def test_each_config_key_has_one_type():
-    assert {key for keys in READS.values() for key in keys} == set(SETTINGS)
-    for key, (kind, default, least, refusal) in SETTINGS.items():
-        assert default is None or type(default) is kind, key
-        assert least is None or (type(least) is kind and default >= least and refusal), key
+    """Each run setting is some subcommand's flag, and its default is at
+    least its least value."""
+    (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
+    dests = {action.dest for parser in commands.values() for action in parser._actions}
+    assert set(SETTINGS) <= dests
+    for key, (default, least, refusal) in SETTINGS.items():
+        assert least is None or (default >= least and refusal), key
 
 
 # --- ingest ------------------------------------------------------------------------
@@ -387,21 +408,6 @@ def test_ingest_sample_per_page_and_seed(ws):
     assert len(_rows(a)) == ws["n_pages"]
     assert a.read_bytes() == b.read_bytes()  # same seed, identical bytes
     assert a.read_bytes() != c.read_bytes()  # different seed, different windows
-
-
-def test_ingest_window_flag_beats_config(ws):
-    config = json.loads(ws["config"].read_text())
-    config["window"] = 3
-    cfg = ws["dir"] / "override.json"
-    cfg.write_text(json.dumps(config))
-    out_cfg = ws["dir"] / "w3.jsonl"
-    out_flag = ws["dir"] / "w7.jsonl"
-    assert run(["ingest", "--pages", ws["pages"], "--out", out_cfg, "--config", cfg]) == 0
-    assert run(["ingest", "--pages", ws["pages"], "--out", out_flag, "--config", cfg,
-                "--window", 7]) == 0
-    # window 3 over 7 sentences -> 5 windows; window 7 -> 1 window
-    assert len(_rows(out_cfg)) == ws["n_pages"] * 5
-    assert len(_rows(out_flag)) == ws["n_pages"] * 1
 
 
 # --- generate ----------------------------------------------------------------------
