@@ -3,22 +3,25 @@
 Every call is identified by a fingerprint (a hash of its kind and wire
 body), which keys scripted mock replay and is attached to backend
 errors. HTTP transports speak the common chat-completions / embeddings
-wire shapes over stdlib `urllib.request`, one connection per call, and
-retry transient failures with exponential backoff (stretched by a 429/503
-reply's Retry-After).
+wire shapes over stdlib `http.client`, on kept-alive connections pooled per
+backend, and retry transient failures with exponential backoff (stretched
+by a 429/503 reply's Retry-After).
 Deterministic mocks make the whole pipeline runnable offline.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import logging
 import math
 import os
+import socket
 import struct
 import threading
 import time
+import weakref
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -169,31 +172,69 @@ def fan_out(fn: Callable[[T], R], items: Iterable[T], width: int) -> list[R]:
 # --- HTTP transport --------------------------------------------------------
 
 
+# Linux acks a reply's first segment at once when asked. Without it, a server
+# that writes headers and body in two sends without TCP_NODELAY holds the body
+# for the client's delayed ack (~40 ms), so where the platform lacks it no
+# connection is kept alive.
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+
+
+def _send(conn, selector: str, data: bytes, headers: Mapping[str, str]):
+    """Send one POST on `conn` and return its reply once the headers are in."""
+    conn.request("POST", selector, data, headers)
+    if _QUICKACK is not None:
+        conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+    return conn.getresponse()
+
+
+def _close_all(connections: list) -> None:
+    while connections:
+        connections.pop().close()
+
+
 class _HttpBase:
-    """Shared HTTP client: at most `max_in_flight` requests run at once.
+    """Shared HTTP client: at most `max_in_flight` requests run at once, each
+    on a kept-alive connection from the backend's idle list, else a new one.
 
     Each subclass names its backend `kind` and URL `path`, builds the wire
     body and decodes the reply in `_decode(reply, body)`.
     """
 
     def __init__(self, profile: BackendProfile):
+        import http.client
         import urllib.request  # costs ~35 ms; only HTTP profiles need it
+        from urllib.parse import unquote, urlsplit
 
         self.profile = profile
         self.max_in_flight = profile.max_in_flight
         self._gate = threading.BoundedSemaphore(profile.max_in_flight)
         self._url = profile.endpoint.rstrip("/") + self.path
-        # Only proxy, HTTP and HTTPS handlers: no redirect is followed and no
-        # status becomes an HTTPError, so every reply comes back to `_post`.
-        # ProxyHandler reads HTTP(S)_PROXY from the environment once, here;
-        # urllib checks NO_PROXY per call, and only when a proxy is set.
-        self._opener = urllib.request.OpenerDirector()
-        for handler in (urllib.request.ProxyHandler(), urllib.request.HTTPHandler(),
-                        urllib.request.HTTPSHandler()):
-            self._opener.add_handler(handler)
+        target = urlsplit(self._url)
+        https = target.scheme == "https"
+        self._new = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        self._host, self._tunnel, self._proxy_auth = target.netloc, None, {}
+        self._selector = target.path + ("?" + target.query if target.query else "")
+        # HTTP(S)_PROXY and NO_PROXY are read once, here. An http proxy is
+        # sent the absolute URL; https goes through a CONNECT tunnel.
+        proxy = urllib.request.getproxies().get(target.scheme)
+        if proxy and not urllib.request.proxy_bypass(target.netloc):
+            via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            self._host, auth = via.netloc.rpartition("@")[2], {}
+            if via.username is not None:
+                user = f"{unquote(via.username)}:{unquote(via.password or '')}"
+                auth = {"Proxy-Authorization": "Basic " + base64.b64encode(user.encode()).decode()}
+            if https:  # set_tunnel's host, port and headers
+                self._tunnel = (target.netloc, None, auth)
+            else:
+                self._selector, self._proxy_auth = self._url, auth
+        # Idle kept-alive connections; the gate bounds them to max_in_flight.
+        self._idle: list[http.client.HTTPConnection] = []
+        weakref.finalize(self, _close_all, self._idle)
 
     def _headers(self, fingerprint: str) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", **self._proxy_auth}
+        if _QUICKACK is None:
+            headers["Connection"] = "close"
         if self.profile.auth_env:
             key = os.environ.get(self.profile.auth_env)
             if not key:
@@ -219,17 +260,56 @@ class _HttpBase:
                 f"{self.path}: unexpected reply shape: {type(exc).__name__}: {exc}", fp
             ) from exc
 
+    def _connect(self):
+        """A new connection to the endpoint, or to its proxy. It opens on its
+        first request."""
+        conn = self._new(self._host, timeout=self.profile.timeout)
+        if self._tunnel:
+            conn.set_tunnel(*self._tunnel)
+        return conn
+
+    def _exchange(self, data: bytes, headers: Mapping[str, str]) -> tuple[int, str | None, bytes]:
+        """POST `data` and read the whole reply: its status, Retry-After
+        header and body.
+
+        The request goes on an idle connection, else a new one. After the
+        reply the connection is put back, unless the reply closes it or the
+        platform has no TCP_QUICKACK; any failure closes it. A reused
+        connection the server had closed fails before any reply byte; the
+        request is then sent again, once, on a new connection.
+        """
+        try:
+            conn, reused = self._idle.pop(), True
+        except IndexError:
+            conn, reused = self._connect(), False
+        try:
+            try:
+                reply = _send(conn, self._selector, data, headers)
+            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected included
+                if not reused:
+                    raise
+                conn.close()
+                conn = self._connect()
+                reply = _send(conn, self._selector, data, headers)
+            with reply:
+                raw = reply.read()
+        except BaseException:
+            conn.close()
+            raise
+        if _QUICKACK is None or reply.will_close:
+            conn.close()
+        else:
+            self._idle.append(conn)
+        return reply.status, reply.getheader("Retry-After"), raw
+
     def _post(self, payload: Mapping[str, Any], fingerprint: str) -> Any:
         """POST with up to MAX_RETRIES retries on transient failures.
 
-        Each attempt opens a fresh connection (urllib sends `Connection:
-        close`). Keep-alive is left out on purpose: against a server that
-        writes headers and body separately without TCP_NODELAY, a reused
-        connection stalls on delayed ACK (about 50 ms vs 8 ms per call on
-        loopback with 5 ms of server latency).
+        Each attempt runs through `_exchange`, on a kept-alive connection
+        where one is idle. A request re-sent there because the server had
+        closed the connection is not a retry.
         """
         import http.client
-        import urllib.request
 
         url = self._url
         headers = self._headers(fingerprint)
@@ -246,16 +326,14 @@ class _HttpBase:
             asked = 0.0
             try:
                 data = json.dumps(payload, allow_nan=False).encode()
-                request = urllib.request.Request(url, data, headers)
-                with self._opener.open(request, timeout=self.profile.timeout) as resp:
-                    status, raw = resp.status, resp.read()
-                    if status in (429, 503):
-                        asked = _retry_after(resp.headers.get("Retry-After"))
-            except OSError as exc:  # URLError, timeouts, refused or reset connections
+                status, retry_after, raw = self._exchange(data, headers)
+            except OSError as exc:  # timeouts, refused or reset connections
                 last = BackendTimeout(f"{url}: {exc}", fingerprint)
                 continue
             except (http.client.HTTPException, ValueError) as exc:
                 raise BackendError(f"{url}: {exc}", fingerprint) from exc
+            if status in (429, 503):
+                asked = _retry_after(retry_after)
             if status in (401, 403):
                 raise AuthFailure(f"{url}: HTTP {status}", fingerprint)
             if status == 429:

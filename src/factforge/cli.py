@@ -108,7 +108,7 @@ SETTINGS: dict[str, tuple[Any, Any, str]] = {
     "ratio": (dataset.SPLIT_RATIO, None, ""),
     "top_k": (DEFAULT_TOP_K, 1, "k must be >= 1"),
     "seeds": (DEFAULT_SEEDS, 1, "need at least one seed"),
-    "token_budget": (None, None, ""),
+    "token_budget": (None, 1, "token budget must be >= 1"),
 }
 
 
@@ -131,7 +131,7 @@ def _settle(args: argparse.Namespace) -> None:
 
 def _refuse_idle_flags(args: argparse.Namespace) -> None:
     """Refuse a flag combination the run cannot use, before any file is read:
-    a --seed or --ratio flag that would change nothing is refused."""
+    a --seed, --ratio or --token-budget flag that would change nothing is refused."""
     if args.command == "ingest" and args.seed is not None and not args.sample_per_page:
         raise FactforgeError("--seed applies to ingest --sample-per-page only")
     if args.command == "derive":
@@ -152,6 +152,8 @@ def _refuse_idle_flags(args: argparse.Namespace) -> None:
             raise FactforgeError("--few-shot applies to --mode fs and fs_ex only")
         if few_shot and not args.few_shot:
             raise FactforgeError("few-shot modes need --few-shot with example records")
+        if args.token_budget is not None and args.mode != evalharness.MODE_RAG:
+            raise FactforgeError("--token-budget applies to --mode rag only")
 
 
 # --- subcommand implementations --------------------------------------------------

@@ -265,12 +265,20 @@ class _Recorder:
 
 @pytest.fixture
 def http_server():
+    """`start(responses)` serves on a loopback port and returns its endpoint
+    and recorder. By default each reply is HTTP/1.0 and closes its
+    connection, after `delay` seconds. With `keep_alive` it is HTTP/1.1 and
+    the connection stays open (headers and body go in two writes, with
+    Nagle's algorithm on), unless `drop` closes it after each reply
+    without saying so."""
     servers = []
 
-    def start(responses):
+    def start(responses, keep_alive=False, drop=False, delay=0.02):
         recorder = _Recorder(responses)
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+
             def do_POST(self):
                 with recorder.lock:
                     recorder.active += 1
@@ -285,29 +293,37 @@ def http_server():
                         "raw": raw,
                         "content_type": self.headers.get("Content-Type"),
                         "auth": self.headers.get("Authorization"),
+                        "proxy_auth": self.headers.get("Proxy-Authorization"),
                         "at": time.monotonic(),
+                        "port": self.client_address[1],  # one per client connection
                     }
                     recorder.requests.append(request)
-                    time.sleep(0.02)
+                    time.sleep(delay)
                     status, payload, *extra = recorder.next_response(request)
-                    data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
-                    self.send_response(status)
-                    self.send_header("Content-Type", "application/json")
-                    self.send_header("Content-Length", str(len(data)))
-                    for name, value in (extra[0] if extra else {}).items():
-                        self.send_header(name, value)
-                    self.end_headers()
-                    self.wfile.write(data)
                 finally:
+                    # Leave before the reply goes out: once the client has it,
+                    # its next request may enter before this thread runs again.
                     with recorder.lock:
                         recorder.active -= 1
+                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                for name, value in (extra[0] if extra else {}).items():
+                    self.send_header(name, value)
+                self.end_headers()
+                self.wfile.write(data)
+                if drop:
+                    self.close_connection = True
 
-            do_GET = do_POST  # record a followed redirect too
+            do_GET = do_CONNECT = do_POST  # record a followed redirect or a tunnel too
 
             def log_message(self, *args):
                 pass
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        # a reply to a client that timed out finds its connection closed
+        server.handle_error = lambda request, client_address: None
         # a short poll lets shutdown() at teardown return at once, not after ~0.5 s
         thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
         thread.start()

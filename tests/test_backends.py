@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import http.client
 import json
@@ -13,6 +14,7 @@ import sys
 import threading
 import time
 import types
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -747,12 +749,12 @@ def test_http_concurrency_respects_max_in_flight(http_server):
 def test_http_other_request_errors_become_backend_errors(monkeypatch, error):
     calls = []
 
-    def failing_open(*args, **kwargs):
-        calls.append(args)
+    def failing_connect():
+        calls.append(1)
         raise error
 
     chat = HttpChatBackend(_http_profile("http://127.0.0.1:9"))
-    monkeypatch.setattr(chat._opener, "open", failing_open)
+    monkeypatch.setattr(chat, "_connect", failing_connect)
     messages = [{"role": "user", "content": "x"}]
     with pytest.raises(BackendError) as info:
         chat.complete(messages)
@@ -766,13 +768,13 @@ def test_http_refused_connection_retries_then_times_out(monkeypatch):
         port = probe.getsockname()[1]
     chat = HttpChatBackend(_http_profile(f"http://127.0.0.1:{port}"))
     attempts = []
-    real_open = chat._opener.open
+    real_connect = chat._connect
 
-    def counting_open(*args, **kwargs):
-        attempts.append(args)
-        return real_open(*args, **kwargs)
+    def counting_connect():
+        attempts.append(1)
+        return real_connect()
 
-    monkeypatch.setattr(chat._opener, "open", counting_open)
+    monkeypatch.setattr(chat, "_connect", counting_connect)
     with pytest.raises(BackendTimeout):
         chat.complete([{"role": "user", "content": "x"}])
     assert len(attempts) == 4  # initial try plus three retries
@@ -813,6 +815,137 @@ def test_http_proxy_is_read_from_the_environment_when_built(http_server, monkeyp
     assert chat.complete([{"role": "user", "content": "x"}]) == "Factual"
     # a proxy is sent the absolute URL of the target
     assert [r["path"] for r in recorder.requests] == ["http://127.0.0.1:9/chat/completions"]
+
+
+def test_http_no_proxy_is_read_from_the_environment_when_built(http_server, monkeypatch):
+    proxy, via_proxy = http_server([(200, _CHAT_OK)])
+    endpoint, direct = http_server([(200, _CHAT_OK)])
+    for name in ("http_proxy", "no_proxy", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", proxy)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    chat = HttpChatBackend(_http_profile(endpoint))
+    monkeypatch.delenv("NO_PROXY")
+    assert chat.complete([{"role": "user", "content": "x"}]) == "Factual"
+    assert via_proxy.requests == [] and len(direct.requests) == 1
+
+
+def test_http_proxy_credentials_go_to_the_proxy(http_server, monkeypatch):
+    proxy, recorder = http_server([(200, _CHAT_OK)])
+    for name in ("http_proxy", "no_proxy", "NO_PROXY", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", proxy.replace("http://", "http://ada:p%40ss@"))
+    chat = HttpChatBackend(_http_profile("http://127.0.0.1:9"))
+    assert chat.complete([{"role": "user", "content": "x"}]) == "Factual"
+    assert [r["proxy_auth"] for r in recorder.requests] == ["Basic YWRhOnBAc3M="]  # ada:p@ss
+    assert recorder.requests[0]["path"] == "http://127.0.0.1:9/chat/completions"
+
+
+def test_https_goes_through_a_proxy_tunnel(http_server, monkeypatch):
+    proxy, recorder = http_server([(407, b"")])  # the proxy refuses the tunnel
+    for name in ("https_proxy", "no_proxy", "NO_PROXY", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTPS_PROXY", proxy.replace("http://", "http://ada:pw@"))
+    chat = HttpChatBackend(_http_profile("https://llm.example/v1"))
+    with pytest.raises(BackendTimeout, match="407"):
+        chat.complete([{"role": "user", "content": "x"}])
+    assert [(r["method"], r["path"], r["proxy_auth"]) for r in recorder.requests] == [
+        ("CONNECT", "llm.example:443", "Basic YWRhOnB3")] * 4  # no call leaves the tunnel
+
+
+# --- kept-alive connections ---------------------------------------------------
+
+
+def _ports(recorder) -> list[int]:
+    """The client port of each recorded request: one per connection."""
+    return [r["port"] for r in recorder.requests]
+
+
+def test_serial_calls_share_one_kept_alive_connection(http_server):
+    endpoint, recorder = http_server([(200, _CHAT_OK)], keep_alive=True)
+    chat = HttpChatBackend(_http_profile(endpoint))
+    for i in range(10):
+        assert chat.complete([{"role": "user", "content": f"q{i}"}]) == "Factual"
+    assert len(recorder.requests) == 10
+    assert len(set(_ports(recorder))) == (1 if backends._QUICKACK is not None else 10)
+
+
+def test_a_fan_out_opens_at_most_its_width_of_connections(http_server):
+    endpoint, recorder = http_server([(200, _CHAT_OK)], keep_alive=True)
+    chat = HttpChatBackend(_http_profile(endpoint, max_in_flight=3))
+    answers = fan_out(lambda i: chat.complete([{"role": "user", "content": f"q{i}"}]),
+                      range(12), 3)
+    assert answers == ["Factual"] * 12 and len(recorder.requests) == 12
+    if backends._QUICKACK is not None:
+        assert len(set(_ports(recorder))) <= 3
+        assert len(chat._idle) <= 3
+
+
+def test_a_server_that_drops_each_connection_gets_each_call_once(http_server, caplog):
+    endpoint, recorder = http_server([(200, _CHAT_OK)], keep_alive=True, drop=True)
+    chat = HttpChatBackend(_http_profile(endpoint))
+    with caplog.at_level("WARNING"):
+        for i in range(5):
+            assert chat.complete([{"role": "user", "content": f"q{i}"}]) == "Factual"
+    assert [r["body"]["messages"][0]["content"] for r in recorder.requests] == [
+        f"q{i}" for i in range(5)]
+    assert len(set(_ports(recorder))) == 5
+    assert "retrying" not in caplog.text
+
+
+def test_a_closing_reply_is_not_reused(http_server):
+    endpoint, recorder = http_server(
+        [(200, _CHAT_OK, {"Connection": "close"}), (200, _CHAT_OK)], keep_alive=True)
+    chat = HttpChatBackend(_http_profile(endpoint))
+    for i in range(3):
+        assert chat.complete([{"role": "user", "content": f"q{i}"}]) == "Factual"
+    first, second, third = _ports(recorder)
+    assert first != second
+    assert (second == third) is (backends._QUICKACK is not None)
+
+
+def test_a_timed_out_connection_is_not_reused(http_server):
+    def first_slow(request):
+        if len(recorder.requests) == 1:
+            time.sleep(0.3)
+        return 200, _CHAT_OK
+
+    endpoint, recorder = http_server(first_slow, keep_alive=True)
+    chat = HttpChatBackend(_http_profile(endpoint, timeout=0.1))
+    for i in range(2):
+        assert chat.complete([{"role": "user", "content": f"q{i}"}]) == "Factual"
+    timed_out, retried, next_call = _ports(recorder)  # the retry opened a new connection
+    assert timed_out != retried
+    assert (retried == next_call) is (backends._QUICKACK is not None)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="TCP_QUICKACK is Linux's")
+def test_kept_alive_calls_do_not_stall_on_delayed_ack(http_server):
+    # The fixture writes headers and body in two sends with Nagle's algorithm
+    # on, so a client that delays its ack waits ~40 ms per call: 20 calls
+    # would take >= 0.8 s.
+    endpoint, recorder = http_server([(200, _CHAT_OK)], keep_alive=True, delay=0.0)
+    chat = HttpChatBackend(_http_profile(endpoint))
+    chat.complete([{"role": "user", "content": "open"}])
+    start = time.perf_counter()
+    for i in range(20):
+        chat.complete([{"role": "user", "content": f"q{i}"}])
+    assert time.perf_counter() - start < 0.4
+    assert len(set(_ports(recorder))) == 1
+
+
+def test_idle_connections_close_when_the_backend_is_collected(http_server):
+    endpoint, _ = http_server([(200, _CHAT_OK)], keep_alive=True)
+    chat = HttpChatBackend(_http_profile(endpoint))
+    chat.complete([{"role": "user", "content": "x"}])
+    idle = chat._idle
+    socks = [conn.sock for conn in idle]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        del chat
+        gc.collect()
+    assert idle == [] and all(sock.fileno() == -1 for sock in socks)
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_http_request_body_bytes_are_pinned(http_server):

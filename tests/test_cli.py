@@ -244,9 +244,14 @@ def test_seed_is_offered_only_where_it_changes_the_run(command):
           "--seed", 1], "--seed"),
         (["derive", "--records", "absent", "--what", "task1", "--out", "o.jsonl",
           "--ratio", 0.5], "--ratio"),
+        (["eval", "--task", "2", "--mode", "zs", "--instances", "absent", "--backend", "judge",
+          "--report", "o.jsonl", "--token-budget", 500], "--token-budget"),
+        (["eval", "--task", "2", "--mode", "zs", "--instances", "absent", "--backend", "judge",
+          "--report", "o.jsonl", "--token-budget", -5], "--token-budget"),
     ],
     ids=["ingest-seed-without-sample-per-page", "derive-seed-without-split",
-         "derive-ratio-without-split"],
+         "derive-ratio-without-split", "eval-token-budget-without-rag",
+         "eval-negative-token-budget-without-rag"],
 )
 def test_seed_and_ratio_flags_that_change_nothing_are_refused(tmp_path, capsys, monkeypatch,
                                                                argv, flag):
@@ -383,7 +388,8 @@ def test_each_config_key_has_one_type():
     dests = {action.dest for parser in commands.values() for action in parser._actions}
     assert set(SETTINGS) <= dests
     for key, (default, least, refusal) in SETTINGS.items():
-        assert least is None or (default >= least and refusal), key
+        # a None default (no token budget) is no value, so it has no range
+        assert least is None or ((default is None or default >= least) and refusal), key
 
 
 # --- ingest ------------------------------------------------------------------------
@@ -865,18 +871,18 @@ def _user(content: str) -> dict:
             [_ZS, _user("Ada wrote notes.\n\nEvidence:\nAda wrote notes on the engine.")],
             [_ZS, _user("Ada wrote poems.\n\nEvidence:\nAda wrote notes on the engine.")],
         ]),
-        # Outside RAG mode a token budget trims nothing.
-        ("2", "zs", ["--token-budget", 1], [
-            [_ZS, _user("Ada wrote notes.\n\nEvidence:\nAda wrote notes on the engine.")],
-            [_ZS, _user("Ada wrote poems.\n\nEvidence:\nAda wrote notes on the engine.")],
-        ]),
         ("2", "rag", [], [
             [_RAG, _user("Ada wrote notes.\n\nEvidence:\nAda wrote notes on the engine.")],
             [_RAG, _user("Ada wrote poems.\n\nEvidence:\nAda wrote notes on the engine.")],
         ]),
+        # A budget that holds the gold evidence keeps it whole.
+        ("2", "rag", ["--token-budget", 195], [
+            [_RAG, _user("Ada wrote notes.\n\nEvidence:\nAda wrote notes on the engine.")],
+            [_RAG, _user("Ada wrote poems.\n\nEvidence:\nAda wrote notes on the engine.")],
+        ]),
     ],
-    ids=["task1-zs", "task1-rag", "task1-rag-budget", "task2-zs", "task2-zs-budget",
-         "task2-rag"],
+    ids=["task1-zs", "task1-rag", "task1-rag-budget", "task2-zs", "task2-rag",
+         "task2-rag-budget"],
 )
 def test_eval_judge_messages_are_pinned(ws, monkeypatch, task, mode, flags, expected):
     d = ws["dir"]
@@ -1286,9 +1292,14 @@ def _eval_rag_top_k_0(p):
                    "--max-retries", -1, "--out", "o.jsonl", "--config", p["config"]],
         _non_utf8_config,
         _eval_rag_top_k_0,
+        lambda p: ["eval", "--task", "1", "--mode", "rag", "--instances",
+                   _derive_task(p, "task1"), "--backend", "judge", "--report", "o.jsonl",
+                   "--index", p["index"], "--embed-backend", "embed", "--token-budget", 0,
+                   "--config", p["config"]],
     ],
     ids=["ingest-window-0", "ingest-stride-negative", "derive-ratio-above-1", "eval-seeds-0",
-         "verify-k-0", "generate-max-retries-negative", "config-not-utf8", "eval-rag-top-k-0"],
+         "verify-k-0", "generate-max-retries-negative", "config-not-utf8", "eval-rag-top-k-0",
+         "eval-rag-token-budget-0"],
 )
 def test_bad_values_are_domain_errors(pipeline, capsys, monkeypatch, argv):
     monkeypatch.chdir(pipeline["dir"])
