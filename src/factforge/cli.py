@@ -162,20 +162,13 @@ def _refuse_idle_flags(args: argparse.Namespace) -> None:
 def _cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
     pages = corpus.read_pages(args.pages)
     passages = []
-    skipped = 0
     for page in pages:
         if args.sample_per_page:
-            try:
-                passages.append(corpus.sample_passage(page, args.seed, args.window, args.stride))
-            except FactforgeError:
-                skipped += 1
+            passages.append(corpus.sample_passage(page, args.seed, args.window, args.stride))
         else:
             passages.extend(corpus.page_passages(page, args.window, args.stride))
     count = corpus.write_passages(args.out, passages)
-    log.info(
-        "ingested %d pages into %d passages (%d skipped) -> %s",
-        len(pages), count, skipped, args.out,
-    )
+    log.info("ingested %d pages into %d passages -> %s", len(pages), count, args.out)
     return 0
 
 
@@ -352,13 +345,13 @@ def _judge_system(
     Task-1 RAG evidence, the top DEFAULT_TOP_K passages, is retrieved once
     per distinct text, before any judge call. Seed `s` orders the few-shot
     examples by `random.Random(s)`.
-    A cell's key is its prompt's `chat_fingerprint` for a greedy judge
-    (temperature 0), so each distinct prompt is asked once, and (seed,
-    position) for a sampling judge. The distinct keys fan out once at the
-    judge width; a failed call fails every cell with its key.
+    A greedy judge's (temperature 0) cell is keyed by what its prompt is
+    built from, (few-shot order, text, evidence), so each distinct prompt is
+    built and asked once; a sampling judge's by (seed, position). The keys
+    fan out once at the judge width; a failed call fails every cell with it.
     """
     evidence: dict[str, tuple[str, ...]] = {}
-    if task == "1" and spec.mode == evalharness.MODE_RAG:
+    if index is not None:  # loaded for task-1 RAG only
         texts = list(dict.fromkeys(instance.text for instance in instances))
         for text, query in zip(texts, embedder.embed(texts), strict=True):
             hits = index.top_k(query, DEFAULT_TOP_K)
@@ -369,21 +362,17 @@ def _judge_system(
             return instance.text, evidence.get(instance.text, ())
         return instance.claim, (instance.evidence,)
 
-    built: dict[tuple, tuple[list[dict[str, str]], str]] = {}  # (examples, text, evidence)
-    prompts: dict[Any, list[dict[str, str]]] = {}  # by cell key
-    cells: dict[tuple[int, int], Any] = {}  # (seed, id(instance)) -> cell key
+    prompts: dict[tuple, list[dict[str, str]]] = {}  # by cell key
+    cells: dict[tuple[int, int], tuple] = {}  # (seed, id(instance)) -> cell key
     shots = spec.few_shot_examples
     for seed in seeds:
         examples = tuple(random.Random(seed).sample(shots, len(shots)))
         for position, instance in enumerate(instances):
             text, found = judged(instance)
-            if (examples, text, found) not in built:
-                messages = evalharness.build_prompt(
+            key = (seed, position) if chat.profile.temperature > 0 else (examples, text, found)
+            if key not in prompts:
+                prompts[key] = evalharness.build_prompt(
                     replace(spec, few_shot_examples=examples, evidence=found), text)
-                built[examples, text, found] = messages, be.chat_fingerprint(chat.profile, messages)
-            messages, fingerprint = built[examples, text, found]
-            key = (seed, position) if chat.profile.temperature > 0 else fingerprint
-            prompts.setdefault(key, messages)
             cells[seed, id(instance)] = key
 
     def ask(messages):

@@ -136,8 +136,6 @@ def sample_passage(
 ) -> Passage:
     """Pick one window of the page uniformly at random, deterministically per seed."""
     candidates = page_passages(page, window, stride)
-    if not candidates:
-        raise FactforgeError(f"page {page.page_id!r} yields no passages")
     rng = random.Random(f"{page.page_id}\x1f{seed}")
     return candidates[rng.randrange(len(candidates))]
 

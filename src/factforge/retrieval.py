@@ -50,9 +50,9 @@ def _row_blocks(n: int, dim: int) -> Iterator[slice]:
         start = stop
 
 
-def as_vector(values, dtype=np.float64) -> np.ndarray:
-    """Validate and convert one embedding to a 1-D finite float array."""
-    arr = np.asarray(values, dtype=dtype)
+def as_vector(values) -> np.ndarray:
+    """Validate and convert one embedding to a 1-D finite float64 array."""
+    arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected 1-D vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -206,18 +206,15 @@ def index_build(passages: Iterable, embedder) -> PassageIndex:
     vectors = embedder.embed(texts)
     if len(vectors) != len(ids):
         raise ValueError(f"embedded {len(vectors)} vectors for {len(ids)} passages")
-    dim = None
-    for i, (pid, vec) in enumerate(zip(ids, vectors)):
-        arr = as_vector(vec, dtype=np.float32)
-        if dim is None:
-            dim = arr.shape[0]
-            matrix = np.empty((len(ids), dim), dtype=np.float32)
-        elif arr.shape[0] != dim:
+    first = np.shape(vectors[0])
+    for pid, shape in zip(ids, map(np.shape, vectors)):
+        if len(shape) != 1:
+            raise ValueError(f"expected 1-D vector, got shape {shape}")
+        if shape != first:
             raise FactforgeError(
-                f"passage {pid!r} embedded with dimension {arr.shape[0]}, expected {dim}"
+                f"passage {pid!r} embedded with dimension {shape[0]}, expected {first[0]}"
             )
-        matrix[i] = arr
-    return PassageIndex(ids, texts, matrix)
+    return PassageIndex(ids, texts, np.asarray(vectors, dtype=np.float32))  # checks finiteness
 
 
 def recall_at_k(hits: Sequence[tuple[str, float]], relevant: Iterable[str],

@@ -294,6 +294,7 @@ def http_server():
                         "content_type": self.headers.get("Content-Type"),
                         "auth": self.headers.get("Authorization"),
                         "proxy_auth": self.headers.get("Proxy-Authorization"),
+                        "connection": self.headers.get("Connection"),
                         "at": time.monotonic(),
                         "port": self.client_address[1],  # one per client connection
                     }

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -556,6 +557,17 @@ def test_http_chat_missing_choices(http_server):
         chat.complete([{"role": "user", "content": "x"}])
 
 
+@pytest.mark.parametrize("content", [None, 7, ["Factual"], {"text": "Factual"}])
+def test_http_chat_content_that_is_not_a_string_is_malformed(http_server, content):
+    endpoint, recorder = http_server([(200, {"choices": [{"message": {"content": content}}]})])
+    chat = HttpChatBackend(_http_profile(endpoint))
+    messages = [{"role": "user", "content": "x"}]
+    with pytest.raises(MalformedResponse, match="not a string") as info:
+        chat.complete(messages)
+    assert info.value.fingerprint == chat_fingerprint(chat.profile, messages)
+    assert len(recorder.requests) == 1  # a malformed reply is not retried
+
+
 def test_http_embeddings_sorted_by_index(http_server):
     body = {
         "data": [
@@ -868,6 +880,54 @@ def test_serial_calls_share_one_kept_alive_connection(http_server):
         assert chat.complete([{"role": "user", "content": f"q{i}"}]) == "Factual"
     assert len(recorder.requests) == 10
     assert len(set(_ports(recorder))) == (1 if backends._QUICKACK is not None else 10)
+
+
+def test_without_quickack_every_call_closes_its_connection(http_server, monkeypatch):
+    # The policy where socket has no TCP_QUICKACK (macOS, Windows).
+    monkeypatch.setattr(backends, "_QUICKACK", None)
+    endpoint, recorder = http_server([(200, _CHAT_OK)], keep_alive=True)
+    chat = HttpChatBackend(_http_profile(endpoint))
+    for i in range(3):
+        assert chat.complete([{"role": "user", "content": f"q{i}"}]) == "Factual"
+    assert [r["connection"] for r in recorder.requests] == ["close"] * 3
+    assert len(set(_ports(recorder))) == 3
+    assert chat._idle == []
+
+
+def test_a_reset_on_a_fresh_connection_is_an_attempt_not_a_resend(monkeypatch):
+    # A server that reads each request, then resets its connection.
+    server = socket.create_server(("127.0.0.1", 0))
+    requests = []
+
+    def serve():
+        while True:
+            try:
+                conn, _ = server.accept()
+            except OSError:  # the listener closed
+                return
+            with conn:
+                requests.append(conn.recv(65536))
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+    threading.Thread(target=serve, daemon=True).start()
+    try:
+        chat = HttpChatBackend(_http_profile(f"http://127.0.0.1:{server.getsockname()[1]}"))
+        opened = []
+        real_connect = chat._connect
+
+        def counting_connect():
+            opened.append(1)
+            return real_connect()
+
+        monkeypatch.setattr(chat, "_connect", counting_connect)
+        with pytest.raises(BackendTimeout):
+            chat.complete([{"role": "user", "content": "x"}])
+    finally:
+        server.close()
+    # four attempts, initial try plus three retries, each on one new connection
+    assert len(opened) == 4
+    assert len(requests) == 4 and all(r.startswith(b"POST ") for r in requests)
+    assert chat._idle == []
 
 
 def test_a_fan_out_opens_at_most_its_width_of_connections(http_server):

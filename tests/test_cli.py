@@ -323,6 +323,65 @@ def test_config_faults_are_domain_errors(ws, capsys, change, command):
     assert not (ws["dir"] / "o.jsonl").exists()
 
 
+def _record_backend_calls(monkeypatch) -> list:
+    """Record every call to a mock backend; the list of `Class.method` names."""
+    calls = []
+    for cls, method in ((backends.ScriptedChatBackend, "complete"),
+                        (backends.VerdictRuleChatBackend, "complete"),
+                        (backends.HashedBowEmbedder, "embed"),
+                        (backends.RuleNliBackend, "classify")):
+        def recorded(self, *args, _real=getattr(cls, method), _name=f"{cls.__name__}.{method}"):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(cls, method, recorded)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ingest", "--pages", "pages.jsonl", "--out", "o.jsonl", "--config", "list.json"],
+         "config file must hold a JSON object"),
+        (["index", "--passages", "passages.jsonl", "--backend", "gen", "--out", "o.jsonl"],
+         "profile 'gen' has kind 'chat', expected 'embedding'"),
+        (["verify", "--text", "text.txt", "--index", "index.bin", "--trace", "o.jsonl",
+          "--backends", "extractor=gen,embedder=embed,nli"],
+         "--backends expects role=profile assignments, got 'nli'"),
+        (["verify", "--text", "empty.txt", "--index", "index.bin", "--trace", "o.jsonl",
+          "--backends", "extractor=gen,embedder=embed,nli=nli"], "no text to verify"),
+        (["generate", "--passages", "empty.jsonl", "--backend", "gen", "--out", "o.jsonl"],
+         "no passages found in empty.jsonl"),
+        (["eval", "--task", "1", "--mode", "zs", "--instances", "empty.jsonl",
+          "--backend", "judge", "--report", "o.jsonl"], "no instances found in empty.jsonl"),
+        (["eval", "--task", "1", "--mode", "fs", "--instances", "judged.jsonl",
+          "--few-shot", "empty.jsonl", "--backend", "judge", "--report", "o.jsonl"],
+         "empty.jsonl holds no few-shot examples"),
+    ],
+    ids=["config-is-a-list", "profile-of-the-wrong-kind", "backends-part-without-equals",
+         "empty-text", "generate-from-no-passages", "no-instances", "fs-without-examples"],
+)
+def test_inputs_that_leave_nothing_to_do_are_refused_before_any_call(ws, capsys, monkeypatch,
+                                                                     argv, message):
+    d = ws["dir"]
+    monkeypatch.chdir(d)
+    assert run(["ingest", "--pages", ws["pages"], "--out", "passages.jsonl"]) == 0
+    assert run(["index", "--passages", "passages.jsonl", "--backend", "embed",
+                "--out", "index.bin", "--config", ws["config"]]) == 0
+    (d / "list.json").write_text("[]\n")
+    (d / "text.txt").write_text(ws["factual_texts"]["page0"])
+    (d / "empty.txt").write_text(" \n")
+    (d / "empty.jsonl").write_text("")
+    _write_rows(d / "judged.jsonl", _JUDGED)
+    capsys.readouterr()
+    calls = _record_backend_calls(monkeypatch)
+    config = [] if "--config" in argv else ["--config", ws["config"]]
+    assert run([*argv, *config]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert calls == [] and not (d / "o.jsonl").exists()
+
+
 @pytest.mark.parametrize(
     "change, command, key",
     [
@@ -549,6 +608,42 @@ def test_derive_nli_drops_blank_claims_of_an_old_records_file(pipeline):
     header, *trips = _rows(out)
     assert all(t["hypothesis"].strip() for t in trips)
     assert header["count"] == len(trips) == 14  # 2n + 4 with n = 5 claims
+
+
+def test_derive_nli_mines_no_neutral_for_a_page_with_one_window(pipeline):
+    records = _rows(pipeline["records"])[1:]
+    lonely = records[1]["passage"]
+    windows = [w for w in _rows(pipeline["windows"])[1:]
+               if w["page_id"] != lonely["page_id"] or w["passage_id"] == lonely["passage_id"]]
+    pool = _write_rows(pipeline["dir"] / "lonely_windows.jsonl", windows)
+    out = pipeline["dir"] / "nli_lonely.jsonl"
+    assert run(["derive", "--records", pipeline["records"], "--what", "nli",
+                "--out", out, "--passages", pool,
+                "--nli-backend", "nli", "--config", pipeline["config"]]) == 0
+    header, *trips = _rows(out)
+    assert header["neutrals_mined"] is True
+    # 3n + 4 rows per record with n = 5 claims, but 2n + 4 for the lonely one
+    assert header["count"] == len(trips) == (pipeline["n_pages"] - 1) * 19 + 14
+    neutral = [t for t in trips if t["label"] == "NEUT"]
+    assert len(neutral) == (pipeline["n_pages"] - 1) * 5
+    assert not {t["hypothesis"] for t in neutral} & set(records[1]["outputs"]["claims"])
+
+
+@pytest.mark.parametrize("what", ["retriever", "nli", "task1", "task2"])
+def test_derive_skips_a_record_with_hard_validation_failures(pipeline, caplog, what):
+    header, *records = _rows(pipeline["records"])
+    failed = {**records[2], "validation": {"hard_failures": ["empty_factual"], "warnings": []}}
+    d = pipeline["dir"]
+    mixed = _write_rows(d / "mixed.jsonl", [header, *records[:2], failed, *records[3:]])
+    kept = _write_rows(d / "kept.jsonl", [header, *records[:2], *records[3:]])
+    for name, source in (("mixed", mixed), ("kept", kept)):
+        with caplog.at_level("INFO", logger="factforge"):
+            assert run(["derive", "--records", source, "--what", what,
+                        "--out", d / f"{name}_{what}.jsonl", "--config", pipeline["config"]]) == 0
+    assert "skipping 1 records with hard validation failures" in caplog.text
+    rows = _rows(d / f"mixed_{what}.jsonl")
+    assert rows == _rows(d / f"kept_{what}.jsonl")
+    assert rows[0]["count"] == len(rows) - 1 > 0
 
 
 @pytest.mark.parametrize(

@@ -196,6 +196,16 @@ def test_blank_page_rejected_at_construction():
         Page("pg2", "t", "   ")
 
 
+@given(st.text(min_size=1).filter(str.strip), st.integers(1, 8), st.integers(1, 8),
+       st.integers(0, 50))
+def test_every_page_has_a_window_to_sample(text, window, stride, seed):
+    # A page's text is never blank, and any non-blank text splits into at
+    # least one sentence, so `ingest --sample-per-page` has no page to skip.
+    page = Page("pg", "t", text)
+    assert page_passages(page, window, stride)
+    assert sample_passage(page, seed, window, stride) in page_passages(page, window, stride)
+
+
 # --- page and passage I/O -----------------------------------------------------------
 
 
@@ -235,15 +245,24 @@ def test_read_pages_skips_empty_text(tmp_path):
     assert [p.page_id for p in pages] == ["b"]
 
 
-def test_read_pages_from_directory(tmp_path):
+def test_read_pages_from_directory(tmp_path, caplog):
     import json
 
     d = tmp_path / "pages"
     d.mkdir()
     (d / "one.json").write_text(json.dumps({"page_id": "one", "title": "", "text": "A b c. D e f."}))
     (d / "two.json").write_text(json.dumps({"page_id": "two", "title": "", "text": "G h. I j."}))
-    pages = read_pages(d)
-    assert sorted(p.page_id for p in pages) == ["one", "two"]
+    (d / "three.jsonl").write_text(
+        json.dumps({"schema": "pages", "version": 1}) + "\n"
+        + json.dumps({"page_id": "three", "text": "K l. M n."}) + "\n"
+    )
+    # files are read in name order; a header row is skipped without a warning,
+    # and a missing title reads as empty
+    with caplog.at_level("WARNING"):
+        pages = read_pages(d)
+    assert [p.page_id for p in pages] == ["one", "three", "two"]
+    assert pages[1] == Page("three", "", "K l. M n.")
+    assert caplog.records == []
 
 
 def test_passage_file_roundtrip(tmp_path):
