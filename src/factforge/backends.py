@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -22,10 +23,11 @@ import struct
 import threading
 import time
 import weakref
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import AuthFailure, BackendError, BackendTimeout, MalformedResponse, RateLimited
 from .jsonlio import read_records
@@ -93,12 +95,15 @@ class BackendProfile:
             raise ValueError(f"profile {name!r} has unknown keys {sorted(unknown)}")
         profile = cls(name=name, **dict(row))
         # A mock reads no transport field (a chat mock's fingerprints read
-        # model and temperature).
-        idle = {"endpoint", "auth_env", "timeout", "max_in_flight", "max_batch",
-                "retry_backoff"} & set(row)
-        if profile.transport == "mock" and idle:
-            raise ValueError(f"profile {name!r}: the mock transport does not read "
-                             f"{sorted(idle)}")
+        # model and temperature). Only chat requests carry a temperature, and
+        # only embedding requests are batched.
+        idle = ({"endpoint", "auth_env", "timeout", "max_in_flight", "max_batch",
+                 "retry_backoff"} if profile.transport == "mock" else
+                {"max_batch"} if profile.kind == KIND_CHAT else
+                {"temperature"}) & set(row)
+        if idle:
+            raise ValueError(f"profile {name!r}: the {profile.transport} {profile.kind} "
+                             f"transport does not read {sorted(idle)}")
         return profile
 
 
@@ -133,18 +138,16 @@ def fan_width(backend) -> int:
     return getattr(backend, "max_in_flight", 1)
 
 
-def fan_out(fn: Callable[[T], R], items: Iterable[T], width: int) -> list[R]:
-    """`[fn(item) for item in items]` with at most `width` calls running at once.
-
-    Results keep item order. Once fan_out has caught a failing call's error
-    (when the call returns, in the thread that made it) or an interrupt of
-    the calling thread, no further item starts; the items already started
-    finish, then the error of the earliest failing item is raised. Width 1
-    runs serially on the calling thread.
-    """
-    items = list(items)
-    if width <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+def fan_out(fn: Callable[[T], R], items: Iterable[T], width: int) -> Iterator[R]:
+    """Yield `fn(item)` for each item, in order, with at most `width` calls
+    running and 2 * `width` items submitted at once. Once a call has failed
+    (as caught in its own thread), the calling thread is interrupted or the
+    generator is closed, no further item starts; the started ones finish,
+    then the earliest failing item's error is raised. Width 1 runs serially
+    and lazily on the calling thread."""
+    if width <= 1:
+        yield from map(fn, items)
+        return
     failed = threading.Event()
 
     def run(item):
@@ -156,17 +159,18 @@ def fan_out(fn: Callable[[T], R], items: Iterable[T], width: int) -> list[R]:
             failed.set()
             raise
 
-    # The pool starts items in index order, so a skipped item comes after the
-    # failure that skipped it, and the first result to raise is the earliest.
-    # One wait for them all wakes the calling thread once, not per item.
-    with ThreadPoolExecutor(max_workers=min(width, len(items))) as pool:
+    # Once a call has failed, the window drains in order to its first error.
+    with ThreadPoolExecutor(max_workers=width) as pool:
         try:
-            futures = [pool.submit(run, item) for item in items]
-            wait(futures, return_when=FIRST_EXCEPTION)
-            return [future.result() for future in futures]
-        except BaseException:
+            futures = (pool.submit(run, item) for item in items)
+            window = deque(itertools.islice(futures, 2 * width))
+            while window:
+                result = window.popleft().result()
+                if not failed.is_set():
+                    window.extend(itertools.islice(futures, 1))
+                    yield result
+        finally:
             failed.set()  # the queued items then start nothing
-            raise
 
 
 # --- HTTP transport --------------------------------------------------------
@@ -381,10 +385,10 @@ class HttpEmbeddingBackend(_HttpBase):
         texts is its own request, with its own fingerprint and retries;
         the requests fan out at `max_in_flight`. No texts, no request."""
         texts, model, step = list(texts), self.profile.model, self.profile.max_batch
-        chunks = [texts[i:i + step] for i in range(0, len(texts), step)]
-        replies = fan_out(lambda chunk: self._call({"model": model, "input": chunk}),
-                          chunks, self.max_in_flight)
-        return [vec for vecs in replies for vec in vecs]
+        starts = range(0, len(texts), step)  # one chunk is sent from the calling thread
+        return [vec for vecs in fan_out(
+            lambda i: self._call({"model": model, "input": texts[i:i + step]}),
+            starts, min(len(starts), self.max_in_flight)) for vec in vecs]
 
     @staticmethod
     def _decode(reply: Any, body: Mapping[str, Any]) -> list[np.ndarray]:

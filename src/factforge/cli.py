@@ -28,7 +28,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from . import backends as be
 from . import corpus, dataset, evalharness, synthgen
@@ -159,6 +159,16 @@ def _refuse_idle_flags(args: argparse.Namespace) -> None:
 # --- subcommand implementations --------------------------------------------------
 
 
+def _caught(fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """`fn`, returning the FactforgeError it raises rather than raising it."""
+    def call(arg):
+        try:
+            return fn(arg)
+        except FactforgeError as exc:
+            return exc
+    return call
+
+
 def _cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
     pages = corpus.read_pages(args.pages)
     passages = []
@@ -178,27 +188,21 @@ def _cmd_generate(args: argparse.Namespace, config: RunConfig) -> int:
     if not passages:
         raise FactforgeError(f"no passages found in {args.passages}")
 
-    def attempt(passage):
-        try:
-            return synthgen.generate_record(passage, chat, args.max_retries)
-        except FactforgeError as exc:
-            return exc
+    def kept():  # raises inside the write, so an existing output file stays
+        kept_any = False
+        results = be.fan_out(_caught(lambda p: synthgen.generate_record(p, chat, args.max_retries)),
+                             passages, be.fan_width(chat))
+        for passage, result in zip(passages, results, strict=True):
+            if isinstance(result, FactforgeError):
+                log.warning("dropping passage %s: %s", passage.passage_id, result)
+            else:
+                kept_any = True
+                yield result
+        if not kept_any:
+            raise FactforgeError("every passage failed generation")
 
-    records = []
-    failures = 0
-    for passage, result in zip(passages, be.fan_out(attempt, passages, be.fan_width(chat))):
-        if isinstance(result, FactforgeError):
-            failures += 1
-            log.warning("dropping passage %s: %s", passage.passage_id, result)
-        else:
-            records.append(result)
-    if not records:
-        raise FactforgeError("every passage failed generation")
-    synthgen.write_records(args.out, records)
-    log.info(
-        "generated %d records (%d passages dropped) -> %s",
-        len(records), failures, args.out,
-    )
+    n = synthgen.write_records(args.out, kept())
+    log.info("generated %d records (%d passages dropped) -> %s", n, len(passages) - n, args.out)
     return 0
 
 
@@ -216,9 +220,8 @@ def _cmd_derive(args: argparse.Namespace, config: RunConfig) -> int:
     if args.what == "retriever":
         items = [p for r in valid for p in dataset.derive_retriever_pairs(r)]
     elif args.what == "nli":
-        mine_neutrals = bool(args.passages)
-        neutrals: list[list[str] | None] = [None] * len(valid)
-        if mine_neutrals:
+        neutrals: Iterable[list[str] | None] = [None] * len(valid)
+        if args.passages:
             nli = config.backend(args.nli_backend, be.KIND_NLI)
             by_page: dict[str | int, list[corpus.Passage]] = {}
             for p in corpus.read_passages(args.passages):
@@ -233,8 +236,9 @@ def _cmd_derive(args: argparse.Namespace, config: RunConfig) -> int:
                         for c in record.outputs.claims]
 
             neutrals = be.fan_out(mine, valid, be.fan_width(nli))
-        items = [t for r, ns in zip(valid, neutrals) for t in dataset.derive_nli_triplets(r, ns)]
-        header["neutrals_mined"] = mine_neutrals
+        items = [t for r, ns in zip(valid, neutrals, strict=True)
+                 for t in dataset.derive_nli_triplets(r, ns)]
+        header["neutrals_mined"] = bool(args.passages)
     elif args.what == "task1":
         items = dataset.build_task1(valid)
     else:
@@ -375,13 +379,8 @@ def _judge_system(
                     replace(spec, few_shot_examples=examples, evidence=found), text)
             cells[seed, id(instance)] = key
 
-    def ask(messages):
-        try:
-            return chat.complete(messages)
-        except FactforgeError as exc:
-            return exc
-
-    answers = dict(zip(prompts, be.fan_out(ask, prompts.values(), be.fan_width(chat))))
+    answers = dict(zip(prompts, be.fan_out(_caught(chat.complete), prompts.values(),
+                                           be.fan_width(chat)), strict=True))
 
     def system(instance, seed: int) -> bool:
         answer = answers[cells[seed, id(instance)]]

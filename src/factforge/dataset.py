@@ -87,19 +87,28 @@ def split_train_val(
     ratio: float = SPLIT_RATIO,
     seed: int = 0,
 ) -> tuple[list[ResourceRecord], list[ResourceRecord]]:
-    """Partition records (and therefore everything derived from them).
+    """Partition records (and therefore everything derived from them) by
+    page, so no page falls on both sides: `ratio` counts pages.
 
-    The shuffle is keyed on record ids, so the partition does not depend
-    on input order. Both sides are always non-empty.
+    The pages, ordered by their least record id, are shuffled, so the
+    partition does not depend on input order. Both sides are always
+    non-empty.
     """
     if len(records) < 2:
         raise FactforgeError("need at least 2 records to split")
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be strictly between 0 and 1")
-    ordered = sorted(records, key=lambda r: r.record_id)
-    random.Random(seed).shuffle(ordered)
-    n_train = min(max(int(len(ordered) * ratio), 1), len(ordered) - 1)
-    return ordered[:n_train], ordered[n_train:]
+    pages: dict[str | int, list[ResourceRecord]] = {}
+    for record in sorted(records, key=lambda r: r.record_id):
+        pages.setdefault(record.passage.page_id, []).append(record)
+    if len(pages) < 2:
+        raise FactforgeError(f"need records from at least 2 pages to split, got page "
+                             f"{next(iter(pages))!r} only")
+    groups = list(pages.values())
+    random.Random(seed).shuffle(groups)
+    n_train = min(max(int(len(groups) * ratio), 1), len(groups) - 1)
+    return ([r for group in groups[:n_train] for r in group],
+            [r for group in groups[n_train:] for r in group])
 
 
 def derive_retriever_pairs(record: ResourceRecord) -> list[RetrieverPair]:

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -933,8 +934,8 @@ def test_a_reset_on_a_fresh_connection_is_an_attempt_not_a_resend(monkeypatch):
 def test_a_fan_out_opens_at_most_its_width_of_connections(http_server):
     endpoint, recorder = http_server([(200, _CHAT_OK)], keep_alive=True)
     chat = HttpChatBackend(_http_profile(endpoint, max_in_flight=3))
-    answers = fan_out(lambda i: chat.complete([{"role": "user", "content": f"q{i}"}]),
-                      range(12), 3)
+    answers = list(fan_out(lambda i: chat.complete([{"role": "user", "content": f"q{i}"}]),
+                           range(12), 3))
     assert answers == ["Factual"] * 12 and len(recorder.requests) == 12
     if backends._QUICKACK is not None:
         assert len(set(_ports(recorder))) <= 3
@@ -1094,9 +1095,9 @@ def test_fan_out_keeps_order_and_bounds_width():
             active[0] -= 1
         return i * i
 
-    assert fan_out(square, range(12), 3) == [i * i for i in range(12)]
+    assert list(fan_out(square, range(12), 3)) == [i * i for i in range(12)]
     assert active[1] <= 3
-    assert fan_out(square, [], 3) == []
+    assert list(fan_out(square, [], 3)) == []
     assert fan_width(HttpChatBackend(_http_profile("http://127.0.0.1:9", max_in_flight=3))) == 3
     assert fan_width(synth_nli()) == 1  # mocks run serially
     assert fan_width(object()) == 1
@@ -1115,7 +1116,7 @@ def test_fan_out_failure_stops_new_submissions():
         return i
 
     with pytest.raises(ValueError) as info:
-        fan_out(work, range(10), 2)
+        list(fan_out(work, range(10), 2))
     assert info.value.args == (3,)
     # width 2: besides the failing item, at most one further item starts
     assert sorted(started) == list(range(max(started) + 1))
@@ -1142,10 +1143,10 @@ def test_fan_out_serial_and_pooled_paths_keep_one_contract(width, n, failing):
 
     failing &= set(range(n))
     if not failing:
-        assert fan_out(fn, range(n), width) == [pure(i) for i in range(n)]
+        assert list(fan_out(fn, range(n), width)) == [pure(i) for i in range(n)]
         return
     with pytest.raises(ValueError) as info:
-        fan_out(fn, range(n), width)
+        list(fan_out(fn, range(n), width))
     # The earliest item that failed (a pooled run may skip an earlier failing
     # item that had not started yet). fan_out catches an error in the thread
     # whose call raised it, so that thread starts no item after the raise;
@@ -1170,12 +1171,105 @@ def test_fan_out_starts_no_item_after_an_interrupt(sigint):
         return i
 
     with pytest.raises(Interrupted):
-        fan_out(work, range(200), 2)
+        list(fan_out(work, range(200), 2))
     n_started = len(started)
     time.sleep(0.05)  # a pool still draining its queue would start ~20 more meanwhile
     assert len(started) == n_started
     # only an item that passed the failure check before the handler ran, one per worker
     assert len(late) <= 2, late
+
+
+def test_closing_a_fan_out_starts_nothing_more_and_waits_for_running_calls():
+    lock = threading.Lock()
+    started, finished = [], []
+    gate = threading.Event()
+
+    def work(i):
+        with lock:
+            started.append(i)
+        if i >= 4:
+            assert gate.wait(5)
+        with lock:
+            finished.append(i)
+        return i
+
+    for width in (1, 2, 3):
+        started.clear()
+        finished.clear()
+        gate.clear()
+        results = fan_out(work, range(100), width)
+        assert started == []  # nothing runs before a result is asked for
+        assert [next(results) for _ in range(4)] == [0, 1, 2, 3]
+        if width == 1:
+            assert started == [0, 1, 2, 3]  # serial and lazy
+        release = threading.Timer(0.05, gate.set)
+        release.start()
+        results.close()
+        assert sorted(finished) == sorted(started)  # the running calls ended first
+        release.join(5)
+        assert not release.is_alive()
+        # Besides the four taken, at most one call per worker was running; of
+        # the items queued behind them in the window, none starts.
+        n_started = len(started)
+        assert sorted(started) == list(range(n_started)) and n_started <= 4 + width
+        time.sleep(0.02)
+        assert len(started) == n_started
+
+
+def test_fan_out_under_frequent_thread_switches():
+    """More workers than cores, switching threads every microsecond: results
+    keep order, the width bound holds and the earliest failure is raised."""
+    lock = threading.Lock()
+    active = [0, 0]  # running now, most at once
+
+    def work(i):
+        with lock:
+            active[0] += 1
+            active[1] = max(active[1], active[0])
+        with lock:
+            active[0] -= 1
+        if i in (1500, 1400):
+            raise ValueError(i)
+        return -i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert list(fan_out(work, range(1400), 8)) == [-i for i in range(1400)]
+        with pytest.raises(ValueError) as info:
+            list(fan_out(work, range(2000), 8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert info.value.args == (1400,)
+    assert active[0] == 0 and active[1] <= 8
+
+
+def test_fan_out_yields_nothing_once_a_call_has_failed():
+    def work(i):
+        if i == 1:
+            raise ValueError(i)
+        time.sleep(0.05 if i == 0 else 0)
+        return i
+
+    got = []
+    with pytest.raises(ValueError):
+        for result in fan_out(work, range(10), 2):
+            got.append(result)
+    assert got == []  # item 0 ended after item 1 had failed
+
+
+def test_fan_out_memory_does_not_grow_with_the_item_count():
+    def peak(n):
+        tracemalloc.start()
+        try:
+            for _ in fan_out(lambda i: None, range(n), 2):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1_000), peak(50_000)
+    assert large < 64 * 1024 and large < 2 * small, (small, large)
 
 
 def test_verify_text_over_http_is_width_independent(http_server):
@@ -1266,6 +1360,9 @@ def test_generate_over_http_is_width_independent(http_server, tmp_path):
         if width == 4:
             assert recorder.max_active > 1
     assert outputs[4] == outputs[1]
+    # pinned, so a change in how records reach the file cannot move a byte
+    assert hashlib.sha256(outputs[1]).hexdigest() == (
+        "60f6faebf578ab7d98124a9126f7bdd464e9d6541b63f98e0bd3e68711b084e3")
     rows = [json.loads(line) for line in outputs[1].splitlines()[1:]]
     assert [r["record_id"] for r in rows] == [p.passage_id for p in passages if p != passages[3]]
     assert [r["retries"] for r in rows] == [0, 0, 0, 0, 1, 0, 0]

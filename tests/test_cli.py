@@ -407,6 +407,15 @@ def test_inputs_that_leave_nothing_to_do_are_refused_before_any_call(ws, capsys,
         (lambda c: c["profiles"]["nli"].update(max_in_flight=8, endpoint="http://nowhere",
                                                timeout=1, auth_env="NOPE"), "ingest",
          "max_in_flight"),
+        # An http backend's request carries no such field.
+        (lambda c: c["profiles"]["embed"].update(transport="http", endpoint="http://127.0.0.1:9",
+                                                 options={}, temperature=0.0), "index",
+         "temperature"),
+        (lambda c: c["profiles"]["nli"].update(transport="http", endpoint="http://127.0.0.1:9",
+                                               options={}, temperature=0.5), "ingest",
+         "temperature"),
+        (lambda c: c["profiles"]["judge"].update(transport="http", endpoint="http://127.0.0.1:9",
+                                                 options={}, max_batch=8), "ingest", "max_batch"),
         # Checked when the config loads, though only eval builds the judge.
         (lambda c: c["profiles"]["judge"]["options"].update(markers="implausibly"), "ingest",
          "markers"),
@@ -419,6 +428,8 @@ def test_inputs_that_leave_nothing_to_do_are_refused_before_any_call(ws, capsys,
          "infinite-timeout", "string-retry-backoff", "nan-retry-backoff",
          "negative-retry-backoff", "string-temperature", "zero-max-batch",
          "fractional-max-batch", "boolean-max-batch", "transport-fields-on-a-mock",
+         "temperature-on-an-http-embedder", "temperature-on-an-http-nli",
+         "max-batch-on-an-http-chat",
          "profile-ingest-never-builds", "profile-generate-never-builds"],
 )
 def test_unread_settings_are_named_errors(ws, capsys, change, command, key):
@@ -526,6 +537,23 @@ def test_generate_all_failures_exit_1(ws, capsys):
                 "--out", d / "r.jsonl", "--config", cfg])
     assert code == 1
     assert not (d / "r.jsonl").exists()
+
+
+def test_generate_all_failures_keep_an_existing_output(ws, capsys):
+    d = ws["dir"]
+    assert run(["ingest", "--pages", ws["pages"], "--out", d / "p.jsonl"]) == 0
+    (d / "empty_script.jsonl").write_text("")
+    config = json.loads(ws["config"].read_text())
+    config["profiles"]["gen"]["options"]["script"] = "empty_script.jsonl"
+    (d / "empty.json").write_text(json.dumps(config))
+    out = d / "r.jsonl"
+    out.write_bytes(b"earlier records\n")
+    before = sorted(d.iterdir())
+    assert run(["generate", "--passages", d / "p.jsonl", "--backend", "gen",
+                "--out", out, "--config", d / "empty.json"]) == 1
+    assert capsys.readouterr().err.endswith("error: every passage failed generation\n")
+    assert out.read_bytes() == b"earlier records\n"
+    assert sorted(d.iterdir()) == before  # no temporary file is left behind
 
 
 # --- derive ------------------------------------------------------------------------

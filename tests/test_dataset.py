@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,6 +247,47 @@ def test_split_ratio_extremes_clamp():
 def test_split_needs_two_records():
     with pytest.raises(FactforgeError, match="need at least 2 records to split"):
         split_train_val(synth_records(1), seed=0)
+
+
+def _windows(sizes):
+    """Stand-in records: `sizes[p]` windows of page p, each its own record."""
+    base = synth_record(0)
+    return [replace(base, record_id=f"p{p}:{w}", passage=replace(
+                base.passage, passage_id=f"p{p}:{w}", page_id=f"p{p}", start=w))
+            for p, n in enumerate(sizes) for w in range(n)]
+
+
+def test_split_needs_two_pages():
+    with pytest.raises(FactforgeError, match="at least 2 pages.*'p0'"):
+        split_train_val(_windows([3]), seed=0)
+
+
+@given(
+    sizes=st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=12),
+    ratio=st.floats(min_value=0.01, max_value=0.99),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=50)
+def test_split_keeps_each_page_on_one_side(sizes, ratio, seed):
+    records = _windows(sizes)
+    train, val = split_train_val(list(reversed(records)), ratio, seed)
+    assert (train, val) == split_train_val(records, ratio, seed)
+    train_pages = {r.passage.page_id for r in train}
+    val_pages = {r.passage.page_id for r in val}
+    assert train_pages and val_pages and not train_pages & val_pages
+    assert len(train_pages) == min(max(int(len(sizes) * ratio), 1), len(sizes) - 1)
+    assert sorted(r.record_id for r in train + val) == sorted(r.record_id for r in records)
+
+
+def test_one_record_per_page_splits_as_records_do():
+    """With one record per page, the page split is the seeded shuffle of the
+    records sorted by id."""
+    records = synth_records(23)
+    for seed in range(50):
+        ordered = sorted(records, key=lambda r: r.record_id)
+        random.Random(seed).shuffle(ordered)
+        n_train = min(max(int(len(ordered) * SPLIT_RATIO), 1), len(ordered) - 1)
+        assert split_train_val(records, seed=seed) == (ordered[:n_train], ordered[n_train:])
 
 
 @given(
