@@ -4,8 +4,8 @@ Every call is identified by a fingerprint (a hash of its kind and wire
 body), which keys scripted mock replay and is attached to backend
 errors. HTTP transports speak the common chat-completions / embeddings
 wire shapes over stdlib `http.client`, on kept-alive connections pooled per
-backend, and retry transient failures with exponential backoff (stretched
-by a 429/503 reply's Retry-After).
+backend, and retry transient failures after a random share of an exponential
+backoff (never less than a 429/503 reply's Retry-After).
 Deterministic mocks make the whole pipeline runnable offline.
 """
 
@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import os
+import random
 import socket
 import struct
 import threading
@@ -259,7 +260,7 @@ class _HttpBase:
         except BackendError as exc:
             exc.fingerprint = fp
             raise
-        except (LookupError, TypeError, AttributeError, ValueError) as exc:
+        except (LookupError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise MalformedResponse(
                 f"{self.path}: unexpected reply shape: {type(exc).__name__}: {exc}", fp
             ) from exc
@@ -311,7 +312,10 @@ class _HttpBase:
 
         Each attempt runs through `_exchange`, on a kept-alive connection
         where one is idle. A request re-sent there because the server had
-        closed the connection is not a retry.
+        closed the connection is not a retry. Retry n waits a uniform random
+        share of `retry_backoff` * 2**(n - 1), so calls that failed together
+        do not retry together, but never less than a 429/503 reply's
+        Retry-After (capped at the timeout).
         """
         import http.client
 
@@ -321,7 +325,7 @@ class _HttpBase:
         asked = 0.0  # delay the last 429/503 reply asked for, in seconds
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                backoff = self.profile.retry_backoff * 2 ** (attempt - 1)
+                backoff = random.random() * self.profile.retry_backoff * 2 ** (attempt - 1)
                 time.sleep(max(backoff, min(asked, self.profile.timeout)))
                 log.warning(
                     "retrying %s (attempt %d/%d, fingerprint %s)",
@@ -380,19 +384,30 @@ class HttpChatBackend(_HttpBase):
 class HttpEmbeddingBackend(_HttpBase):
     kind, path = KIND_EMBEDDING, "/embeddings"
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        """One vector per text, in order. Each run of at most `max_batch`
-        texts is its own request, with its own fingerprint and retries;
-        the requests fan out at `max_in_flight`. No texts, no request."""
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """One row per text, in order, in one (len(texts), d) float64 array.
+        Each run of at most `max_batch` texts is a request with its own
+        fingerprint and retries, fanned out at `max_in_flight` (a lone one
+        from the calling thread). A chunk of another width than the first is
+        a MalformedResponse. No texts, no request."""
+        import numpy as np  # imported here so subcommands that never embed skip it
+
         texts, model, step = list(texts), self.profile.model, self.profile.max_batch
-        starts = range(0, len(texts), step)  # one chunk is sent from the calling thread
-        return [vec for vecs in fan_out(
-            lambda i: self._call({"model": model, "input": texts[i:i + step]}),
-            starts, min(len(starts), self.max_in_flight)) for vec in vecs]
+        bodies = [{"model": model, "input": texts[i:i + step]} for i in range(0, len(texts), step)]
+        out = np.empty((0, 0))
+        for n, block in enumerate(fan_out(self._call, bodies,
+                                          min(len(bodies), self.max_in_flight))):
+            out = out if n else np.empty((len(texts), block.shape[1]))
+            if block.shape[1] != out.shape[1]:
+                fp = request_fingerprint({"kind": self.kind, **bodies[n]})
+                raise MalformedResponse(f"{self.path}: chunk {n} has width {block.shape[1]}, "
+                                        f"chunk 0 {out.shape[1]}", fp)
+            out[n * step:(n + 1) * step] = block
+        return out
 
     @staticmethod
-    def _decode(reply: Any, body: Mapping[str, Any]) -> list[np.ndarray]:
-        import numpy as np  # imported here so subcommands that never embed skip it
+    def _decode(reply: Any, body: Mapping[str, Any]) -> np.ndarray:
+        import numpy as np
 
         rows = reply["data"]
         # A row without an index stands at its row position.
@@ -401,12 +416,13 @@ class HttpEmbeddingBackend(_HttpBase):
             raise MalformedResponse(
                 f"asked for {len(body['input'])} embeddings, got indexes {indexes}"
             )
-        vecs = [np.asarray(row["embedding"], dtype=np.float64)
-                for _, row in sorted(zip(indexes, rows), key=lambda pair: pair[0])]
+        # Ragged rows are numpy's ValueError, which _call makes a MalformedResponse.
+        block = np.array([row["embedding"] for row in rows], dtype=np.float64)
+        block = block[np.argsort(indexes)]
         # json.loads reads NaN, Infinity and overflowing literals as non-finite floats.
-        if any(v.ndim != 1 or not np.isfinite(v).all() for v in vecs):
+        if block.ndim != 2 or not np.isfinite(block).all():
             raise MalformedResponse("an embedding is not a flat list of finite numbers")
-        return vecs
+        return block
 
 
 class HttpNliBackend(_HttpBase):
@@ -490,9 +506,9 @@ class HashedBowEmbedder:
     A token's bucket is the first four bytes of its sha256 digest, read as a
     big-endian word, modulo the dimension; the low bit of the fifth byte sets
     its sign (1 for +1). Each distinct token of a batch is hashed once. Each
-    text's signed token counts are summed per bucket and the vector is
-    L2-normalized, so identical texts embed identically, as float64 vectors
-    of shape (dimension,).
+    text's signed token counts are summed per bucket and the row is
+    L2-normalized, so identical texts embed identically. `embed` returns one
+    (len(texts), dimension) float64 array.
     """
 
     def __init__(self, profile: BackendProfile, dimension: int = 64):
@@ -501,15 +517,15 @@ class HashedBowEmbedder:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
         import numpy as np  # imported here so subcommands that never embed skip it
 
         # Bound once: the loop below runs per token occurrence.
         dimension, sha256, unpack = self.dimension, hashlib.sha256, _DIGEST_HEAD.unpack_from
         slots: dict[str, int] = {}  # token -> its bucket if its sign is +1, else ~bucket
         get = slots.get
-        vecs = []
-        for text in texts:
+        out = np.empty((len(texts), dimension))
+        for row, text in zip(out, texts):
             buckets, signs = [], []
             for token in tokenize(text):
                 slot = get(token)
@@ -523,13 +539,12 @@ class HashedBowEmbedder:
                     buckets.append(~slot)
                     signs.append(-1.0)
             # Entries are sums of +-1, so they and their squared norm are exact
-            # in any order. bincount gives int64 when nothing is counted.
-            vec = np.bincount(buckets, signs, dimension).astype(np.float64, copy=False)
-            norm = math.sqrt(vec.dot(vec))  # what np.linalg.norm computes, minus its checks
+            # in any order.
+            row[:] = np.bincount(buckets, signs, dimension)
+            norm = math.sqrt(row.dot(row))  # what np.linalg.norm computes, minus its checks
             if norm > 0:
-                vec /= norm
-            vecs.append(vec)
-        return vecs
+                row /= norm
+        return out
 
 
 class RuleNliBackend:

@@ -188,7 +188,10 @@ def _cmd_generate(args: argparse.Namespace, config: RunConfig) -> int:
     if not passages:
         raise FactforgeError(f"no passages found in {args.passages}")
 
+    flagged = 0  # records whose falsification did not land
+
     def kept():  # raises inside the write, so an existing output file stays
+        nonlocal flagged
         kept_any = False
         results = be.fan_out(_caught(lambda p: synthgen.generate_record(p, chat, args.max_retries)),
                              passages, be.fan_width(chat))
@@ -197,12 +200,14 @@ def _cmd_generate(args: argparse.Namespace, config: RunConfig) -> int:
                 log.warning("dropping passage %s: %s", passage.passage_id, result)
             else:
                 kept_any = True
+                flagged += not synthgen.FALSIFICATION_WARNINGS.isdisjoint(result.validation.warnings)
                 yield result
         if not kept_any:
             raise FactforgeError("every passage failed generation")
 
     n = synthgen.write_records(args.out, kept())
-    log.info("generated %d records (%d passages dropped) -> %s", n, len(passages) - n, args.out)
+    log.info("generated %d records (%d passages dropped, %d with a falsification warning) -> %s",
+             n, len(passages) - n, flagged, args.out)
     return 0
 
 

@@ -30,6 +30,9 @@ _BLOCK_BYTES = 1 << 18
 # over after the last whole group are summed in another order; aligned blocks
 # keep every row in the group it has in one product over the whole matrix.
 _BLOCK_ALIGN = 16
+# index_build embeds at most this many passages per call, so it holds the
+# float32 matrix and one run's float64 rows at once, at any corpus size.
+_EMBED_RUN = 8192
 
 
 def _row_blocks(n: int, dim: int) -> Iterator[slice]:
@@ -48,16 +51,6 @@ def _row_blocks(n: int, dim: int) -> Iterator[slice]:
             stop = n
         yield slice(start, stop)
         start = stop
-
-
-def as_vector(values) -> np.ndarray:
-    """Validate and convert one embedding to a 1-D finite float64 array."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("embedding contains non-finite values")
-    return arr
 
 
 class PassageIndex:
@@ -102,11 +95,13 @@ class PassageIndex:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        q = as_vector(query_vec)
+        q = np.asarray(query_vec, dtype=np.float64)
+        if q.ndim != 1:
+            raise ValueError(f"expected 1-D vector, got shape {q.shape}")
         if q.shape[0] != self.dimension:
-            raise FactforgeError(
-                f"query has dimension {q.shape[0]}, index has {self.dimension}"
-            )
+            raise FactforgeError(f"query has dimension {q.shape[0]}, index has {self.dimension}")
+        if not np.isfinite(q).all():
+            raise ValueError("query contains non-finite values")
         n = len(self._ids)
         # Bit for bit the scores of one product self._matrix.astype(np.float64) @ q
         # on one BLAS thread, without that product's float64 copy of the matrix.
@@ -188,8 +183,11 @@ def _read_str(fh, limit: int) -> str:
 def index_build(passages: Iterable, embedder) -> PassageIndex:
     """Embed passages and build the index.
 
-    Accepts Passage objects or (passage_id, text) pairs. All embeddings
-    must share one dimension; duplicate ids and empty input are errors.
+    Accepts Passage objects or (passage_id, text) pairs. Each run of at
+    most _EMBED_RUN passages is one `embed` call, which returns an (n, d)
+    array (or rows numpy reads as one), cast into one preallocated float32
+    matrix; a run of another width than the first is refused. Duplicate ids
+    and empty input are errors.
     """
     ids: list[str] = []
     texts: list[str] = []
@@ -203,18 +201,21 @@ def index_build(passages: Iterable, embedder) -> PassageIndex:
             texts.append(text)
     if not ids:
         raise FactforgeError("cannot build an index with zero passages")
-    vectors = embedder.embed(texts)
-    if len(vectors) != len(ids):
-        raise ValueError(f"embedded {len(vectors)} vectors for {len(ids)} passages")
-    first = np.shape(vectors[0])
-    for pid, shape in zip(ids, map(np.shape, vectors)):
-        if len(shape) != 1:
-            raise ValueError(f"expected 1-D vector, got shape {shape}")
-        if shape != first:
-            raise FactforgeError(
-                f"passage {pid!r} embedded with dimension {shape[0]}, expected {first[0]}"
-            )
-    return PassageIndex(ids, texts, np.asarray(vectors, dtype=np.float32))  # checks finiteness
+    matrix = np.empty((0, 0), dtype=np.float32)
+    for start in range(0, len(ids), _EMBED_RUN):
+        run = texts[start:start + _EMBED_RUN]
+        rows = np.asarray(embedder.embed(run))  # rows of different lengths: ValueError
+        if rows.ndim != 2:
+            raise ValueError(f"expected an (n, d) array of vectors, got shape {rows.shape}")
+        if len(rows) != len(run):
+            raise ValueError(f"embedded {len(rows)} vectors for {len(run)} passages")
+        matrix = matrix if start else np.empty((len(ids), rows.shape[1]), dtype=np.float32)
+        if rows.shape[1] != matrix.shape[1]:
+            raise FactforgeError(f"passages from {start} embedded with dimension "
+                                 f"{rows.shape[1]}, expected {matrix.shape[1]}")
+        matrix[start:start + len(run)] = rows
+        del rows  # before the next run is embedded
+    return PassageIndex(ids, texts, matrix)  # checks finiteness
 
 
 def recall_at_k(hits: Sequence[tuple[str, float]], relevant: Iterable[str],

@@ -18,7 +18,7 @@ from typing import Iterable
 from . import jsonlio
 from .corpus import Passage
 from .errors import FactforgeError, OutputParseError
-from .textnorm import normalize_for_match, unigram_jaccard
+from .textnorm import normalize_for_match, tokenize, unigram_jaccard
 
 CLAIM_WORD_LIMIT = 15
 PARAPHRASE_OVERLAP_CEILING = 0.9
@@ -38,6 +38,11 @@ WARN_PARAPHRASE_TOO_LITERAL = "factual_text_overlaps_passage"
 WARN_TWIN_DIVERGES = "unfactual_text_far_from_factual"
 WARN_ORIGINAL_FUZZY_MATCH = "original_matched_fuzzily"
 WARN_DUPLICATE_CLAIMS = "duplicate_claims"
+# The falsification's new tokens, in the twin that should not or the one
+# that should hold them: `derive` then writes two wrong gold labels.
+WARN_FALSIFICATION_MISSING = "unfactual_text_lacks_falsification"
+WARN_FALSIFICATION_LEAKED = "factual_text_has_falsification"
+FALSIFICATION_WARNINGS = frozenset({WARN_FALSIFICATION_MISSING, WARN_FALSIFICATION_LEAKED})
 
 
 DEFAULT_MAX_RETRIES = 2
@@ -184,8 +189,10 @@ def validate_record(passage: Passage, outputs: StepOutputs) -> ValidationReport:
     unigram-overlap fallback accepted as a warning); altered equal to
     original; empty factual or unfactual text. Warnings cover over-long
     claims, a paraphrase that copies the passage too literally, an
-    unfactual twin that strays too far from the paraphrase, and duplicate
-    claims.
+    unfactual twin that strays too far from the paraphrase, duplicate
+    claims, and a falsification that did not land: the altered claim's
+    tokens that the original lacks, when there are any, are all absent from
+    the unfactual text, or all present in the factual one.
     """
     hard: list[str] = []
     warnings: list[str] = []
@@ -221,6 +228,12 @@ def validate_record(passage: Passage, outputs: StepOutputs) -> ValidationReport:
     if outputs.factual_text.strip() and outputs.unfactual_text.strip():
         if unigram_jaccard(outputs.unfactual_text, outputs.factual_text) < TWIN_OVERLAP_FLOOR:
             warnings.append(WARN_TWIN_DIVERGES)
+
+    new = set(tokenize(outputs.altered)) - set(tokenize(outputs.original))
+    if new and not new & set(tokenize(outputs.unfactual_text)):
+        warnings.append(WARN_FALSIFICATION_MISSING)
+    if new and new <= set(tokenize(outputs.factual_text)):
+        warnings.append(WARN_FALSIFICATION_LEAKED)
 
     return ValidationReport(tuple(hard), tuple(warnings))
 

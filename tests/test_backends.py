@@ -8,6 +8,7 @@ import http.client
 import json
 import math
 import os
+import random
 import socket
 import struct
 import subprocess
@@ -337,9 +338,11 @@ def test_embedder_matches_the_per_token_oracle(dimension, batched):
     # Batched, each distinct token is hashed once for the whole batch; alone,
     # a text has no batch-mates sharing its tokens. Both give the oracle's bytes.
     emb = _embedder(dimension)
-    assert emb.embed([]) == []
+    nothing = emb.embed([])
+    assert nothing.dtype == np.float64 and nothing.shape == (0, dimension)
     if batched:
         vecs = emb.embed(_ORACLE_TEXTS)
+        assert vecs.flags.c_contiguous and vecs.shape == (len(_ORACLE_TEXTS), dimension)
     else:
         vecs = [vec for text in _ORACLE_TEXTS for vec in emb.embed([text])]
     assert len(vecs) == len(_ORACLE_TEXTS)
@@ -645,7 +648,8 @@ def test_http_embeddings_a_failing_chunk_stops_later_chunks(http_server):
 def test_http_embeddings_of_nothing_send_nothing(http_server):
     endpoint, recorder = http_server([(200, {"data": []})])
     http = HttpEmbeddingBackend(_http_profile(endpoint, kind="embedding"))
-    assert http.embed([]) == []
+    nothing = http.embed([])
+    assert nothing.dtype == np.float64 and nothing.shape == (0, 0)
     assert recorder.requests == []
 
 
@@ -736,6 +740,70 @@ def test_http_non_finite_embeddings_are_malformed(http_server, literal):
     assert len(recorder.requests) == 1  # not retried
     assert info.value.fingerprint == request_fingerprint(
         {"kind": "embedding", **recorder.requests[0]["body"]})
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 13])  # 1, max_batch, max_batch + 1, 3 * max_batch + 1
+def test_http_embed_returns_one_float64_block(http_server, n):
+    texts = [f"text {i} of {n} words" for i in range(n)]
+    embedder = synth_embedder(16)
+    endpoint, recorder = http_server(embedding_reply(embedder))
+    http = HttpEmbeddingBackend(_http_profile(endpoint, kind="embedding", max_batch=4))
+    vecs = http.embed(texts)
+    assert type(vecs) is np.ndarray and vecs.dtype == np.float64
+    assert vecs.shape == (n, 16) and vecs.flags.c_contiguous
+    assert vecs.tobytes() == embedder.embed(texts).tobytes()
+    # One request per run of max_batch texts, each body as before.
+    sent = sorted(r["raw"] for r in recorder.requests)
+    assert sent == sorted(json.dumps({"model": "test-model", "input": texts[i:i + 4]}).encode()
+                          for i in range(0, n, 4))
+
+
+def test_http_ragged_embedding_rows_are_malformed(http_server):
+    body = {"data": [{"index": 0, "embedding": [1.0, 2.0]}, {"index": 1, "embedding": [3.0]}]}
+    endpoint, recorder = http_server([(200, body)])
+    emb = HttpEmbeddingBackend(_http_profile(endpoint, kind="embedding"))
+    with pytest.raises(MalformedResponse, match="unexpected reply shape: ValueError") as info:
+        emb.embed(["a", "b"])
+    assert len(recorder.requests) == 1  # not retried
+    assert info.value.fingerprint == request_fingerprint(
+        {"kind": "embedding", **recorder.requests[0]["body"]})
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 3])
+def test_http_embedding_chunks_of_different_widths_are_malformed(http_server, max_in_flight):
+    def respond(request):
+        texts = request["body"]["input"]
+        width = 3 if "t2" in texts else 2
+        return 200, {"data": [{"index": i, "embedding": [0.5] * width} for i in range(len(texts))]}
+
+    endpoint, _ = http_server(respond)
+    http = HttpEmbeddingBackend(_http_profile(endpoint, kind="embedding", max_batch=2,
+                                              max_in_flight=max_in_flight))
+    with pytest.raises(MalformedResponse, match="chunk 1 has width 3, chunk 0 2") as info:
+        http.embed([f"t{i}" for i in range(6)])
+    assert info.value.fingerprint == request_fingerprint(
+        {"kind": "embedding", "model": "test-model", "input": ["t2", "t3"]})
+
+
+def test_http_integer_embeddings_decode_as_floats(http_server):
+    body = {"data": [{"index": 1, "embedding": [3, 4.5, 6]}, {"index": 0, "embedding": [1, -2, 0]}]}
+    endpoint, _ = http_server([(200, body)])
+    vecs = HttpEmbeddingBackend(_http_profile(endpoint, kind="embedding")).embed(["a", "b"])
+    assert vecs.dtype == np.float64
+    assert vecs.tolist() == [[1.0, -2.0, 0.0], [3.0, 4.5, 6.0]]
+
+
+@pytest.mark.parametrize("kind", ["embedding", "nli"])
+def test_http_integer_too_large_for_a_float_is_malformed(http_server, kind):
+    huge = b"1" + b"0" * 400  # json.loads reads it as an int that no float holds
+    raw = {"embedding": b'{"data": [{"index": 0, "embedding": [%s]}]}' % huge,
+           "nli": b'{"entailment": %s, "neutral": 0, "contradiction": 0}' % huge}[kind]
+    endpoint, recorder = http_server([(200, raw)])
+    backend = build_backend(_http_profile(endpoint, kind=kind))
+    with pytest.raises(MalformedResponse, match="OverflowError") as info:
+        backend.embed(["t"]) if kind == "embedding" else backend.classify("p", "h")
+    assert info.value.fingerprint == request_fingerprint(
+        {"kind": kind, **recorder.requests[0]["body"]})
 
 
 def test_http_concurrency_respects_max_in_flight(http_server):
@@ -1026,8 +1094,8 @@ def test_http_request_body_bytes_are_pinned(http_server):
         (429, "1", 5.0, 1.0),
         (503, "1", 5.0, 1.0),
         (429, "3600", 0.3, 0.3),  # never longer than the timeout
-        (503, "Wed, 21 Oct 2015 07:28:00 GMT", 5.0, 0.01),  # HTTP-date: backoff
-        (429, "1.5", 5.0, 0.01),  # not delay-seconds: backoff
+        (503, "Wed, 21 Oct 2015 07:28:00 GMT", 5.0, 0.005),  # HTTP-date: backoff
+        (429, "1.5", 5.0, 0.005),  # not delay-seconds: backoff
     ],
     ids=["429", "503", "capped", "http-date", "malformed"],
 )
@@ -1041,6 +1109,7 @@ def test_http_retry_after_delays_the_retry(http_server, monkeypatch, status, ret
         real_sleep(seconds)
 
     monkeypatch.setattr(backends, "time", types.SimpleNamespace(sleep=recorded_sleep))
+    monkeypatch.setattr(random, "random", lambda: 0.5)  # half the 0.01 s backoff
     endpoint, recorder = http_server(
         [(status, {}, {"Retry-After": retry_after}), (200, _CHAT_OK)])
     chat = HttpChatBackend(_http_profile(endpoint, timeout=timeout, retry_backoff=0.01))
@@ -1048,6 +1117,33 @@ def test_http_retry_after_delays_the_retry(http_server, monkeypatch, status, ret
     assert sleeps == [wait]
     first, second = recorder.requests
     assert second["at"] - first["at"] >= wait
+
+
+def test_http_retry_sleeps_a_random_share_of_the_backoff(http_server, monkeypatch):
+    sleeps, draws = [], iter([0.25, 0.5, 0.75])
+    monkeypatch.setattr(backends, "time", types.SimpleNamespace(sleep=sleeps.append))
+    monkeypatch.setattr(random, "random", lambda: next(draws))
+    endpoint, recorder = http_server([(500, {})])
+    chat = HttpChatBackend(_http_profile(endpoint, retry_backoff=0.4))
+    with pytest.raises(BackendTimeout):
+        chat.complete([{"role": "user", "content": "x"}])
+    assert sleeps == [0.25 * 0.4, 0.5 * 0.4 * 2, 0.75 * 0.4 * 4]
+    assert len(recorder.requests) == 4  # initial try plus three retries
+
+
+def test_http_retry_after_is_a_floor_under_the_jitter(http_server, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(backends, "time", types.SimpleNamespace(sleep=sleeps.append))
+    monkeypatch.setattr(random, "random", lambda: 0.5)
+    endpoint, recorder = http_server([
+        (503, {}, {"Retry-After": "1"}),   # above half the 0.4 s backoff: 1 s
+        (429, {}, {"Retry-After": "9"}),   # capped at the 1.5 s timeout
+        (503, {}, {"Retry-After": "0"}),   # below half the 1.6 s backoff: 0.8 s
+        (200, _CHAT_OK)])
+    chat = HttpChatBackend(_http_profile(endpoint, timeout=1.5, retry_backoff=0.4))
+    assert chat.complete([{"role": "user", "content": "x"}]) == "Factual"
+    assert sleeps == [1.0, 1.5, 0.5 * 0.4 * 4]
+    assert len(recorder.requests) == 4
 
 
 def test_http_calls_run_without_requests_installed(http_server):

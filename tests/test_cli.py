@@ -523,6 +523,36 @@ def test_generate_drops_unscripted_passages(pipeline, capsys):
     assert len(_rows(out)) - 1 == pipeline["n_pages"]  # rogue dropped, rest kept
 
 
+def test_generate_counts_records_whose_falsification_did_not_land(ws, caplog):
+    d = ws["dir"]
+    assert run(["ingest", "--pages", ws["pages"], "--out", d / "p.jsonl",
+                "--sample-per-page", "--seed", 0]) == 0
+    passages = [Passage(r["passage_id"], r["page_id"], r["start"], tuple(r["sentences"]))
+                for r in _rows(d / "p.jsonl")]
+    entries = []
+    for i, passage in enumerate(passages):
+        answer = json.loads(step_json_for(passage))
+        if i == 0:  # the twin repeats the original claim
+            answer["step_4"] = answer["step_3"]
+        elif i == 1:  # the factual text holds the falsification
+            answer["step_3"] = answer["step_4"]
+        entries.append(_chat_entry(build_unified_prompt(passage), json.dumps(answer)))
+    (d / "flagged_script.jsonl").write_text("\n".join(json.dumps(e) for e in entries) + "\n")
+    config = json.loads(ws["config"].read_text())
+    config["profiles"]["gen"]["options"]["script"] = "flagged_script.jsonl"
+    (d / "flagged.json").write_text(json.dumps(config))
+    with caplog.at_level("INFO", logger="factforge"):
+        assert run(["generate", "--passages", d / "p.jsonl", "--backend", "gen",
+                    "--out", d / "r.jsonl", "--config", d / "flagged.json"]) == 0
+    assert (f"generated {len(passages)} records (0 passages dropped, "
+            "2 with a falsification warning)") in caplog.text
+    flagged = [{"unfactual_text_lacks_falsification", "factual_text_has_falsification"}
+               & set(row["validation"]["warnings"]) for row in _rows(d / "r.jsonl")[1:]]
+    assert flagged[:2] == [{"unfactual_text_lacks_falsification"},
+                           {"factual_text_has_falsification"}]
+    assert len(flagged) == len(passages) > 2 and not any(flagged[2:])
+
+
 def test_generate_all_failures_exit_1(ws, capsys):
     d = ws["dir"]
     assert run(["ingest", "--pages", ws["pages"], "--out", d / "p.jsonl",

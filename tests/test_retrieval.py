@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import struct
 import tracemalloc
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from factforge.backends import BackendProfile, HttpEmbeddingBackend
+from factforge import retrieval
 from factforge.errors import FactforgeError, MalformedRecord
 from factforge.retrieval import (
     PassageIndex,
@@ -155,6 +157,45 @@ def test_index_build_over_http_holds_one_chunk_of_json(http_server):
     assert peak < 5 * n * dim * 4
 
 
+def test_index_build_holds_the_matrix_and_one_run(monkeypatch, tmp_path):
+    n, dim, run = 5_500, 256, 1_000
+    rng = random.Random(0)
+    vocab = [f"w{i}" for i in range(2_000)]
+    pairs = [(f"p{i}", " ".join(rng.choices(vocab, k=30))) for i in range(n)]
+    embedder = synth_embedder(dim)
+    index_build(pairs, embedder).save(tmp_path / "one_run.bin")  # n < _EMBED_RUN: one call
+    monkeypatch.setattr(retrieval, "_EMBED_RUN", run)
+    sizes = []
+
+    class Counting:
+        def embed(self, texts):
+            sizes.append(len(texts))
+            return embedder.embed(texts)
+
+    idx, peak = _traced_peak(lambda: index_build(pairs, Counting()))
+    assert sizes == [run] * 5 + [500]
+    idx.save(tmp_path / "runs.bin")
+    assert (tmp_path / "runs.bin").read_bytes() == (tmp_path / "one_run.bin").read_bytes()
+    # The float32 matrix plus one run's float64 rows and the index's tables;
+    # every row held as float64 at once would be twice the matrix alone.
+    assert peak < n * dim * 4 + 2 * run * dim * 8
+
+
+def test_index_build_refuses_a_run_of_another_width(monkeypatch):
+    monkeypatch.setattr(retrieval, "_EMBED_RUN", 2)
+
+    class Emb:
+        def embed(self, texts):
+            return np.ones((len(texts), 3 if "z" in texts else 2))
+
+    pairs = [("a", "x"), ("b", "y"), ("c", "z")]
+    with pytest.raises(FactforgeError,
+                       match="passages from 2 embedded with dimension 3, expected 2"):
+        index_build(pairs, Emb())
+    with pytest.raises(ValueError, match="embedded 1 vectors for 2 passages"):
+        index_build(pairs, type("Short", (), {"embed": lambda self, texts: np.ones((1, 2))})())
+
+
 def test_load_peak_memory_holds_one_matrix(tmp_path):
     idx, path, matrix_bytes = _memory_index(tmp_path)
     del idx
@@ -203,7 +244,8 @@ def test_index_build_checks_every_vector():
             return self.vectors
 
     pairs = [("a", "x"), ("b", "y"), ("c", "z")]
-    with pytest.raises(FactforgeError, match=r"passage 'c' embedded with dimension 3, expected 2"):
+    # Rows of different lengths are refused as a whole, by numpy.
+    with pytest.raises(ValueError, match="inhomogeneous"):
         index_build(pairs, Emb([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0, 1.0]]))
     with pytest.raises(ValueError, match="non-finite"):
         index_build(pairs, Emb([[1.0, 0.0], [0.0, 1.0], [1.0, float("inf")]]))

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from factforge.corpus import Passage
+from factforge.corpus import Page, Passage, page_passages
 from factforge.errors import BackendError, FactforgeError, MalformedRecord, OutputParseError
 from factforge.synthgen import (
     CLAIM_WORD_LIMIT,
+    FALSIFICATION_WARNINGS,
     HARD_ALTERED_EQUALS_ORIGINAL,
     HARD_EMPTY_CLAIMS,
     HARD_ORIGINAL_NOT_IN_CLAIMS,
@@ -20,6 +22,8 @@ from factforge.synthgen import (
     UNIFIED_PROMPT_OUTPUT_FORMAT,
     WARN_CLAIM_TOO_LONG,
     WARN_DUPLICATE_CLAIMS,
+    WARN_FALSIFICATION_LEAKED,
+    WARN_FALSIFICATION_MISSING,
     WARN_ORIGINAL_FUZZY_MATCH,
     WARN_PARAPHRASE_TOO_LITERAL,
     WARN_TWIN_DIVERGES,
@@ -44,6 +48,7 @@ from conftest import (
     amazon_step_json,
     golden,
     scripted_chat_for,
+    synth_record,
 )
 
 # --- prompt assembly ------------------------------------------------------------
@@ -275,6 +280,75 @@ def test_validate_unrelated_twin_warns():
         _outputs(unfactual_text="Entirely different topic about submarines."),
     )
     assert WARN_TWIN_DIVERGES in report.warnings
+
+
+def test_validate_twin_that_repeats_the_original_claim_is_flagged():
+    # The unfactual text restates the original claim: the falsification's new
+    # token is nowhere in it, so derive would label a true text false.
+    record = synth_record(3)
+    report = validate_record(record.passage, replace(
+        record.outputs, unfactual_text=record.outputs.factual_text))
+    assert report.ok
+    assert report.warnings == (WARN_FALSIFICATION_MISSING,)
+
+
+def test_validate_factual_text_holding_the_falsification_is_flagged():
+    report = validate_record(amazon_passage(), _outputs(factual_text=AMAZON_UNFACTUAL))
+    assert report.ok
+    assert report.warnings == (WARN_FALSIFICATION_LEAKED,)
+
+
+def test_validate_partial_falsification_tokens():
+    # One new token in the unfactual text is enough; only all of them in the
+    # factual text is a leak.
+    outputs = _outputs(claims=("The tower is 300 metres tall.",),
+                       original="The tower is 300 metres tall.",
+                       altered="The mast is 300 feet tall.",
+                       factual_text="The mast stands 300 metres tall.",
+                       unfactual_text="The tower stands 300 feet tall.")
+    report = validate_record(amazon_passage(), outputs)
+    assert FALSIFICATION_WARNINGS.isdisjoint(report.warnings)
+    report = validate_record(amazon_passage(), replace(outputs, factual_text="The mast, 300 feet."))
+    assert WARN_FALSIFICATION_LEAKED in report.warnings
+
+
+def test_validate_falsification_without_new_tokens_is_not_flagged():
+    # A reordering adds no token, so there is nothing to look for.
+    outputs = _outputs(claims=("Ana met Bo.",), original="Ana met Bo.", altered="Bo met Ana.",
+                       factual_text="Ana met Bo.", unfactual_text="Ana met Bo.")
+    assert FALSIFICATION_WARNINGS.isdisjoint(validate_record(amazon_passage(), outputs).warnings)
+
+
+def _demo_twins():
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_pipeline_demo.py"
+    spec = importlib.util.spec_from_file_location("run_pipeline_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    for pid, title, sentences in demo.TOPICS:
+        for passage in page_passages(Page(pid, title, " ".join(sentences))):
+            yield passage, demo.scripted_outputs(passage)
+
+
+def test_pinned_twins_carry_no_falsification_warning():
+    # Artifacts pinned byte for byte must not move: the worked example, the
+    # synthetic records, the demo's twins and the benchmark's (its server
+    # alters a window's first claim to "<claim>, implausibly.").
+    twins = [(amazon_passage(), _outputs())]
+    twins += [(r.passage, r.outputs) for r in map(synth_record, range(50))]
+    demo = list(_demo_twins())
+    assert demo
+    twins += demo
+    for i in range(20):
+        sentences = tuple(f"Item{i} has property{i}x{j} and value{i}x{j}." for j in range(3))
+        passage = Passage(passage_id=f"b{i}:0", page_id=f"b{i}", start=0, sentences=sentences)
+        altered = sentences[0].rstrip(".") + ", implausibly."
+        twins.append((passage, StepOutputs(sentences, altered, sentences[0], " ".join(sentences),
+                                           " ".join((altered, *sentences[1:])))))
+    for passage, outputs in twins:
+        report = validate_record(passage, outputs)
+        assert FALSIFICATION_WARNINGS.isdisjoint(report.warnings), passage.passage_id
 
 
 # --- generate_record -----------------------------------------------------------------
