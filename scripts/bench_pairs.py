@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Paired benchmark runs: the working tree against a parent revision.
+"""Paired benchmark runs: HEAD against a parent revision.
 
     python3 scripts/bench_pairs.py --workload pipeline_http --pairs 10 \\
-        --seconds 25 --seed 501 --parent HEAD^ --out .
+        --seed 501 --parent HEAD^ --out .
 
-Run it inside the repository. It checks `--parent` out with `git worktree
-add --detach` into a temporary directory and runs `perfbench/run.py --trace
-0` in both trees, once per side for each pair. Pair i uses seed `--seed` + i
-on both sides, and runs the parent first when i is even, the working tree
-first when it is odd, so a host that drifts during the session moves both
-sides alike.
+Run it inside the repository, on a clean checkout: it refuses to run while
+tracked files differ from HEAD, so the revision it records is the code it
+measured. It checks `--parent` out with `git worktree add --detach` into a
+temporary directory and runs `perfbench/run.py --trace 0` in both trees,
+once per side for each pair, each run as long as BENCHMARK.json's
+`run_seconds`. Pair i uses seed `--seed` + i on both sides, and runs the
+parent first when i is even, the checkout first when it is odd, so a host
+that drifts during the session moves both sides alike.
 
 For each end-to-end metric in BENCHMARK.json it prints the two medians, the
 parent's interquartile range (quartiles by linear interpolation), the median
@@ -96,7 +98,7 @@ def compare(workload: str, args, repo: Path, parent_tree: Path, spec: dict, revs
     for i, seed in enumerate(seeds):
         sides = [("parent", parent_tree), ("change", repo)]
         for position, (side, tree) in enumerate(sides if i % 2 == 0 else sides[::-1]):
-            result = run_once(tree, workload, seed, args.seconds)
+            result = run_once(tree, workload, seed, spec["run_seconds"])
             print(f"{workload} pair {i + 1}/{len(seeds)} (seed {seed}): {side} run "
                   + ("correct" if result["correct"] else "NOT correct"), file=sys.stderr)
             runs.append({"pair": i, "seed": seed, "side": side, "position": position, **result})
@@ -116,8 +118,8 @@ def compare(workload: str, args, repo: Path, parent_tree: Path, spec: dict, revs
                  f"{s['parent_median']:.6g} by more than {s['bound']:.0%}"
                  for name, s in summary.items() if not s["within_bound"]]
     print(f"{workload}: {len(seeds)} pairs, seeds {seeds[0]}-{seeds[-1]}, "
-          f"{args.seconds:g} s runs, parent {revs['parent'][:12]} vs change {revs['change'][:12]}"
-          + (" with uncommitted changes" if revs["uncommitted"] else ""))
+          f"{spec['run_seconds']:g} s runs, parent {revs['parent'][:12]} "
+          f"vs change {revs['change'][:12]}")
     for name, s in summary.items():
         ratio = "n/a" if s["median_ratio"] is None else f"{s['median_ratio']:.4f}"
         print(f"  {name} [{s['unit']}, {s['better']} is better, bound {s['bound']:g}]: "
@@ -128,7 +130,7 @@ def compare(workload: str, args, repo: Path, parent_tree: Path, spec: dict, revs
         print(f"  FAIL {failure}")
     if args.out is not None:
         report = {
-            "workload": workload, "seconds": args.seconds, "seeds": seeds,
+            "workload": workload, "seconds": spec["run_seconds"], "seeds": seeds,
             "revs": revs, "cpu_count": os.cpu_count(), "python": platform.python_version(),
             "runs": runs, "summary": summary,
         }
@@ -144,7 +146,6 @@ def main() -> int:
     ap.add_argument("--workload", action="append", default=None,
                     help="a workload of BENCHMARK.json (repeatable; default: all of them)")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25.0, help="each run's measured phase")
     ap.add_argument("--seed", type=int, default=1, help="the first pair's seed")
     ap.add_argument("--parent", default="HEAD^", help="the revision to compare against")
     ap.add_argument("--out", type=Path, default=None, help="directory for BENCH_<workload>.json")
@@ -155,9 +156,10 @@ def main() -> int:
     repo = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
     spec = json.loads((repo / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    if git(repo, "status", "--porcelain", "--untracked-files=no"):
+        ap.error("tracked files differ from HEAD; commit or stash them first")
     revs = {"parent": git(repo, "rev-parse", "--verify", f"{args.parent}^{{commit}}"),
-            "change": git(repo, "rev-parse", "HEAD"),
-            "uncommitted": bool(git(repo, "status", "--porcelain", "--untracked-files=no"))}
+            "change": git(repo, "rev-parse", "HEAD")}
 
     # SIGTERM unwinds like Ctrl-C, so the worktree is removed either way.
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))

@@ -312,10 +312,10 @@ class _HttpBase:
 
         Each attempt runs through `_exchange`, on a kept-alive connection
         where one is idle. A request re-sent there because the server had
-        closed the connection is not a retry. Retry n waits a uniform random
-        share of `retry_backoff` * 2**(n - 1), so calls that failed together
-        do not retry together, but never less than a 429/503 reply's
-        Retry-After (capped at the timeout).
+        closed the connection is not a retry. Retry n waits between half and
+        all of `retry_backoff` * 2**(n - 1), drawn uniformly, so calls that
+        failed together do not retry together, but never less than a 429/503
+        reply's Retry-After (capped at the timeout).
         """
         import http.client
 
@@ -325,7 +325,8 @@ class _HttpBase:
         asked = 0.0  # delay the last 429/503 reply asked for, in seconds
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                backoff = random.random() * self.profile.retry_backoff * 2 ** (attempt - 1)
+                base = self.profile.retry_backoff * 2 ** (attempt - 1)
+                backoff = (0.5 + random.random() / 2) * base
                 time.sleep(max(backoff, min(asked, self.profile.timeout)))
                 log.warning(
                     "retrying %s (attempt %d/%d, fingerprint %s)",

@@ -43,6 +43,12 @@ WARN_DUPLICATE_CLAIMS = "duplicate_claims"
 WARN_FALSIFICATION_MISSING = "unfactual_text_lacks_falsification"
 WARN_FALSIFICATION_LEAKED = "factual_text_has_falsification"
 FALSIFICATION_WARNINGS = frozenset({WARN_FALSIFICATION_MISSING, WARN_FALSIFICATION_LEAKED})
+# Function words any paraphrase may add, so they do not mark a falsification.
+# Negations stay out: "not" can be the whole change.
+_FUNCTION_WORDS = frozenset(
+    "a an the and or but of in on at to for from by with within without into onto "
+    "as than that this these those it its is are was were be been being has have "
+    "had do does did which who whom whose there their they he she his her".split())
 
 
 DEFAULT_MAX_RETRIES = 2
@@ -191,8 +197,9 @@ def validate_record(passage: Passage, outputs: StepOutputs) -> ValidationReport:
     claims, a paraphrase that copies the passage too literally, an
     unfactual twin that strays too far from the paraphrase, duplicate
     claims, and a falsification that did not land: the altered claim's
-    tokens that the original lacks, when there are any, are all absent from
-    the unfactual text, or all present in the factual one.
+    content tokens that neither the original claim nor the passage holds,
+    when there are any, are all absent from the unfactual text, or all
+    present in the factual one.
     """
     hard: list[str] = []
     warnings: list[str] = []
@@ -229,7 +236,8 @@ def validate_record(passage: Passage, outputs: StepOutputs) -> ValidationReport:
         if unigram_jaccard(outputs.unfactual_text, outputs.factual_text) < TWIN_OVERLAP_FLOOR:
             warnings.append(WARN_TWIN_DIVERGES)
 
-    new = set(tokenize(outputs.altered)) - set(tokenize(outputs.original))
+    new = (set(tokenize(outputs.altered)) - set(tokenize(outputs.original))
+           - set(tokenize(passage.text)) - _FUNCTION_WORDS)
     if new and not new & set(tokenize(outputs.unfactual_text)):
         warnings.append(WARN_FALSIFICATION_MISSING)
     if new and new <= set(tokenize(outputs.factual_text)):

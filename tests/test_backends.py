@@ -1094,8 +1094,8 @@ def test_http_request_body_bytes_are_pinned(http_server):
         (429, "1", 5.0, 1.0),
         (503, "1", 5.0, 1.0),
         (429, "3600", 0.3, 0.3),  # never longer than the timeout
-        (503, "Wed, 21 Oct 2015 07:28:00 GMT", 5.0, 0.005),  # HTTP-date: backoff
-        (429, "1.5", 5.0, 0.005),  # not delay-seconds: backoff
+        (503, "Wed, 21 Oct 2015 07:28:00 GMT", 5.0, 0.0075),  # HTTP-date: backoff
+        (429, "1.5", 5.0, 0.0075),  # not delay-seconds: backoff
     ],
     ids=["429", "503", "capped", "http-date", "malformed"],
 )
@@ -1109,7 +1109,7 @@ def test_http_retry_after_delays_the_retry(http_server, monkeypatch, status, ret
         real_sleep(seconds)
 
     monkeypatch.setattr(backends, "time", types.SimpleNamespace(sleep=recorded_sleep))
-    monkeypatch.setattr(random, "random", lambda: 0.5)  # half the 0.01 s backoff
+    monkeypatch.setattr(random, "random", lambda: 0.5)  # three quarters of the 0.01 s backoff
     endpoint, recorder = http_server(
         [(status, {}, {"Retry-After": retry_after}), (200, _CHAT_OK)])
     chat = HttpChatBackend(_http_profile(endpoint, timeout=timeout, retry_backoff=0.01))
@@ -1120,14 +1120,15 @@ def test_http_retry_after_delays_the_retry(http_server, monkeypatch, status, ret
 
 
 def test_http_retry_sleeps_a_random_share_of_the_backoff(http_server, monkeypatch):
-    sleeps, draws = [], iter([0.25, 0.5, 0.75])
+    # Between half and all of the backoff: a draw of 0 still waits half.
+    sleeps, draws = [], iter([0.0, 0.5, 0.75])
     monkeypatch.setattr(backends, "time", types.SimpleNamespace(sleep=sleeps.append))
     monkeypatch.setattr(random, "random", lambda: next(draws))
     endpoint, recorder = http_server([(500, {})])
     chat = HttpChatBackend(_http_profile(endpoint, retry_backoff=0.4))
     with pytest.raises(BackendTimeout):
         chat.complete([{"role": "user", "content": "x"}])
-    assert sleeps == [0.25 * 0.4, 0.5 * 0.4 * 2, 0.75 * 0.4 * 4]
+    assert sleeps == [0.5 * 0.4, 0.75 * 0.4 * 2, 0.875 * 0.4 * 4]
     assert len(recorder.requests) == 4  # initial try plus three retries
 
 
@@ -1136,13 +1137,13 @@ def test_http_retry_after_is_a_floor_under_the_jitter(http_server, monkeypatch):
     monkeypatch.setattr(backends, "time", types.SimpleNamespace(sleep=sleeps.append))
     monkeypatch.setattr(random, "random", lambda: 0.5)
     endpoint, recorder = http_server([
-        (503, {}, {"Retry-After": "1"}),   # above half the 0.4 s backoff: 1 s
+        (503, {}, {"Retry-After": "1"}),   # above 3/4 of the 0.4 s backoff: 1 s
         (429, {}, {"Retry-After": "9"}),   # capped at the 1.5 s timeout
-        (503, {}, {"Retry-After": "0"}),   # below half the 1.6 s backoff: 0.8 s
+        (503, {}, {"Retry-After": "0"}),   # below 3/4 of the 1.6 s backoff: 1.2 s
         (200, _CHAT_OK)])
     chat = HttpChatBackend(_http_profile(endpoint, timeout=1.5, retry_backoff=0.4))
     assert chat.complete([{"role": "user", "content": "x"}]) == "Factual"
-    assert sleeps == [1.0, 1.5, 0.5 * 0.4 * 4]
+    assert sleeps == [1.0, 1.5, 0.75 * 0.4 * 4]
     assert len(recorder.requests) == 4
 
 

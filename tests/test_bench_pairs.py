@@ -37,6 +37,7 @@ print(json.dumps({"correct": correct, "attempted": 3, "failed": 0,
 
 SPEC = {
     "command": ["python3", "perfbench/run.py"],
+    "run_seconds": 1,
     "workloads": [{"name": "w1", "why": "stub"}],
     "end_to_end": [
         {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
@@ -84,8 +85,7 @@ def _run(tmp_path: Path, repo: Path):
     (tmp_path / "out").mkdir()
     env = {**os.environ, "STUB_LOG": str(tmp_path / "log"), "TMPDIR": str(tmp_path / "tmp")}
     done = subprocess.run(
-        [sys.executable, str(SCRIPT), "--pairs", "4", "--seed", "11", "--seconds", "1",
-         "--out", str(tmp_path / "out")],
+        [sys.executable, str(SCRIPT), "--pairs", "4", "--seed", "11", "--out", str(tmp_path / "out")],
         cwd=repo, env=env, capture_output=True, text=True, timeout=120)
     # The worktree is gone whatever the outcome.
     assert _git(repo, "worktree", "list", "--porcelain").count("worktree ") == 1
@@ -113,7 +113,7 @@ def test_pairs_report_medians_ratios_and_counts(tmp_path):
         "parent 13", "repo 13", "repo 14", "parent 14"]
 
     report = json.loads((tmp_path / "out" / "BENCH_w1.json").read_text())
-    assert report["revs"] == {"parent": parent, "change": change, "uncommitted": False}
+    assert report["revs"] == {"parent": parent, "change": change}
     assert report["seeds"] == [11, 12, 13, 14]
     assert report["cpu_count"] == os.cpu_count()
     assert report["python"] == platform.python_version()
@@ -166,6 +166,19 @@ def test_a_run_that_is_not_correct_fails(tmp_path):
     assert len((tmp_path / "log").read_text().split("\n")[:-1]) == 8
     assert ("  op_p50_ms [ms, lower is better, bound 0.25]: parent 115 (IQR 15), change 127.5, "
             "ratio 1.1019, change worse in 2 of 2 pairs") in done.stdout.splitlines()
+
+
+def test_a_tree_that_differs_from_head_is_refused(tmp_path):
+    # The report names HEAD as the change, so it must be the code that runs.
+    repo = _repo(tmp_path, _values(PARENT), _values(CHANGE))
+    (repo / "values.json").write_text(_values(PARENT))
+    env = {**os.environ, "STUB_LOG": str(tmp_path / "log")}
+    done = subprocess.run([sys.executable, str(SCRIPT), "--pairs", "1", "--seed", "11"],
+                          cwd=repo, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "tracked files differ from HEAD" in done.stderr
+    assert not (tmp_path / "log").exists()
+    assert _git(repo, "worktree", "list", "--porcelain").count("worktree ") == 1
 
 
 def test_a_terminated_run_removes_the_worktree(tmp_path):

@@ -292,6 +292,23 @@ def test_validate_twin_that_repeats_the_original_claim_is_flagged():
     assert report.warnings == (WARN_FALSIFICATION_MISSING,)
 
 
+def test_validate_amazon_twin_that_restates_the_original_claim_is_flagged():
+    # The altered claim adds "is", "forest" and "within", which any paraphrase
+    # of this passage may hold; only "majority", "contained" and "peru" mark
+    # the falsification, and the restated twin holds none of them.
+    report = validate_record(amazon_passage(), _outputs(unfactual_text=AMAZON_FACTUAL))
+    assert report.ok
+    assert report.warnings == (WARN_FALSIFICATION_MISSING,)
+
+
+def test_validate_passage_words_do_not_mark_a_falsification():
+    # "forest" is in the passage, so a factual text holding it leaks nothing.
+    outputs = _outputs(altered="Brazil contains 60% of the forest.",
+                       factual_text=AMAZON_FACTUAL + " It is a forest.",
+                       unfactual_text=AMAZON_FACTUAL)
+    assert FALSIFICATION_WARNINGS.isdisjoint(validate_record(amazon_passage(), outputs).warnings)
+
+
 def test_validate_factual_text_holding_the_falsification_is_flagged():
     report = validate_record(amazon_passage(), _outputs(factual_text=AMAZON_UNFACTUAL))
     assert report.ok
