@@ -418,8 +418,8 @@ class HttpEmbeddingBackend(_HttpBase):
                 f"asked for {len(body['input'])} embeddings, got indexes {indexes}"
             )
         # Ragged rows are numpy's ValueError, which _call makes a MalformedResponse.
-        block = np.array([row["embedding"] for row in rows], dtype=np.float64)
-        block = block[np.argsort(indexes)]
+        # Ordered in Python: a first np.argsort maps a quarter MiB more of numpy.
+        block = np.array([row["embedding"] for _, row in sorted(zip(indexes, rows))], np.float64)
         # json.loads reads NaN, Infinity and overflowing literals as non-finite floats.
         if block.ndim != 2 or not np.isfinite(block).all():
             raise MalformedResponse("an embedding is not a flat list of finite numbers")

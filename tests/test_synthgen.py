@@ -282,31 +282,19 @@ def test_validate_unrelated_twin_warns():
     assert WARN_TWIN_DIVERGES in report.warnings
 
 
-def test_validate_twin_that_repeats_the_original_claim_is_flagged():
+@pytest.mark.parametrize("worked_example", [False, True], ids=["synthetic", "amazon"])
+def test_validate_twin_that_repeats_the_original_claim_is_flagged(worked_example):
     # The unfactual text restates the original claim: the falsification's new
-    # token is nowhere in it, so derive would label a true text false.
+    # tokens are nowhere in it, so derive would label a true text false. The
+    # worked example's altered claim also adds "is", "forest" and "within",
+    # which a paraphrase of its passage may hold; only "majority",
+    # "contained" and "peru" mark the falsification.
     record = synth_record(3)
-    report = validate_record(record.passage, replace(
-        record.outputs, unfactual_text=record.outputs.factual_text))
+    passage, outputs = (amazon_passage(), _outputs()) if worked_example else (
+        record.passage, record.outputs)
+    report = validate_record(passage, replace(outputs, unfactual_text=outputs.factual_text))
     assert report.ok
     assert report.warnings == (WARN_FALSIFICATION_MISSING,)
-
-
-def test_validate_amazon_twin_that_restates_the_original_claim_is_flagged():
-    # The altered claim adds "is", "forest" and "within", which any paraphrase
-    # of this passage may hold; only "majority", "contained" and "peru" mark
-    # the falsification, and the restated twin holds none of them.
-    report = validate_record(amazon_passage(), _outputs(unfactual_text=AMAZON_FACTUAL))
-    assert report.ok
-    assert report.warnings == (WARN_FALSIFICATION_MISSING,)
-
-
-def test_validate_passage_words_do_not_mark_a_falsification():
-    # "forest" is in the passage, so a factual text holding it leaks nothing.
-    outputs = _outputs(altered="Brazil contains 60% of the forest.",
-                       factual_text=AMAZON_FACTUAL + " It is a forest.",
-                       unfactual_text=AMAZON_FACTUAL)
-    assert FALSIFICATION_WARNINGS.isdisjoint(validate_record(amazon_passage(), outputs).warnings)
 
 
 def test_validate_factual_text_holding_the_falsification_is_flagged():
