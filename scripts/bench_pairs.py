@@ -11,7 +11,7 @@ temporary directory and runs `perfbench/run.py --trace 0` in both trees,
 once per side for each pair, each run as long as BENCHMARK.json's
 `run_seconds`. Pair i uses seed `--seed` + i on both sides, and runs the
 parent first when i is even, the checkout first when it is odd, so a host
-that drifts during the session moves both sides alike.
+that drifts during the runs moves both sides alike.
 
 For each end-to-end metric in BENCHMARK.json it prints the two medians, the
 parent's interquartile range (quartiles by linear interpolation), the median
