@@ -20,9 +20,10 @@ was worse, over the pairs whose two runs were correct. It exits 1 when a
 run is not correct (its last line lacks
 `"correct": true`, or it exits non-zero) or when the change's median is
 worse than the parent's by more than the metric's bound, a fraction of the
-parent's median. `--out DIR` writes BENCH_<workload>.json there: every run's
-metrics, the seeds and order, both revisions, the CPU count and the Python
-version. The worktree is removed on every exit.
+parent's median. `--out DIR` appends an entry to the list in
+BENCH_<workload>.json there (a file that holds one entry is read as a list
+of one): every run's metrics, the seeds and order, both revisions, the CPU
+count and the Python version. The worktree is removed on every exit.
 """
 
 from __future__ import annotations
@@ -135,7 +136,11 @@ def compare(workload: str, args, repo: Path, parent_tree: Path, spec: dict, revs
             "runs": runs, "summary": summary,
         }
         path = args.out / f"BENCH_{workload}.json"
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        history = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+        if isinstance(history, dict):
+            history = [history]
+        path.write_text(json.dumps([*history, report], indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
     return not failures
 
 
@@ -148,7 +153,7 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1, help="the first pair's seed")
     ap.add_argument("--parent", default="HEAD^", help="the revision to compare against")
-    ap.add_argument("--out", type=Path, default=None, help="directory for BENCH_<workload>.json")
+    ap.add_argument("--out", type=Path, default=None, help="directory of the BENCH_<workload>.json histories to append to")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")

@@ -222,6 +222,7 @@ def _cmd_derive(args: argparse.Namespace, config: RunConfig) -> int:
 
     header: dict[str, Any] = {}
     items: list[Any]
+    mining = ""
     if args.what == "retriever":
         items = [p for r in valid for p in dataset.derive_retriever_pairs(r)]
     elif args.what == "nli":
@@ -232,15 +233,22 @@ def _cmd_derive(args: argparse.Namespace, config: RunConfig) -> int:
             for p in corpus.read_passages(args.passages):
                 by_page.setdefault(p.page_id, []).append(p)
 
-            def mine(record: synthgen.ResourceRecord) -> list[str] | None:
-                pool = [p for p in by_page.get(record.passage.page_id, [])
-                        if p.passage_id != record.passage.passage_id]
+            pools = [[p for p in by_page.get(r.passage.page_id, [])
+                      if p.passage_id != r.passage.passage_id] for r in valid]
+
+            def mine(job: tuple[synthgen.ResourceRecord, list[corpus.Passage]]) -> list[str] | None:
+                record, pool = job
                 if not pool:
                     return None
                 return [dataset.mine_neutral_passage(c, pool, nli).text
                         for c in record.outputs.claims]
 
-            neutrals = be.fan_out(mine, valid, be.fan_width(nli))
+            neutrals = be.fan_out(mine, zip(valid, pools), be.fan_width(nli))
+            # mine_neutral_passage asks once per candidate, but not about a lone one.
+            calls = sum(len(r.outputs.claims) * len(p) for r, p in zip(valid, pools) if len(p) > 1)
+            lone = sum(len(r.outputs.claims) for r, p in zip(valid, pools) if len(p) == 1)
+            mining = (f" ({calls} NLI calls to mine neutrals, {lone} claims with a one-window "
+                      f"pool picked without a call)")
         items = [t for r, ns in zip(valid, neutrals, strict=True)
                  for t in dataset.derive_nli_triplets(r, ns)]
         header["neutrals_mined"] = bool(args.passages)
@@ -250,7 +258,7 @@ def _cmd_derive(args: argparse.Namespace, config: RunConfig) -> int:
         items = dataset.build_task2(valid)
 
     n = write_records(args.out, items, DERIVED_SCHEMAS[args.what], count=len(items), **header)
-    log.info("derived %d %s rows -> %s", n, args.what, args.out)
+    log.info("derived %d %s rows%s -> %s", n, args.what, mining, args.out)
     return 0
 
 

@@ -167,12 +167,16 @@ def mine_neutral_passage(
 ) -> Passage:
     """Pick the candidate the NLI model finds most neutral for the claim.
 
-    Ties break toward the lexicographically smallest passage id. The
-    caller chooses the candidate pool; passing the passage the claim came
-    from would defeat the purpose.
+    Ties break toward the lexicographically smallest passage id. A lone
+    candidate is returned without a call, since no answer can change the
+    pick; otherwise each candidate costs one call. The caller chooses the
+    candidate pool; passing the passage the claim came from would defeat
+    the purpose.
     """
     if not candidate_passages:
         raise FactforgeError("neutral mining needs at least one candidate")
+    if len(candidate_passages) == 1:
+        return candidate_passages[0]
     best: Passage | None = None
     best_score = -1.0
     for passage in candidate_passages:

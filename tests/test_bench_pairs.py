@@ -81,8 +81,8 @@ def _repo(tmp_path: Path, parent: str, change: str) -> Path:
 
 
 def _run(tmp_path: Path, repo: Path):
-    (tmp_path / "tmp").mkdir()
-    (tmp_path / "out").mkdir()
+    (tmp_path / "tmp").mkdir(exist_ok=True)
+    (tmp_path / "out").mkdir(exist_ok=True)
     env = {**os.environ, "STUB_LOG": str(tmp_path / "log"), "TMPDIR": str(tmp_path / "tmp")}
     done = subprocess.run(
         [sys.executable, str(SCRIPT), "--pairs", "4", "--seed", "11", "--out", str(tmp_path / "out")],
@@ -112,7 +112,9 @@ def test_pairs_report_medians_ratios_and_counts(tmp_path):
         "parent 11", "repo 11", "repo 12", "parent 12",
         "parent 13", "repo 13", "repo 14", "parent 14"]
 
-    report = json.loads((tmp_path / "out" / "BENCH_w1.json").read_text())
+    history = json.loads((tmp_path / "out" / "BENCH_w1.json").read_text())
+    assert len(history) == 1
+    report = history[0]
     assert report["revs"] == {"parent": parent, "change": change}
     assert report["seeds"] == [11, 12, 13, 14]
     assert report["cpu_count"] == os.cpu_count()
@@ -132,6 +134,21 @@ def test_pairs_report_medians_ratios_and_counts(tmp_path):
         "median_ratio": 1.05, "worse_pairs": 3, "within_bound": True}
     assert report["summary"]["ops_per_s"]["median_ratio"] == 1.0
     assert report["summary"]["ops_per_s"]["worse_pairs"] == 1
+
+    # A second run appends its entry; the stub's runs repeat exactly.
+    assert _run(tmp_path, repo).returncode == 0
+    assert json.loads((tmp_path / "out" / "BENCH_w1.json").read_text()) == [report, report]
+
+
+def test_a_file_of_one_entry_is_a_history_of_one(tmp_path):
+    repo = _repo(tmp_path, _values(PARENT), _values(CHANGE))
+    older = {"workload": "w1", "seeds": [1], "runs": [], "summary": {}}
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "BENCH_w1.json").write_text(json.dumps(older))
+    assert _run(tmp_path, repo).returncode == 0
+    history = json.loads((tmp_path / "out" / "BENCH_w1.json").read_text())
+    assert len(history) == 2 and history[0] == older
+    assert history[1]["seeds"] == [11, 12, 13, 14]
 
 
 @pytest.mark.parametrize("column, values, fails", [

@@ -8,11 +8,12 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from factforge import backends
+from factforge import backends, corpus, dataset
 from factforge.backends import BackendProfile, VerdictRuleChatBackend, chat_fingerprint
 from factforge.cli import SETTINGS, build_parser, main
 from factforge.corpus import Page, Passage, page_passages, sample_passage
@@ -685,6 +686,51 @@ def test_derive_nli_mines_no_neutral_for_a_page_with_one_window(pipeline):
     neutral = [t for t in trips if t["label"] == "NEUT"]
     assert len(neutral) == (pipeline["n_pages"] - 1) * 5
     assert not {t["hypothesis"] for t in neutral} & set(records[1]["outputs"]["claims"])
+
+
+def _scan_every_candidate(claim, candidates, nli):
+    """Neutral mining that asks NLI about every candidate, a lone one too."""
+    return min(candidates, key=lambda p: (-nli.classify(p.text, claim).p_neut, p.passage_id))
+
+
+def test_derive_nli_asks_nli_only_about_pools_of_two_or_more(pipeline, monkeypatch, caplog):
+    records = _rows(pipeline["records"])[1:]
+    own = {r["passage"]["page_id"]: r["passage"]["passage_id"] for r in records}
+    pages = list(own)
+    # The pipeline's pages have 3 windows each; keep 2 on page 0 and 1 on page 2.
+    keep = {pages[0]: 2, pages[1]: 3, pages[2]: 1, pages[3]: 3}
+    windows, kept = [], dict.fromkeys(pages, 0)
+    for w in sorted(_rows(pipeline["windows"]), key=lambda w: w["passage_id"] != own[w["page_id"]]):
+        if kept[w["page_id"]] < keep[w["page_id"]]:
+            kept[w["page_id"]] += 1
+            windows.append(w)
+    assert kept == keep
+    pool = _write_rows(pipeline["dir"] / "mixed_windows.jsonl", windows)
+    page_of = {p.text: p.page_id for p in corpus.read_passages(pool)}
+
+    asked = []
+    classify = backends.RuleNliBackend.classify
+    monkeypatch.setattr(backends.RuleNliBackend, "classify", lambda self, premise, hypothesis: (
+        asked.append(page_of[premise]) or classify(self, premise, hypothesis)))
+
+    def derive(out):
+        asked.clear()
+        assert run(["derive", "--records", pipeline["records"], "--what", "nli", "--out", out,
+                    "--passages", pool, "--nli-backend", "nli", "--config", pipeline["config"]]) == 0
+        return _rows(out), Counter(asked)
+
+    with caplog.at_level("INFO", logger="factforge"):
+        rows, calls = derive(pipeline["dir"] / "nli_pools.jsonl")
+    # claims x (windows - 1) calls for a 3-window page, none for a 2-window page
+    assert calls == {pages[1]: 5 * 2, pages[3]: 5 * 2}
+    assert ("derived 71 nli rows (20 NLI calls to mine neutrals, 5 claims with a one-window "
+            "pool picked without a call) -> ") in caplog.text
+    assert rows[0]["count"] == 3 * 19 + 14
+
+    monkeypatch.setattr(dataset, "mine_neutral_passage", _scan_every_candidate)
+    scanned, calls = derive(pipeline["dir"] / "nli_scanned.jsonl")
+    assert calls == {pages[0]: 5, pages[1]: 5 * 2, pages[3]: 5 * 2}
+    assert scanned == rows
 
 
 @pytest.mark.parametrize("what", ["retriever", "nli", "task1", "task2"])

@@ -143,6 +143,29 @@ def test_mine_neutral_tie_breaks_on_passage_id():
     assert winner.passage_id == min(c.passage_id for c in candidates)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_mine_neutral_asks_once_per_candidate_of_a_pool_of_two_or_more(n):
+    nli = synth_nli(n)
+    claim = synth_record(0).outputs.claims[0]
+    candidates = [synth_passage(i) for i in range(n)]
+    asked = []
+    classify = nli.classify
+    nli.classify = lambda premise, hypothesis: asked.append((premise, hypothesis)) or classify(
+        premise, hypothesis)
+    mine_neutral_passage(claim, candidates, nli)
+    assert asked == [(c.text, claim) for c in candidates]
+
+
+def test_mine_neutral_returns_a_lone_candidate_without_a_call():
+    class Unreachable:
+        def classify(self, premise, hypothesis):
+            raise AssertionError("a lone candidate needs no NLI call")
+
+    lone = synth_passage(0)
+    # Even a candidate that entails the claim: no answer can change the pick.
+    assert mine_neutral_passage(lone.sentences[0], [lone], Unreachable()) is lone
+
+
 def test_mine_neutral_empty_candidates():
     nli = synth_nli(1)
     with pytest.raises(FactforgeError, match="neutral mining needs at least one candidate"):
