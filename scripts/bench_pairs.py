@@ -153,7 +153,8 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1, help="the first pair's seed")
     ap.add_argument("--parent", default="HEAD^", help="the revision to compare against")
-    ap.add_argument("--out", type=Path, default=None, help="directory of the BENCH_<workload>.json histories to append to")
+    ap.add_argument("--out", type=Path, default=None,
+                    help="directory of the BENCH_<workload>.json histories")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
