@@ -63,7 +63,6 @@ TOPICS = [
         "Ospreys migrate long distances.",
         "Ospreys have reversible outer toes.",
         "Ospreys occur on every continent except Antarctica.",
-        "Ospreys carry fish head-forward in flight.",
     ]),
 ]
 

@@ -229,26 +229,12 @@ def _cmd_derive(args: argparse.Namespace, config: RunConfig) -> int:
         neutrals: Iterable[list[str] | None] = [None] * len(valid)
         if args.passages:
             nli = config.backend(args.nli_backend, be.KIND_NLI)
-            by_page: dict[str | int, list[corpus.Passage]] = {}
-            for p in corpus.read_passages(args.passages):
-                by_page.setdefault(p.page_id, []).append(p)
-
-            pools = [[p for p in by_page.get(r.passage.page_id, [])
-                      if p.passage_id != r.passage.passage_id] for r in valid]
-
-            def mine(job: tuple[synthgen.ResourceRecord, list[corpus.Passage]]) -> list[str] | None:
-                record, pool = job
-                if not pool:
-                    return None
-                return [dataset.mine_neutral_passage(c, pool, nli).text
-                        for c in record.outputs.claims]
-
-            neutrals = be.fan_out(mine, zip(valid, pools), be.fan_width(nli))
-            # mine_neutral_passage asks once per candidate, but not about a lone one.
-            calls = sum(len(r.outputs.claims) * len(p) for r, p in zip(valid, pools) if len(p) > 1)
-            lone = sum(len(r.outputs.claims) for r, p in zip(valid, pools) if len(p) == 1)
-            mining = (f" ({calls} NLI calls to mine neutrals, {lone} claims with a one-window "
-                      f"pool picked without a call)")
+            pools = dataset.neutral_pools(valid, corpus.read_passages(args.passages))
+            neutrals = be.fan_out(lambda job: dataset.mine_neutrals(*job, nli), zip(valid, pools),
+                                  be.fan_width(nli))
+            mining = (" (%d NLI calls to mine neutrals, %d claims with a one-window pool picked "
+                      "without a call, %d claims with an empty pool left without a neutral)"
+                      % dataset.mining_cost(valid, pools))
         items = [t for r, ns in zip(valid, neutrals, strict=True)
                  for t in dataset.derive_nli_triplets(r, ns)]
         header["neutrals_mined"] = bool(args.passages)

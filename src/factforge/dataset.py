@@ -160,6 +160,35 @@ def derive_nli_triplets(
     return triplets
 
 
+def neutral_pools(records: Sequence[ResourceRecord],
+                  windows: Iterable[Passage]) -> list[list[Passage]]:
+    """Each record's mining candidates: the other windows of its page, in file order."""
+    by_page: dict[str | int, list[Passage]] = {}
+    for window in windows:
+        by_page.setdefault(window.page_id, []).append(window)
+    return [[w for w in by_page.get(r.passage.page_id, []) if w.passage_id != r.passage.passage_id]
+            for r in records]
+
+
+def mine_neutrals(record: ResourceRecord, pool: Sequence[Passage],
+                  nli: NliBackend) -> list[str] | None:
+    """One mined neutral text per claim, aligned with the claims, or None
+    when the pool is empty: the record then gets no NEUT triplet."""
+    if not pool:
+        return None
+    return [mine_neutral_passage(claim, pool, nli).text for claim in record.outputs.claims]
+
+
+def mining_cost(records: Sequence[ResourceRecord],
+                pools: Sequence[Sequence[Passage]]) -> tuple[int, int, int]:
+    """What `mine_neutrals` costs over these pools: (NLI calls, claims
+    picked without a call, claims left without a neutral). A pool of two
+    or more costs one call per claim and candidate, a lone candidate none."""
+    sizes = [(len(r.outputs.claims), len(p)) for r, p in zip(records, pools, strict=True)]
+    return (sum(n * k for n, k in sizes if k > 1), sum(n for n, k in sizes if k == 1),
+            sum(n for n, k in sizes if k == 0))
+
+
 def mine_neutral_passage(
     claim: str,
     candidate_passages: Sequence[Passage],
@@ -169,55 +198,36 @@ def mine_neutral_passage(
 
     Ties break toward the lexicographically smallest passage id. A lone
     candidate is returned without a call, since no answer can change the
-    pick; otherwise each candidate costs one call. The caller chooses the
-    candidate pool; passing the passage the claim came from would defeat
-    the purpose.
+    pick; otherwise each candidate costs one call, in order.
     """
     if not candidate_passages:
         raise FactforgeError("neutral mining needs at least one candidate")
     if len(candidate_passages) == 1:
         return candidate_passages[0]
-    best: Passage | None = None
-    best_score = -1.0
-    for passage in candidate_passages:
-        score = nli.classify(passage.text, claim).p_neut
-        if score > best_score or (
-            score == best_score and best is not None and passage.passage_id < best.passage_id
-        ):
-            best, best_score = passage, score
-    assert best is not None
-    return best
+    return min(candidate_passages,
+               key=lambda p: (-nli.classify(p.text, claim).p_neut, p.passage_id))
 
 
 def build_task1(records: Iterable[ResourceRecord]) -> list[Task1Instance]:
-    """One true and one false instance per valid record; invalid records
-    contribute nothing, and the source passage text is never emitted."""
+    """One true and one false instance per record; the source passage text
+    is never emitted. A record with hard validation failures is refused."""
     instances = []
     for record in records:
-        if record.validation.hard_failures:
-            continue
+        _require_valid(record)
         out = record.outputs
-        instances.append(
-            Task1Instance(out.factual_text, True, ORIGIN_FACTUAL, record.record_id)
-        )
-        instances.append(
-            Task1Instance(out.unfactual_text, False, ORIGIN_UNFACTUAL, record.record_id)
-        )
+        instances += [Task1Instance(out.factual_text, True, ORIGIN_FACTUAL, record.record_id),
+                      Task1Instance(out.unfactual_text, False, ORIGIN_UNFACTUAL, record.record_id)]
     return instances
 
 
 def build_task2(records: Iterable[ResourceRecord]) -> list[Task2Instance]:
     """The original claim (true) and the falsified claim (false), each with
-    the record's factual paraphrase as the evidence text."""
+    the record's factual paraphrase as the evidence text. A record with
+    hard validation failures is refused."""
     instances = []
     for record in records:
-        if record.validation.hard_failures:
-            continue
+        _require_valid(record)
         out = record.outputs
-        instances.append(
-            Task2Instance(out.original, out.factual_text, True, record.record_id)
-        )
-        instances.append(
-            Task2Instance(out.altered, out.factual_text, False, record.record_id)
-        )
+        instances += [Task2Instance(out.original, out.factual_text, True, record.record_id),
+                      Task2Instance(out.altered, out.factual_text, False, record.record_id)]
     return instances

@@ -724,7 +724,8 @@ def test_derive_nli_asks_nli_only_about_pools_of_two_or_more(pipeline, monkeypat
     # claims x (windows - 1) calls for a 3-window page, none for a 2-window page
     assert calls == {pages[1]: 5 * 2, pages[3]: 5 * 2}
     assert ("derived 71 nli rows (20 NLI calls to mine neutrals, 5 claims with a one-window "
-            "pool picked without a call) -> ") in caplog.text
+            "pool picked without a call, 5 claims with an empty pool left without a neutral) "
+            "-> ") in caplog.text
     assert rows[0]["count"] == 3 * 19 + 14
 
     monkeypatch.setattr(dataset, "mine_neutral_passage", _scan_every_candidate)

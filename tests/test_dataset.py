@@ -17,11 +17,15 @@ from factforge.dataset import (
     derive_nli_triplets,
     derive_retriever_pairs,
     mine_neutral_passage,
+    mine_neutrals,
+    mining_cost,
+    neutral_pools,
     split_train_val,
 )
+from factforge.corpus import Passage
 from factforge.errors import FactforgeError
 from factforge.jsonlio import to_row
-from factforge.synthgen import generate_record
+from factforge.synthgen import ResourceRecord, StepOutputs, ValidationReport, generate_record
 from factforge.verification import NliLabel
 
 from conftest import (
@@ -172,6 +176,48 @@ def test_mine_neutral_empty_candidates():
         mine_neutral_passage("claim", [], nli)
 
 
+@st.composite
+def mining_inputs(draw):
+    """Records on pages of 1 to 5 windows of two sentences at stride 1, each
+    with 1 to 4 claims drawn from its page's sentences, and the windows file
+    in a drawn order. A claim is entailed by the windows that hold it."""
+    records, windows = [], []
+    for p in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 5))
+        page = [Passage(f"p{p}:{j}", f"p{p}", j, (f"Fact {p}.{j}.", f"Fact {p}.{j + 1}."))
+                for j in range(n)]
+        windows += page
+        for own in draw(st.lists(st.sampled_from(page), max_size=2, unique=True)):
+            claims = tuple(draw(st.lists(st.sampled_from([f"Fact {p}.{s}." for s in range(n + 1)]),
+                                         min_size=1, max_size=4)))
+            outputs = StepOutputs(claims, "altered", claims[0], "factual", "unfactual")
+            records.append(ResourceRecord(own.passage_id, own, outputs, ValidationReport()))
+    return records, draw(st.permutations(windows))
+
+
+@given(mining_inputs())
+@settings(max_examples=80)
+def test_mining_cost_matches_the_calls_and_the_neut_rows(inputs):
+    records, windows = inputs
+    nli = synth_nli(0)
+    asked = []
+    classify = nli.classify
+    nli.classify = lambda premise, hypothesis: asked.append(premise) or classify(
+        premise, hypothesis)
+    pools = neutral_pools(records, windows)
+    picked_without_a_call = left_without = 0
+    for record, pool in zip(records, pools, strict=True):
+        assert record.passage not in pool
+        assert {w.page_id for w in pool} <= {record.passage.page_id}
+        before = len(asked)
+        neut = [t for t in derive_nli_triplets(record, mine_neutrals(record, pool, nli))
+                if t.label is NliLabel.NEUTRAL]
+        assert {t.premise for t in neut} <= {w.text for w in pool}
+        picked_without_a_call += len(neut) if len(asked) == before else 0
+        left_without += len(record.outputs.claims) - len(neut)
+    assert mining_cost(records, pools) == (len(asked), picked_without_a_call, left_without)
+
+
 # --- task construction ----------------------------------------------------------------
 
 
@@ -207,20 +253,10 @@ def test_task2_instances():
     assert labels[rec.outputs.altered] is False
 
 
-def test_tasks_skip_invalid_records():
-    records = synth_records(2)
-    from dataclasses import replace
-
-    from factforge.synthgen import ValidationReport
-
-    broken = replace(
-        records[0], validation=ValidationReport(hard_failures=("empty_claims",), warnings=())
-    )
-    assert len(build_task1([broken, records[1]])) == 2
-    assert len(build_task2([broken, records[1]])) == 2
-
-
-@pytest.mark.parametrize("derive", [derive_retriever_pairs, derive_nli_triplets])
+@pytest.mark.parametrize("derive", [derive_retriever_pairs, derive_nli_triplets,
+                                    lambda r: build_task1([r]), lambda r: build_task2([r])],
+                         ids=["derive_retriever_pairs", "derive_nli_triplets", "build_task1",
+                              "build_task2"])
 def test_derivations_reject_records_with_hard_failures(derive):
     from dataclasses import replace
 
