@@ -70,41 +70,37 @@ class BackendProfile:
     options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_CHAT, KIND_EMBEDDING, KIND_NLI):
-            raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.transport not in ("http", "mock"):
-            raise ValueError(f"unknown transport {self.transport!r}")
-        # Exact type checks: a bool is neither a count nor a number of seconds.
-        for key in ("max_in_flight", "max_batch"):
-            value = getattr(self, key)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"profile {self.name!r}: {key!r} must be an int >= 1, "
-                                 f"got {value!r}")
-        if type(self.timeout) not in (int, float) or not 0 < self.timeout < math.inf:
-            raise ValueError(f"profile {self.name!r}: 'timeout' must be a finite number of "
-                             f"seconds above 0, got {self.timeout!r}")
-        for key in ("retry_backoff", "temperature"):
-            value = getattr(self, key)
-            if type(value) not in (int, float) or not 0 <= value < math.inf:
-                raise ValueError(f"profile {self.name!r}: {key!r} must be a finite number "
-                                 f">= 0, got {value!r}")
+        # Exact types: a bool is not a count, nor a list a model name.
+        for keys, valid, what in (
+            (("kind",), lambda v: v in (KIND_CHAT, KIND_EMBEDDING, KIND_NLI),
+             "chat, embedding or nli"),
+            (("transport",), lambda v: v in ("http", "mock"), "http or mock"),
+            (("endpoint", "model"), lambda v: isinstance(v, str), "a string"),
+            (("auth_env",), lambda v: v is None or isinstance(v, str), "a string or null"),
+            (("options",), lambda v: isinstance(v, Mapping), "an object"),
+            (("max_in_flight", "max_batch"), lambda v: type(v) is int and v >= 1, "an int >= 1"),
+            (("timeout",), lambda v: type(v) in (int, float) and 0 < v < math.inf,
+             "a finite number of seconds above 0"),
+            (("retry_backoff", "temperature"),
+             lambda v: type(v) in (int, float) and 0 <= v < math.inf, "a finite number >= 0"),
+        ):
+            for key in keys:
+                if not valid(getattr(self, key)):
+                    raise ValueError(f"profile {self.name!r}: {key!r} must be {what}, "
+                                     f"got {getattr(self, key)!r}")
 
     @classmethod
     def from_dict(cls, name: str, row: Mapping[str, Any]) -> "BackendProfile":
+        if not isinstance(row, Mapping):
+            raise ValueError(f"profile {name!r} must be an object, got {row!r}")
         unknown = set(row) - {f.name for f in fields(cls) if f.name != "name"}
         if unknown:
             raise ValueError(f"profile {name!r} has unknown keys {sorted(unknown)}")
-        profile = cls(name=name, **dict(row))
-        # A mock reads no transport field (a chat mock's fingerprints read
-        # model and temperature). Only chat requests carry a temperature, and
-        # only embedding requests are batched.
-        idle = ({"endpoint", "auth_env", "timeout", "max_in_flight", "max_batch",
-                 "retry_backoff"} if profile.transport == "mock" else
-                {"max_batch"} if profile.kind == KIND_CHAT else
-                {"temperature"}) & set(row)
+        profile = cls(name=name, **row)
+        backend, _, reads, _ = check_profile(profile)
+        idle = set(row) - reads - {"kind", "transport", "options"}
         if idle:
-            raise ValueError(f"profile {name!r}: the {profile.transport} {profile.kind} "
-                             f"transport does not read {sorted(idle)}")
+            raise ValueError(f"profile {name!r}: the {backend} does not read {sorted(idle)}")
         return profile
 
 
@@ -588,45 +584,55 @@ def _pairs(value) -> bool:
     return isinstance(value, list) and all(_strings(pair) and len(pair) == 2 for pair in value)
 
 
-# Each mock, by kind and "mock" option: what builds it from the profile and
-# its one option, and that option as (key, check, what the check wants,
-# default). Embedding and NLI profiles have one mock each, which an empty or
-# absent "mock" also names.
-_MOCKS = {
-    (KIND_CHAT, "script"): (ScriptedChatBackend.from_file, "script",
-                            lambda v: isinstance(v, str), "a path string", None),
-    (KIND_CHAT, "verdict_rule"): (VerdictRuleChatBackend, "markers", _strings,
-                                  "a list of non-blank strings", []),
-    (KIND_EMBEDDING, "hashed_bow"): (HashedBowEmbedder, "dimension",
-                                     lambda v: type(v) is int and v >= 1, "an int >= 1", 64),
-    (KIND_NLI, "rules"): (RuleNliBackend, "contradictions", _pairs,
-                          "a list of pairs of non-blank strings", []),
+_HTTP_FIELDS = {"endpoint", "model", "auth_env", "timeout", "max_in_flight", "retry_backoff"}
+
+# Each backend, by kind, then "http" or the mock's name (a profile's "mock"
+# option, which may be empty or absent where the kind has one mock): what
+# builds it, the fields besides kind, transport and options it reads (a config
+# row that sets another is refused), and a mock's one option as (key, check,
+# what the check wants, default). A comment says why a field is read.
+_BACKENDS = {
+    KIND_CHAT: {
+        "http": (HttpChatBackend, _HTTP_FIELDS | {"temperature"}, None),  # only chat sends it
+        "script": (ScriptedChatBackend.from_file, {"model", "temperature"},  # fingerprinted
+                   ("script", lambda v: isinstance(v, str), "a path string", None)),
+        "verdict_rule": (VerdictRuleChatBackend, {"temperature"},  # eval samples a judge above 0
+                         ("markers", _strings, "a list of non-blank strings", [])),
+    },
+    KIND_EMBEDDING: {
+        "http": (HttpEmbeddingBackend, _HTTP_FIELDS | {"max_batch"}, None),  # only embeddings batch
+        "hashed_bow": (HashedBowEmbedder, set(),
+                       ("dimension", lambda v: type(v) is int and v >= 1, "an int >= 1", 64)),
+    },
+    KIND_NLI: {
+        "http": (HttpNliBackend, _HTTP_FIELDS, None),
+        "rules": (RuleNliBackend, set(),
+                  ("contradictions", _pairs, "a list of pairs of non-blank strings", [])),
+    },
 }
-_HTTP = {KIND_CHAT: HttpChatBackend, KIND_EMBEDDING: HttpEmbeddingBackend, KIND_NLI: HttpNliBackend}
 
 
-def check_profile(profile: BackendProfile) -> tuple[Callable, Any]:
-    """Check what building `profile` would read, without building it: an
-    http profile's endpoint scheme and empty options, a mock profile's mock
-    name and its one option's key and type. Returns what builds the backend
-    and that option's value (None for http); a wrong profile is a
-    ValueError naming it."""
+def check_profile(profile: BackendProfile) -> tuple[str, Callable, set[str], Any]:
+    """Check what building `profile` would read, without building it (an http
+    endpoint's scheme and empty options, a mock's name and its one option's key
+    and type). Returns its backend's name ("rules mock", "http nli transport"),
+    builder and fields read, and the mock option's value (None for http)."""
+    entries = _BACKENDS[profile.kind]
     if profile.transport == "http":
         if not profile.endpoint.lower().startswith(("http://", "https://")):
             raise ValueError(f"profile {profile.name!r} needs an http:// or https:// endpoint")
         if profile.options:
             raise ValueError(f"profile {profile.name!r}: the http transport does not read "
                              f"options {sorted(profile.options)}")
-        return _HTTP[profile.kind], None
+        return (f"http {profile.kind} transport", *entries["http"][:2], None)
     opts = dict(profile.options)
     mock = opts.pop("mock", "")
-    named = [name for kind, name in _MOCKS if kind == profile.kind]
-    if mock == "" and len(named) == 1:
-        mock = named[0]
-    found = _MOCKS.get((profile.kind, mock)) if isinstance(mock, str) else None
-    if found is None:
+    mocks = [name for name in entries if name != "http"]
+    if mock == "" and len(mocks) == 1:
+        mock = mocks[0]
+    if mock not in mocks:
         raise ValueError(f"profile {profile.name!r}: unknown {profile.kind} mock {mock!r}")
-    make, key, valid, what, default = found
+    make, reads, (key, valid, what, default) = entries[mock]
     if set(opts) - {key}:
         raise ValueError(f"profile {profile.name!r}: {mock} mock does not "
                          f"read options {sorted(set(opts) - {key})}")
@@ -636,7 +642,7 @@ def check_profile(profile: BackendProfile) -> tuple[Callable, Any]:
     if not valid(value):
         raise ValueError(f"profile {profile.name!r}: mock option {key!r} must be {what}, "
                          f"got {value!r}")
-    return make, value
+    return f"{mock} mock", make, reads, value
 
 
 def build_backend(profile: BackendProfile, base_dir: str | Path | None = None):
@@ -645,7 +651,7 @@ def build_backend(profile: BackendProfile, base_dir: str | Path | None = None):
 
     `base_dir` anchors a relative path in a mock option (a script file).
     """
-    make, option = check_profile(profile)
+    _, make, _, option = check_profile(profile)
     if profile.transport == "http":
         return make(profile)
     if isinstance(option, str) and base_dir is not None:

@@ -68,12 +68,7 @@ class RunConfig:
         if not isinstance(profile_rows, dict):
             raise FactforgeError("config 'profiles' must map profile names to settings")
         try:
-            profiles = {
-                name: be.BackendProfile.from_dict(name, row)
-                for name, row in profile_rows.items()
-            }
-            for profile in profiles.values():
-                be.check_profile(profile)
+            profiles = {n: be.BackendProfile.from_dict(n, row) for n, row in profile_rows.items()}
         except (TypeError, ValueError) as exc:
             raise FactforgeError(f"{path}: {exc}") from exc
         unknown = sorted(set(raw) - {"profiles"})

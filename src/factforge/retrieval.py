@@ -199,8 +199,6 @@ def index_build(passages: Iterable, embedder) -> PassageIndex:
             pid, text = p
             ids.append(pid)
             texts.append(text)
-    if not ids:
-        raise FactforgeError("cannot build an index with zero passages")
     matrix = np.empty((0, 0), dtype=np.float32)
     for start in range(0, len(ids), _EMBED_RUN):
         run = texts[start:start + _EMBED_RUN]

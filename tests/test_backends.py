@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import http.client
@@ -98,6 +99,33 @@ def test_profile_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError) as exc:
         BackendProfile.from_dict("p", {"kind": "chat", "api_key": "nope"})
     assert "api_key" in str(exc.value)
+
+
+# A valid value for each field that some backend reads.
+_FIELD_VALUES = {"endpoint": "http://localhost:1", "model": "m", "auth_env": "KEY", "timeout": 5.0,
+                 "max_in_flight": 2, "max_batch": 8, "temperature": 0.5, "retry_backoff": 0.0}
+
+
+@pytest.mark.parametrize("kind, name", [(k, n) for k, row in backends._BACKENDS.items()
+                                        for n in row])
+def test_each_backend_reads_exactly_the_fields_its_table_entry_names(kind, name):
+    assert set(_FIELD_VALUES) == {f.name for f in dataclasses.fields(BackendProfile)} - {
+        "name", "kind", "transport", "options"}
+    _, reads, option = backends._BACKENDS[kind][name]
+    if name == "http":
+        row, where = {"kind": kind, "endpoint": "http://localhost:1"}, f"http {kind} transport"
+    else:
+        key, _, _, default = option
+        row = {"kind": kind, "transport": "mock",
+               "options": {"mock": name, key: "s.jsonl" if default is None else default}}
+        where = f"{name} mock"
+    for key, value in _FIELD_VALUES.items():
+        if key in reads:
+            assert getattr(BackendProfile.from_dict("p", {**row, key: value}), key) == value
+        else:
+            with pytest.raises(ValueError, match=rf"profile 'p': the {where} does not read "
+                                                 rf"\['{key}'\]"):
+                BackendProfile.from_dict("p", {**row, key: value})
 
 
 def test_load_profiles(tmp_path):

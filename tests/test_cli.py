@@ -422,6 +422,27 @@ def test_inputs_that_leave_nothing_to_do_are_refused_before_any_call(ws, capsys,
          "markers"),
         (lambda c: c["profiles"]["judge"]["options"].update(markers="implausibly"), "generate",
          "markers"),
+        # Only embedding requests are batched, and of the mocks only a script
+        # reads model (its fingerprints hash it) and a chat mock temperature.
+        (lambda c: c["profiles"]["nli"].update(transport="http", endpoint="http://127.0.0.1:9",
+                                               options={}, max_batch=8), "ingest", "max_batch"),
+        (lambda c: c["profiles"]["embed"].update(model="m"), "index", "model"),
+        (lambda c: c["profiles"]["nli"].update(temperature=0.5), "ingest", "temperature"),
+        (lambda c: c["profiles"]["judge"].update(model="m"), "ingest", "model"),
+        # Each field has its JSON type, and a profile is an object.
+        (lambda c: c["profiles"]["embed"].update(kind="teleport"), "ingest", "kind"),
+        (lambda c: c["profiles"]["embed"].update(transport="pigeon"), "ingest", "transport"),
+        (lambda c: c["profiles"]["nli"].update(transport="http", endpoint=5, options={}),
+         "ingest", "endpoint"),
+        (lambda c: c["profiles"]["nli"].update(transport="http", endpoint="http://127.0.0.1:9",
+                                               options={}, auth_env=5), "ingest", "auth_env"),
+        (lambda c: c["profiles"]["nli"].update(transport="http", endpoint="http://127.0.0.1:9",
+                                               options={}, model=["m"]), "ingest", "model"),
+        (lambda c: c["profiles"].update(embed=5), "ingest", "embed"),
+        (lambda c: c["profiles"].update(embed=[["kind", "embedding"]]), "ingest", "embed"),
+        (lambda c: c["profiles"]["embed"].update(options=5), "index", "options"),
+        (lambda c: c["profiles"]["embed"].update(options=[["mock", "hashed_bow"]]), "index",
+         "options"),
     ],
     ids=["config-key-no-subcommand-reads", "option-the-mock-does-not-read",
          "mock-option-of-the-wrong-type", "options-on-an-http-profile",
@@ -431,7 +452,12 @@ def test_inputs_that_leave_nothing_to_do_are_refused_before_any_call(ws, capsys,
          "fractional-max-batch", "boolean-max-batch", "transport-fields-on-a-mock",
          "temperature-on-an-http-embedder", "temperature-on-an-http-nli",
          "max-batch-on-an-http-chat",
-         "profile-ingest-never-builds", "profile-generate-never-builds"],
+         "profile-ingest-never-builds", "profile-generate-never-builds",
+         "max-batch-on-an-http-nli", "model-on-a-mock-embedder", "temperature-on-a-mock-nli",
+         "model-on-a-verdict-rule-judge", "unknown-kind", "unknown-transport",
+         "integer-endpoint", "integer-auth-env", "list-model",
+         "profile-not-an-object", "profile-a-list-of-pairs", "integer-options",
+         "options-a-list-of-pairs"],
 )
 def test_unread_settings_are_named_errors(ws, capsys, change, command, key):
     config = json.loads(ws["config"].read_text())

@@ -6,6 +6,7 @@ import math
 import random
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -210,8 +211,12 @@ def test_load_peak_memory_holds_one_matrix(tmp_path):
 def test_build_rejects_duplicates_and_empty():
     with pytest.raises(FactforgeError, match="duplicate passage_id 'a'"):
         _index([[1.0], [2.0]], ids=["a", "a"])
-    with pytest.raises(FactforgeError, match="cannot build an index with zero passages"):
-        PassageIndex([], [], np.zeros((0, 3), dtype=np.float32))
+    calls = []
+    for build in (lambda: PassageIndex([], [], np.zeros((0, 3), dtype=np.float32)),
+                  lambda: index_build([], types.SimpleNamespace(embed=calls.append))):
+        with pytest.raises(FactforgeError, match="cannot build an index with zero passages"):
+            build()
+    assert calls == []
 
 
 def test_build_rejects_nonfinite():
