@@ -23,7 +23,9 @@ worse than the parent's by more than the metric's bound, a fraction of the
 parent's median. `--out DIR` appends an entry to the list in
 BENCH_<workload>.json there (a file that holds one entry is read as a list
 of one): every run's metrics, the seeds and order, both revisions, the CPU
-count and the Python version. The worktree is removed on every exit.
+count and the Python version; it then prints the file's trajectory, one
+line per entry in file order: the entry's change revision and its change
+medians. The worktree is removed on every exit.
 """
 
 from __future__ import annotations
@@ -139,8 +141,14 @@ def compare(workload: str, args, repo: Path, parent_tree: Path, spec: dict, revs
         history = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
         if isinstance(history, dict):
             history = [history]
-        path.write_text(json.dumps([*history, report], indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+        history.append(report)
+        path.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        for n, entry in enumerate(history, 1):
+            rev = entry.get("revs", {}).get("change", "unknown")[:12]
+            medians = ", ".join(f"{name} {s['change_median']:.6g}"
+                                for name, s in sorted(entry.get("summary", {}).items()))
+            print(f"{workload} history {n}/{len(history)}, change {rev}: "
+                  f"{medians or 'no medians'}")
     return not failures
 
 

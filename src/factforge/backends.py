@@ -30,7 +30,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .errors import AuthFailure, BackendError, BackendTimeout, MalformedResponse, RateLimited
+from .errors import (AuthFailure, BackendError, BackendTimeout, FactforgeError,
+                     MalformedResponse, RateLimited)
 from .jsonlio import read_records
 from .textnorm import normalize_ws, tokenize
 from .verification import NliDistribution
@@ -96,6 +97,8 @@ class BackendProfile:
         unknown = set(row) - {f.name for f in fields(cls) if f.name != "name"}
         if unknown:
             raise ValueError(f"profile {name!r} has unknown keys {sorted(unknown)}")
+        if "kind" not in row:
+            raise ValueError(f"profile {name!r} needs 'kind'")
         profile = cls(name=name, **row)
         backend, _, reads, _ = check_profile(profile)
         idle = set(row) - reads - {"kind", "transport", "options"}
@@ -465,7 +468,11 @@ class ScriptedChatBackend:
 
     @classmethod
     def from_file(cls, profile: BackendProfile, path: str | Path) -> "ScriptedChatBackend":
-        entries = read_records(path, ScriptEntry)
+        try:
+            entries = read_records(path, ScriptEntry)
+        except OSError as exc:
+            raise FactforgeError(f"profile {profile.name!r}: cannot read its 'script' file "
+                                 f"{str(path)!r}: {exc.strerror or exc}") from exc
         return cls(profile, ((e.fingerprint, e.response) for e in entries))
 
     def complete(self, messages: Sequence[Mapping[str, str]]) -> str:
@@ -595,7 +602,8 @@ _BACKENDS = {
     KIND_CHAT: {
         "http": (HttpChatBackend, _HTTP_FIELDS | {"temperature"}, None),  # only chat sends it
         "script": (ScriptedChatBackend.from_file, {"model", "temperature"},  # fingerprinted
-                   ("script", lambda v: isinstance(v, str), "a path string", None)),
+                   ("script", lambda v: isinstance(v, str) and v.strip() != "",
+                    "a non-blank path string", None)),
         "verdict_rule": (VerdictRuleChatBackend, {"temperature"},  # eval samples a judge above 0
                          ("markers", _strings, "a list of non-blank strings", [])),
     },

@@ -396,7 +396,6 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         mode=args.mode,
         few_shot_examples=_load_few_shot(args.few_shot),
         token_budget=args.token_budget,
-        system_slot=not args.no_system_slot,
     )
     index = embedder = None
     if args.index:
@@ -504,8 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", default=None, help="index file for RAG evidence")
     p.add_argument("--embed-backend", default=None, help="embedding profile for RAG")
     p.add_argument("--token-budget", type=int, default=None)
-    p.add_argument("--no-system-slot", action="store_true",
-                   help="prefix instructions to the user text instead of a system message")
     p.set_defaults(func=_cmd_eval)
 
     return parser

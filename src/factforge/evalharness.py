@@ -154,16 +154,13 @@ class PromptSpec:
     `evidence` holds the evidence texts, best-first, that follow the text
     after `DEFAULT_EVIDENCE_SEPARATOR` in any mode; in RAG mode they are
     retrieved passages, and under a token budget the lowest-ranked are
-    dropped first, whole passages only. `system_slot` says whether the
-    backend supports a system message; without one, instructions are
-    prefixed to the first user message.
+    dropped first, whole passages only.
     """
 
     mode: str
     few_shot_examples: tuple[tuple[str, bool], ...] = ()
     evidence: tuple[str, ...] = ()
     token_budget: int | None = None
-    system_slot: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -198,19 +195,13 @@ def _assemble(spec: PromptSpec, text_to_verify: str, evidence: Sequence[str]) ->
     body = text_to_verify
     if evidence:
         body = text_to_verify + DEFAULT_EVIDENCE_SEPARATOR + "\n".join(evidence)
-    turns: list[dict[str, str]] = []
+    messages = [{"role": "system", "content": _instruction_block(spec)}]
     if spec.few_shot:
         for example_text, example_label in spec.few_shot_examples:
-            turns.append({"role": "user", "content": example_text})
-            turns.append({"role": "assistant", "content": verdict_to_text(example_label)})
-    turns.append({"role": "user", "content": body})
-
-    instructions = _instruction_block(spec)
-    if spec.system_slot:
-        return [{"role": "system", "content": instructions}] + turns
-    first_user = dict(turns[0])
-    first_user["content"] = f"{instructions}\n\n{first_user['content']}"
-    return [first_user] + turns[1:]
+            messages.append({"role": "user", "content": example_text})
+            messages.append({"role": "assistant", "content": verdict_to_text(example_label)})
+    messages.append({"role": "user", "content": body})
+    return messages
 
 
 def build_prompt(spec: PromptSpec, text_to_verify: str) -> list[dict[str, str]]:

@@ -106,6 +106,7 @@ def test_pairs_report_medians_ratios_and_counts(tmp_path):
         "ratio 1.0000, change worse in 1 of 4 pairs",
         "  success_share [share, higher is better, bound 0.01]: parent 1 (IQR 0), change 1, "
         "ratio 1.0000, change worse in 0 of 4 pairs",
+        f"w1 history 1/1, change {change[:12]}: op_p50_ms 115.5, ops_per_s 10, success_share 1",
     ]
     # Pair i runs the parent first when i is even, the change first when odd.
     assert (tmp_path / "log").read_text().split("\n")[:-1] == [
@@ -135,9 +136,14 @@ def test_pairs_report_medians_ratios_and_counts(tmp_path):
     assert report["summary"]["ops_per_s"]["median_ratio"] == 1.0
     assert report["summary"]["ops_per_s"]["worse_pairs"] == 1
 
-    # A second run appends its entry; the stub's runs repeat exactly.
-    assert _run(tmp_path, repo).returncode == 0
+    # A second run appends its entry; the stub's runs repeat exactly, and the
+    # trajectory it prints lists both entries in file order.
+    again = _run(tmp_path, repo)
+    assert again.returncode == 0
     assert json.loads((tmp_path / "out" / "BENCH_w1.json").read_text()) == [report, report]
+    assert again.stdout.splitlines()[-2:] == [
+        f"w1 history {n}/2, change {change[:12]}: op_p50_ms 115.5, ops_per_s 10, success_share 1"
+        for n in (1, 2)]
 
 
 def test_a_file_of_one_entry_is_a_history_of_one(tmp_path):
@@ -145,10 +151,15 @@ def test_a_file_of_one_entry_is_a_history_of_one(tmp_path):
     older = {"workload": "w1", "seeds": [1], "runs": [], "summary": {}}
     (tmp_path / "out").mkdir()
     (tmp_path / "out" / "BENCH_w1.json").write_text(json.dumps(older))
-    assert _run(tmp_path, repo).returncode == 0
+    done = _run(tmp_path, repo)
+    assert done.returncode == 0
     history = json.loads((tmp_path / "out" / "BENCH_w1.json").read_text())
     assert len(history) == 2 and history[0] == older
     assert history[1]["seeds"] == [11, 12, 13, 14]
+    change = _git(repo, "rev-parse", "HEAD")
+    assert done.stdout.splitlines()[-2:] == [
+        "w1 history 1/2, change unknown: no medians",
+        f"w1 history 2/2, change {change[:12]}: op_p50_ms 115.5, ops_per_s 10, success_share 1"]
 
 
 @pytest.mark.parametrize("column, values, fails", [
@@ -183,6 +194,9 @@ def test_a_run_that_is_not_correct_fails(tmp_path):
     assert len((tmp_path / "log").read_text().split("\n")[:-1]) == 8
     assert ("  op_p50_ms [ms, lower is better, bound 0.25]: parent 115 (IQR 15), change 127.5, "
             "ratio 1.1019, change worse in 2 of 2 pairs") in done.stdout.splitlines()
+    change = _git(repo, "rev-parse", "HEAD")
+    assert done.stdout.splitlines()[-1] == (
+        f"w1 history 1/1, change {change[:12]}: op_p50_ms 127.5, ops_per_s 10, success_share 1")
 
 
 def test_a_tree_that_differs_from_head_is_refused(tmp_path):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -443,6 +445,12 @@ def test_inputs_that_leave_nothing_to_do_are_refused_before_any_call(ws, capsys,
         (lambda c: c["profiles"]["embed"].update(options=5), "index", "options"),
         (lambda c: c["profiles"]["embed"].update(options=[["mock", "hashed_bow"]]), "index",
          "options"),
+        # A fault in a profile names the profile as well as the key.
+        (lambda c: c["profiles"]["embed"].pop("kind"), "ingest", ("embed", "kind")),
+        (lambda c: c["profiles"]["gen"]["options"].update(script=""), "ingest",
+         ("gen", "script")),
+        (lambda c: c["profiles"]["gen"]["options"].update(script="missing.jsonl"), "generate",
+         ("gen", "script")),
     ],
     ids=["config-key-no-subcommand-reads", "option-the-mock-does-not-read",
          "mock-option-of-the-wrong-type", "options-on-an-http-profile",
@@ -457,7 +465,8 @@ def test_inputs_that_leave_nothing_to_do_are_refused_before_any_call(ws, capsys,
          "model-on-a-verdict-rule-judge", "unknown-kind", "unknown-transport",
          "integer-endpoint", "integer-auth-env", "list-model",
          "profile-not-an-object", "profile-a-list-of-pairs", "integer-options",
-         "options-a-list-of-pairs"],
+         "options-a-list-of-pairs", "profile-without-a-kind", "blank-script",
+         "missing-script-file"],
 )
 def test_unread_settings_are_named_errors(ws, capsys, change, command, key):
     config = json.loads(ws["config"].read_text())
@@ -474,7 +483,8 @@ def test_unread_settings_are_named_errors(ws, capsys, change, command, key):
     }[command]
     assert run([command, *args, "--out", ws["dir"] / "o.out", "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and repr(key) in err
+    keys = key if isinstance(key, tuple) else (key,)
+    assert err.startswith("error:") and all(repr(k) in err for k in keys), err
     assert not (ws["dir"] / "o.out").exists()
 
 
@@ -487,6 +497,29 @@ def test_each_config_key_has_one_type():
     for key, (default, least, refusal) in SETTINGS.items():
         # a None default (no token budget) is no value, so it has no range
         assert least is None or ((default is None or default >= least) and refusal), key
+
+
+def test_readme_commands_parse_and_name_every_flag():
+    """Each command of README's typical run parses as written, and README
+    names every flag the parser defines."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("A typical run, end to end", 1)[1].split("```", 2)[1]
+    commands = block.replace("\\\n", " ").strip().splitlines()
+    assert commands
+    parser = build_parser()
+    unparsed = []
+    for command in commands:
+        program, *argv = shlex.split(command)
+        try:
+            assert program == "factforge"
+            parser.parse_args(argv)
+        except (AssertionError, SystemExit):
+            unparsed.append(command)
+    (subparsers,) = [a.choices for a in parser._actions if a.dest == "command"]
+    flags = {flag for p in (parser, *subparsers.values()) for a in p._actions
+             if a.dest != "help" for flag in a.option_strings}
+    unnamed = {flag for flag in flags if not re.search(rf"(?<![\w-]){flag}(?![\w-])", text)}
+    assert (unparsed, unnamed) == ([], set())
 
 
 # --- ingest ------------------------------------------------------------------------

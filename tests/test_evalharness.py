@@ -220,22 +220,29 @@ def test_instruction_blocks_are_pinned():
     assert EXPLAIN_INSTRUCTIONS == golden("explain_block.txt").rstrip("\n")
 
 
-def test_zero_shot_prompt_shape():
-    spec = PromptSpec(mode=MODE_ZS)
-    messages = build_prompt(spec, "Water boils at sea level.")
-    assert messages[0]["role"] == "system"
-    assert messages[0]["content"] == ZERO_SHOT_INSTRUCTIONS
-    assert messages[-1] == {"role": "user", "content": "Water boils at sea level."}
-    assert len(messages) == 2
+_EXPLAINED = ZERO_SHOT_INSTRUCTIONS + "\n\n" + EXPLAIN_INSTRUCTIONS
 
 
-def test_no_system_slot_prefixes_instructions():
-    spec = PromptSpec(mode=MODE_ZS, system_slot=False)
-    messages = build_prompt(spec, "Some text.")
-    assert len(messages) == 1
-    assert messages[0]["role"] == "user"
-    assert messages[0]["content"].startswith(ZERO_SHOT_INSTRUCTIONS)
-    assert messages[0]["content"].endswith("Some text.")
+@pytest.mark.parametrize("mode, block", [
+    (MODE_ZS, ZERO_SHOT_INSTRUCTIONS),
+    (MODE_FS, ZERO_SHOT_INSTRUCTIONS),
+    (MODE_ZS_EX, _EXPLAINED),
+    (MODE_FS_EX, _EXPLAINED),
+    (MODE_RAG, RAG_INSTRUCTIONS),
+], ids=MODES)
+def test_prompt_opens_with_the_mode_instruction_block(mode, block):
+    # Every mode sends one shape: one system message holding the mode's
+    # instructions, then the few-shot turns, then the judged text.
+    examples = (("example text", True),)
+    evidence = ("passage",) if mode == MODE_RAG else ()
+    spec = PromptSpec(mode=mode, few_shot_examples=examples, evidence=evidence)
+    text = "Water boils at sea level."
+    messages = build_prompt(spec, text)
+    assert messages[0] == {"role": "system", "content": block}
+    assert all(m["role"] != "system" for m in messages[1:])
+    body = text + DEFAULT_EVIDENCE_SEPARATOR + "passage" if evidence else text
+    assert messages[-1] == {"role": "user", "content": body}
+    assert len(messages) == (4 if spec.few_shot else 2)
 
 
 def test_explain_modes_append_block():
