@@ -260,8 +260,6 @@ def _parse_backend_spec(spec: str) -> dict[str, str]:
     roles = {}
     for part in spec.split(","):
         part = part.strip()
-        if not part:
-            continue
         if "=" not in part:
             raise FactforgeError(
                 f"--backends expects role=profile assignments, got {part!r}"
@@ -309,18 +307,10 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class FewShotExample:
-    """One row of a few-shot example file; task-1 instance rows fit it."""
-
-    text: str
-    label: bool
-
-
 def _load_few_shot(path: str | None) -> tuple[tuple[str, bool], ...]:
     if not path:
         return ()
-    return tuple((ex.text, ex.label) for ex in read_records(path, FewShotExample))
+    return tuple((ex.text, ex.label) for ex in read_records(path, dataset.Task1Instance))
 
 
 def _load_instances(path: str, task: str):

@@ -35,9 +35,6 @@ PAIR_FALSIFIED_SOURCE = "falsified-source"
 PAIR_FALSIFIED_FACTUAL = "falsified-factual"
 PAIR_FALSIFIED_UNFACTUAL = "falsified-unfactual"
 
-ORIGIN_FACTUAL = "factual"
-ORIGIN_UNFACTUAL = "unfactual"
-
 
 @dataclass(frozen=True)
 class RetrieverPair:
@@ -60,8 +57,7 @@ class Task1Instance:
 
     text: str
     label: bool
-    origin: str  # "factual" or "unfactual"
-    record_id: str
+    record_id: str = ""
 
 
 @dataclass(frozen=True)
@@ -215,8 +211,8 @@ def build_task1(records: Iterable[ResourceRecord]) -> list[Task1Instance]:
     for record in records:
         _require_valid(record)
         out = record.outputs
-        instances += [Task1Instance(out.factual_text, True, ORIGIN_FACTUAL, record.record_id),
-                      Task1Instance(out.unfactual_text, False, ORIGIN_UNFACTUAL, record.record_id)]
+        instances += [Task1Instance(out.factual_text, True, record.record_id),
+                      Task1Instance(out.unfactual_text, False, record.record_id)]
     return instances
 
 

@@ -168,6 +168,8 @@ def test_profiles_are_checked_at_load_without_urllib_or_numpy(tmp_path):
     path.write_text(json.dumps(config))
     with pytest.raises(FactforgeError, match="profile 'embed': mock option 'dimension'"):
         cli.RunConfig.load(path)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        _embedder(0)
 
 
 def test_profiles_never_hold_keys(tmp_path):

@@ -351,6 +351,9 @@ def _record_backend_calls(monkeypatch) -> list:
         (["verify", "--text", "text.txt", "--index", "index.bin", "--trace", "o.jsonl",
           "--backends", "extractor=gen,embedder=embed,nli"],
          "--backends expects role=profile assignments, got 'nli'"),
+        (["verify", "--text", "text.txt", "--index", "index.bin", "--trace", "o.jsonl",
+          "--backends", "extractor=gen,,embedder=embed,nli=nli"],
+         "--backends expects role=profile assignments, got ''"),
         (["verify", "--text", "empty.txt", "--index", "index.bin", "--trace", "o.jsonl",
           "--backends", "extractor=gen,embedder=embed,nli=nli"], "no text to verify"),
         (["generate", "--passages", "empty.jsonl", "--backend", "gen", "--out", "o.jsonl"],
@@ -362,7 +365,8 @@ def _record_backend_calls(monkeypatch) -> list:
          "empty.jsonl holds no few-shot examples"),
     ],
     ids=["config-is-a-list", "profile-of-the-wrong-kind", "backends-part-without-equals",
-         "empty-text", "generate-from-no-passages", "no-instances", "fs-without-examples"],
+         "backends-part-blank", "empty-text", "generate-from-no-passages", "no-instances",
+         "fs-without-examples"],
 )
 def test_inputs_that_leave_nothing_to_do_are_refused_before_any_call(ws, capsys, monkeypatch,
                                                                      argv, message):
@@ -1062,6 +1066,20 @@ def test_eval_few_shot(pipeline):
     assert json.loads(report_path.read_text())["balanced_accuracy"] == 1.0
 
 
+def test_eval_reads_one_text_and_label_file_as_instances_and_few_shot(pipeline):
+    rows = _write_rows(pipeline["dir"] / "rows.jsonl", [
+        {"text": "An example everyone agrees with.", "label": True},
+        {"text": f"An example with {MARKER} inside.", "label": False},
+    ])
+    report_path = pipeline["dir"] / "report_rows.json"
+    code = run(["eval", "--task", "1", "--mode", "fs", "--instances", rows,
+                "--backend", "judge", "--seeds", 1, "--report", report_path,
+                "--few-shot", rows, "--config", pipeline["config"]])
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    assert (report["n_instances"], report["balanced_accuracy"]) == (2, 1.0)
+
+
 def test_eval_few_shot_mode_requires_examples(pipeline):
     instances = _derive_task(pipeline, "task1")
     code = run(["eval", "--task", "1", "--mode", "fs", "--instances", instances,
@@ -1392,11 +1410,11 @@ def _case_derive_from_task1_file(p):
     return ["derive", "--records", task1, "--what", "retriever", "--out", "o.jsonl"], task1, "schema"
 
 
-def _case_eval_instance_without_origin(p):
+def _case_eval_instance_without_label(p):
     rows = _rows(_derive_task(p, "task1"))
-    rows[2] = _drop(rows[2], "origin")
+    rows[2] = _drop(rows[2], "label")
     bad = _write_rows(p["dir"] / "bad_task1.jsonl", rows)
-    return _eval_argv(bad), bad, "origin"
+    return _eval_argv(bad), bad, "label"
 
 
 def _case_eval_task1_file_as_task2(p):
@@ -1444,7 +1462,7 @@ def _case_eval_text_a_number(p):
         _case_index_sentences_not_a_list,
         _case_derive_record_without_passage,
         _case_derive_from_task1_file,
-        _case_eval_instance_without_origin,
+        _case_eval_instance_without_label,
         _case_eval_task1_file_as_task2,
         _case_eval_few_shot_without_label,
         _case_index_passage_id_a_number,

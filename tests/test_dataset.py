@@ -230,10 +230,6 @@ def test_task1_instances():
         by_label[inst.label].append(inst)
     assert len(by_label[True]) == 3
     assert len(by_label[False]) == 3
-    for inst in by_label[True]:
-        assert inst.origin == "factual"
-    for inst in by_label[False]:
-        assert inst.origin == "unfactual"
     rec = records[0]
     texts = {i.text for i in instances if i.record_id == rec.record_id}
     assert texts == {rec.outputs.factual_text, rec.outputs.unfactual_text}

@@ -74,8 +74,8 @@ PINNED = [
         {"premise": "Uno dos.", "hypothesis": "One three.", "label": "CONTR"},
     ),
     (
-        Task1Instance("Uno dos.", True, "factual", "pg:2"),
-        {"text": "Uno dos.", "label": True, "origin": "factual", "record_id": "pg:2"},
+        Task1Instance("Uno dos.", True, "pg:2"),
+        {"text": "Uno dos.", "label": True, "record_id": "pg:2"},
     ),
     (
         Task2Instance("One three.", "Uno dos.", False, "pg:2"),
@@ -151,7 +151,7 @@ def test_scalar_fields_take_their_declared_types():
 
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
 def test_bool_fields_take_only_json_booleans(value):
-    row = {"text": "t", "record_id": "r", "origin": "o"}
+    row = {"text": "t", "record_id": "r"}
     assert from_row(Task1Instance, {**row, "label": False}).label is False
     with pytest.raises(MalformedRecord, match="'label'"):
         from_row(Task1Instance, {**row, "label": value})
@@ -223,8 +223,8 @@ def test_read_records_checks_the_header_and_names_file_row_and_field(tmp_path):
     with pytest.raises(MalformedRecord, match="task1.jsonl.*'schema'.*task2_instances"):
         read_records(path, Task2Instance, "task2_instances")
 
-    write_jsonl(path, [good, {"text": "t", "label": True, "record_id": "r"}])
-    with pytest.raises(MalformedRecord, match=r"task1\.jsonl row 2: Task1Instance .*'origin'"):
+    write_jsonl(path, [good, {"text": "t", "record_id": "r"}])
+    with pytest.raises(MalformedRecord, match=r"task1\.jsonl row 2: Task1Instance .*'label'"):
         read_records(path, Task1Instance)
     path.write_text("")
     assert read_records(path, Task1Instance) == []
@@ -243,7 +243,7 @@ records = st.builds(
     validation=st.builds(ValidationReport, text_tuples, text_tuples),
     retries=st.integers(0, 5),
 )
-instances1 = st.builds(Task1Instance, texts, st.booleans(), texts, texts)
+instances1 = st.builds(Task1Instance, texts, st.booleans(), texts)
 instances2 = st.builds(Task2Instance, texts, texts, st.booleans(), texts)
 
 

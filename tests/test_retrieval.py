@@ -61,6 +61,10 @@ def test_top_k_invalid_inputs():
         idx.top_k(np.array([1.0, 0.0]), k=0)
     with pytest.raises(FactforgeError, match="query has dimension 3, index has 2"):
         idx.top_k(np.array([1.0, 0.0, 3.0]), k=1)
+    with pytest.raises(ValueError, match="expected 1-D vector"):
+        idx.top_k(np.array([[1.0, 0.0]]), k=1)
+    with pytest.raises(ValueError, match="query contains non-finite values"):
+        idx.top_k(np.array([1.0, float("nan")]), k=1)
 
 
 @given(
@@ -216,6 +220,12 @@ def test_build_rejects_duplicates_and_empty():
                   lambda: index_build([], types.SimpleNamespace(embed=calls.append))):
         with pytest.raises(FactforgeError, match="cannot build an index with zero passages"):
             build()
+    with pytest.raises(ValueError, match="must align"):
+        PassageIndex(["a", "b"], ["t"], np.zeros((2, 2), dtype=np.float32))
+    with pytest.raises(ValueError, match="must align"):
+        PassageIndex(["a", "b"], ["t", "u"], np.zeros((3, 2), dtype=np.float32))
+    with pytest.raises(ValueError, match="matrix must be 2-D"):
+        PassageIndex(["a"], ["t"], np.zeros((1, 2, 2), dtype=np.float32))
     assert calls == []
 
 
@@ -254,6 +264,8 @@ def test_index_build_checks_every_vector():
         index_build(pairs, Emb([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0, 1.0]]))
     with pytest.raises(ValueError, match="non-finite"):
         index_build(pairs, Emb([[1.0, 0.0], [0.0, 1.0], [1.0, float("inf")]]))
+    with pytest.raises(ValueError, match=r"expected an \(n, d\) array of vectors"):
+        index_build(pairs, Emb([1.0, 0.0, 1.0]))
     for count in (2, 4):
         with pytest.raises(ValueError, match=f"embedded {count} vectors for 3 passages"):
             index_build(pairs, Emb([[1.0, 0.0]] * count))
@@ -310,15 +322,21 @@ def test_load_rejects_corruption(tmp_path):
 
 
 def test_load_rejects_every_truncation_and_bad_utf8(tmp_path):
-    idx = PassageIndex(["a", "bé"], ["ta", ""], np.arange(6, dtype=np.float32).reshape(2, 3))
+    # A long first text lets cuts inside the records pass the header-size check.
+    idx = PassageIndex(["a", "bé"], ["t" * 100, ""],
+                       np.arange(6, dtype=np.float32).reshape(2, 3))
     path = tmp_path / "index.ffidx"
     idx.save(path)
     raw = path.read_bytes()
     cut = tmp_path / "cut.ffidx"
+    raised = set()
     for size in range(len(raw)):
         cut.write_bytes(raw[:size])
-        with pytest.raises(MalformedRecord, match="shorter than header|truncated|more than the file holds"):
+        with pytest.raises(MalformedRecord) as exc:
             PassageIndex.load(cut)
+        assert exc.match("shorter than header|truncated|more than the file holds")
+        raised.add(str(exc.value).split(" of ")[0])
+    assert {"truncated length prefix", "truncated string", "truncated vector"} <= raised
 
     # the first id is b"a" right after the header and its length prefix
     at = raw.index(b"a", 22)
@@ -393,6 +411,10 @@ def test_loss_input_validation():
         in_batch_loss(v, np.ones((2, 4)))
     with pytest.raises(ValueError):
         in_batch_loss(np.ones((0, 3)), np.ones((0, 3)))
+    with pytest.raises(ValueError, match="expected 2-D arrays"):
+        in_batch_loss(np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        in_batch_loss(v, np.array([[1.0, 0.0, 0.0], [0.0, float("inf"), 0.0]]))
 
 
 @given(

@@ -36,6 +36,7 @@ from factforge.synthgen import (
     validate_record,
     write_records,
 )
+from factforge.textnorm import unigram_jaccard
 from factforge.verification import ChatClaimExtractor
 
 from conftest import (
@@ -146,6 +147,8 @@ def test_parse_type_errors():
         parse_generation_output(_payload(step_2=["only one"]))
     with pytest.raises(OutputParseError, match="step_3 must be a string"):
         parse_generation_output(_payload(step_3=["list not str"]))
+    with pytest.raises(OutputParseError, match="step_4 must be a string"):
+        parse_generation_output(_payload(step_4=None))
 
 
 def test_parse_not_an_object():
@@ -225,6 +228,8 @@ def test_validate_original_fuzzy_match_is_warning_not_failure():
     report = validate_record(amazon_passage(), _outputs(claims=claims))
     assert HARD_ORIGINAL_NOT_IN_CLAIMS not in report.hard_failures
     assert WARN_ORIGINAL_FUZZY_MATCH in report.warnings
+    assert unigram_jaccard(fuzzy, AMAZON_ORIGINAL) == 1.0
+    assert unigram_jaccard("", "") == 1.0  # two empty texts count as identical
 
 
 def test_validate_altered_equals_original():
@@ -425,6 +430,8 @@ def test_generate_record_zero_retries_single_attempt():
     chat = scripted_chat_for(passage, ["junk", amazon_step_json()])
     with pytest.raises(FactforgeError, match="generation failed after 1 attempts"):
         generate_record(passage, chat, max_retries=0)
+    with pytest.raises(ValueError, match="max_retries must be >= 0"):
+        generate_record(passage, chat, max_retries=-1)
 
 
 def test_generate_uses_pinned_prompt(amazon_record):
