@@ -14,9 +14,13 @@ parent first when i is even, the checkout first when it is odd, so a host
 that drifts during the runs moves both sides alike.
 
 For each end-to-end metric in BENCHMARK.json it prints the two medians, the
-parent's interquartile range (quartiles by linear interpolation), the median
-of the within-pair ratios (change / parent) and in how many pairs the change
-was worse, over the pairs whose two runs were correct. It exits 1 when a
+parent's interquartile range (quartiles by linear interpolation), the median,
+least and greatest of the within-pair ratios (change / parent), in how many
+pairs the change was worse and in how many strictly better (a tie counts for
+neither), and whether a gain is shown: the change is better in at least nine
+tenths of the pairs and its median beats the parent's by more than the
+parent's interquartile range. These figures are over the pairs whose two runs
+were correct, and the gain verdict changes no exit code. It exits 1 when a
 run is not correct (its last line lacks
 `"correct": true`, or it exits non-zero) or when the change's median is
 worse than the parent's by more than the metric's bound, a fraction of the
@@ -82,15 +86,25 @@ def summarize(metric: dict, pairs: list[tuple[float, float]]) -> dict:
     ratios = [c / p for p, c in pairs if p]
     parent_median, change_median = statistics.median(parent), statistics.median(change)
     limit = parent_median * (1 + metric["bound"] if lower else 1 - metric["bound"])
+    better = sum(c < p if lower else c > p for p, c in pairs)
+    gain = parent_median - change_median if lower else change_median - parent_median
+    spread = iqr(parent)
     return {
         "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
         "pairs": len(pairs),
         "parent_median": parent_median, "change_median": change_median,
-        "parent_iqr": iqr(parent),
+        "parent_iqr": spread,
         "median_ratio": statistics.median(ratios) if ratios else None,
+        "ratio_min": min(ratios, default=None), "ratio_max": max(ratios, default=None),
         "worse_pairs": sum(c > p if lower else c < p for p, c in pairs),
+        "better_pairs": better,
+        "gain_shown": 10 * better >= 9 * len(pairs) and gain > spread,
         "within_bound": change_median <= limit if lower else change_median >= limit,
     }
+
+
+def ratio(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.4f}"
 
 
 def compare(workload: str, args, repo: Path, parent_tree: Path, spec: dict, revs: dict) -> bool:
@@ -124,11 +138,12 @@ def compare(workload: str, args, repo: Path, parent_tree: Path, spec: dict, revs
           f"{spec['run_seconds']:g} s runs, parent {revs['parent'][:12]} "
           f"vs change {revs['change'][:12]}")
     for name, s in summary.items():
-        ratio = "n/a" if s["median_ratio"] is None else f"{s['median_ratio']:.4f}"
         print(f"  {name} [{s['unit']}, {s['better']} is better, bound {s['bound']:g}]: "
               f"parent {s['parent_median']:.6g} (IQR {s['parent_iqr']:.6g}), "
-              f"change {s['change_median']:.6g}, ratio {ratio}, "
-              f"change worse in {s['worse_pairs']} of {s['pairs']} pairs")
+              f"change {s['change_median']:.6g}, ratio {ratio(s['median_ratio'])} "
+              f"(min {ratio(s['ratio_min'])}, max {ratio(s['ratio_max'])}), "
+              f"change worse in {s['worse_pairs']} and better in {s['better_pairs']} "
+              f"of {s['pairs']} pairs, gain {'shown' if s['gain_shown'] else 'not shown'}")
     for failure in failures:
         print(f"  FAIL {failure}")
     if args.out is not None:

@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from factforge.backends import BackendProfile, chat_fingerprint
 from factforge.cli import main as cli_main
-from factforge.corpus import Page, page_passages, sample_passage
+from factforge.corpus import page_passages, read_pages, sample_passage
 from factforge.synthgen import StepOutputs, build_unified_prompt
 from factforge.verification import build_claim_extraction_prompt
 
@@ -84,12 +84,12 @@ def chat_entry(prompt: str, response: str) -> dict:
 
 
 def build_workspace(workdir: Path, seed: int) -> dict:
-    pages = [Page(pid, title, " ".join(sents)) for pid, title, sents in TOPICS]
     pages_path = workdir / "pages.jsonl"
     pages_path.write_text("\n".join(
-        json.dumps({"page_id": p.page_id, "title": p.title, "text": p.text})
-        for p in pages
+        json.dumps({"page_id": pid, "title": title, "text": " ".join(sents)})
+        for pid, title, sents in TOPICS
     ) + "\n")
+    pages = read_pages(pages_path)
 
     entries = []
     texts = {}

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Se
 
 from .errors import (AuthFailure, BackendError, BackendTimeout, FactforgeError,
                      MalformedResponse, RateLimited)
+from .evalharness import FACTUAL_TOKEN, NOT_FACTUAL_TOKEN
 from .jsonlio import read_records
 from .textnorm import normalize_ws, tokenize
 from .verification import NliDistribution
@@ -496,9 +497,7 @@ class VerdictRuleChatBackend:
     def complete(self, messages: Sequence[Mapping[str, str]]) -> str:
         users = [m["content"] for m in messages if m.get("role") == "user"]
         haystack = users[-1].lower() if users else ""
-        if any(marker in haystack for marker in self._markers):
-            return "Not Factual"
-        return "Factual"
+        return NOT_FACTUAL_TOKEN if any(m in haystack for m in self._markers) else FACTUAL_TOKEN
 
 
 _DIGEST_HEAD = struct.Struct(">IB")
@@ -515,7 +514,7 @@ class HashedBowEmbedder:
     (len(texts), dimension) float64 array.
     """
 
-    def __init__(self, profile: BackendProfile, dimension: int = 64):
+    def __init__(self, profile: BackendProfile, dimension: int):
         self.profile = profile
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
@@ -565,7 +564,7 @@ class RuleNliBackend:
     NEUT = NliDistribution(0.05, 0.9, 0.05)
     CONTR = NliDistribution(0.05, 0.05, 0.9)
 
-    def __init__(self, profile: BackendProfile, contradictions: Iterable[Sequence[str]] = ()):
+    def __init__(self, profile: BackendProfile, contradictions: Iterable[Sequence[str]]):
         self.profile = profile
         self._pairs = [(a.lower(), b.lower()) for a, b in contradictions]
 

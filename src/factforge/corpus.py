@@ -42,7 +42,6 @@ class Page:
     """One source document."""
 
     page_id: str | int  # Wikipedia page ids are numbers
-    title: str
     text: str
 
     def __post_init__(self) -> None:
@@ -146,8 +145,9 @@ def sample_passage(
 def read_pages(path: str | Path) -> list[Page]:
     """Load pages from a record file or a directory of single-record files.
 
-    Records without a page id or text are skipped with a warning; a missing
-    title reads as empty; duplicate page ids are an error.
+    Records without a usable page id or text are skipped with a warning;
+    other keys, a title included, are ignored; duplicate page ids are an
+    error.
     """
     import json
 
@@ -168,10 +168,8 @@ def read_pages(path: str | Path) -> list[Page]:
     pages: list[Page] = []
     seen: set[str | int] = set()
     for row in rows:
-        if isinstance(row, dict):
-            if "schema" in row and "page_id" not in row:
-                continue  # a header row
-            row = {"title": "", **row}
+        if isinstance(row, dict) and "schema" in row and "page_id" not in row:
+            continue  # a header row
         try:
             page = from_row(Page, row)
         except (MalformedRecord, ValueError) as exc:

@@ -67,7 +67,7 @@ class Task2Instance:
     claim: str
     evidence: str
     label: bool
-    record_id: str
+    record_id: str = ""
 
 
 def _require_valid(record: ResourceRecord) -> None:

@@ -97,11 +97,11 @@ def _is_record(hint: Any) -> bool:
     return isinstance(hint, type) and dataclasses.is_dataclass(hint)
 
 
-def _decode_list(item: Codec | None) -> Codec:
+def _decode_list(item: Codec) -> Codec:
     def decode(value: Any) -> tuple:
         if not isinstance(value, list):
             raise MalformedRecord(f"expected a list, got {type(value).__name__}")
-        return tuple(value) if item is None else tuple(map(item, value))
+        return tuple(map(item, value))
     return decode
 
 
@@ -133,19 +133,19 @@ def _decode_enum(cls: type[enum.Enum]) -> Codec:
     return decode
 
 
-def _codecs(hint: Any) -> tuple[Codec | None, Codec | None]:
-    """(encode, decode) for one field type; None means the value passes as is."""
+def _codecs(hint: Any, field: str) -> tuple[Codec | None, Codec]:
+    """(encode, decode) for the type of `field`; encode None writes it as is."""
     if _is_record(hint):
         return to_row, functools.partial(from_row, hint)
     if isinstance(hint, type) and issubclass(hint, enum.Enum):
         return (lambda v: v.value), _decode_enum(hint)
     if typing.get_origin(hint) is tuple:  # tuple[X, ...]
-        encode, decode = _codecs(typing.get_args(hint)[0])
+        encode, decode = _codecs(typing.get_args(hint)[0], field)
         return (list if encode is None else lambda v: [encode(x) for x in v]), _decode_list(decode)
     kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
     if all(kind in _SCALARS for kind in kinds):
         return None, _decode_exact(kinds)
-    return None, None
+    raise TypeError(f"field {field}: no row codec for type {hint!r}")
 
 
 class _Plan(NamedTuple):
@@ -161,14 +161,13 @@ def _plan(cls: type) -> _Plan:
     hints = typing.get_type_hints(cls)
     encoders, required, optional, decoders = [], [], [], []
     for f in dataclasses.fields(cls):
-        encode, decode = _codecs(hints[f.name])
+        encode, decode = _codecs(hints[f.name], f"{cls.__name__}.{f.name}")
         encoders.append((f.name, encode))
         if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             required.append(f.name)
         else:
             optional.append(f.name)
-        if decode is not None:
-            decoders.append((f.name, decode))
+        decoders.append((f.name, decode))
     return _Plan(tuple(encoders), tuple(required), tuple(optional), tuple(decoders))
 
 

@@ -46,7 +46,7 @@ SPEC = {
     ],
 }
 
-SEEDS = ["11", "12", "13", "14"]
+SEEDS = [str(seed) for seed in range(11, 21)]
 PARENT = {"op_p50_ms": [100, 110, 120, 130], "ops_per_s": [10, 10, 10, 10],
           "success_share": [1, 1, 1, 1]}
 CHANGE = {"op_p50_ms": [105, 100, 126, 150], "ops_per_s": [10, 9, 11, 10],
@@ -54,8 +54,8 @@ CHANGE = {"op_p50_ms": [105, 100, 126, 150], "ops_per_s": [10, 9, 11, 10],
 
 
 def _values(columns: dict, **extra) -> str:
-    rows = {seed: {name: values[i] for name, values in columns.items()}
-            for i, seed in enumerate(SEEDS)}
+    """values.json for one row per column entry, seeds counting from 11."""
+    rows = {seed: dict(zip(columns, values)) for seed, *values in zip(SEEDS, *columns.values())}
     for seed, flags in extra.items():
         rows[seed.lstrip("s")].update(flags)
     return json.dumps(rows)
@@ -66,11 +66,11 @@ def _git(repo: Path, *args: str) -> str:
                            *args], check=True, capture_output=True, text=True).stdout.strip()
 
 
-def _repo(tmp_path: Path, parent: str, change: str) -> Path:
+def _repo(tmp_path: Path, parent: str, change: str, spec: dict = SPEC) -> Path:
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     _git(repo, "init", "-q")
-    (repo / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    (repo / "BENCHMARK.json").write_text(json.dumps(spec))
     (repo / "perfbench" / "run.py").write_text(STUB)
     (repo / "values.json").write_text(parent)
     _git(repo, "add", "-A")
@@ -80,12 +80,13 @@ def _repo(tmp_path: Path, parent: str, change: str) -> Path:
     return repo
 
 
-def _run(tmp_path: Path, repo: Path):
+def _run(tmp_path: Path, repo: Path, pairs: int = 4):
     (tmp_path / "tmp").mkdir(exist_ok=True)
     (tmp_path / "out").mkdir(exist_ok=True)
     env = {**os.environ, "STUB_LOG": str(tmp_path / "log"), "TMPDIR": str(tmp_path / "tmp")}
     done = subprocess.run(
-        [sys.executable, str(SCRIPT), "--pairs", "4", "--seed", "11", "--out", str(tmp_path / "out")],
+        [sys.executable, str(SCRIPT), "--pairs", str(pairs), "--seed", "11",
+         "--out", str(tmp_path / "out")],
         cwd=repo, env=env, capture_output=True, text=True, timeout=120)
     # The worktree is gone whatever the outcome.
     assert _git(repo, "worktree", "list", "--porcelain").count("worktree ") == 1
@@ -101,11 +102,14 @@ def test_pairs_report_medians_ratios_and_counts(tmp_path):
     assert done.stdout.splitlines() == [
         f"w1: 4 pairs, seeds 11-14, 1 s runs, parent {parent[:12]} vs change {change[:12]}",
         "  op_p50_ms [ms, lower is better, bound 0.25]: parent 115 (IQR 15), change 115.5, "
-        "ratio 1.0500, change worse in 3 of 4 pairs",
+        "ratio 1.0500 (min 0.9091, max 1.1538), change worse in 3 and better in 1 of 4 pairs, "
+        "gain not shown",
         "  ops_per_s [1/s, higher is better, bound 0.25]: parent 10 (IQR 0), change 10, "
-        "ratio 1.0000, change worse in 1 of 4 pairs",
+        "ratio 1.0000 (min 0.9000, max 1.1000), change worse in 1 and better in 1 of 4 pairs, "
+        "gain not shown",
         "  success_share [share, higher is better, bound 0.01]: parent 1 (IQR 0), change 1, "
-        "ratio 1.0000, change worse in 0 of 4 pairs",
+        "ratio 1.0000 (min 1.0000, max 1.0000), change worse in 0 and better in 0 of 4 pairs, "
+        "gain not shown",
         f"w1 history 1/1, change {change[:12]}: op_p50_ms 115.5, ops_per_s 10, success_share 1",
     ]
     # Pair i runs the parent first when i is even, the change first when odd.
@@ -132,7 +136,8 @@ def test_pairs_report_medians_ratios_and_counts(tmp_path):
     assert report["summary"]["op_p50_ms"] == {
         "unit": "ms", "better": "lower", "bound": 0.25, "pairs": 4,
         "parent_median": 115, "change_median": 115.5, "parent_iqr": 15.0,
-        "median_ratio": 1.05, "worse_pairs": 3, "within_bound": True}
+        "median_ratio": 1.05, "ratio_min": 100 / 110, "ratio_max": 150 / 130,
+        "worse_pairs": 3, "better_pairs": 1, "gain_shown": False, "within_bound": True}
     assert report["summary"]["ops_per_s"]["median_ratio"] == 1.0
     assert report["summary"]["ops_per_s"]["worse_pairs"] == 1
 
@@ -144,6 +149,57 @@ def test_pairs_report_medians_ratios_and_counts(tmp_path):
     assert again.stdout.splitlines()[-2:] == [
         f"w1 history {n}/2, change {change[:12]}: op_p50_ms 115.5, ops_per_s 10, success_share 1"
         for n in (1, 2)]
+
+
+# Ten pairs: a gain is shown when the change is better in at least nine of
+# them and its median beats the parent's by more than the parent's IQR.
+GAIN_SPEC = {**SPEC, "end_to_end": [
+    {"name": name, "unit": "u", "better": better, "bound": 0.25}
+    for name, better in (("all_ten", "lower"), ("nine_past_iqr", "lower"),
+                         ("nine_in_iqr", "higher"), ("eight_past_iqr", "lower"),
+                         ("tie", "higher"))]}
+STEPS = [100, 102, 104, 106, 108, 110, 112, 114, 116, 118]  # median 109, IQR 9
+GAIN_PARENT = {"all_ten": STEPS, "nine_past_iqr": STEPS,
+               "nine_in_iqr": [8, 9, 10, 11, 12, 8, 9, 10, 11, 12],  # median 10, IQR 2
+               "eight_past_iqr": STEPS, "tie": [1] * 10}
+GAIN_CHANGE = {"all_ten": [v - 20 for v in STEPS],
+               "nine_past_iqr": [v - 20 for v in STEPS[:9]] + [120],
+               "nine_in_iqr": [9, 10, 11, 12, 13, 9, 10, 11, 12, 11],
+               "eight_past_iqr": [v - 20 for v in STEPS[:8]] + [118, 120],
+               "tie": [1] * 10}
+
+
+def test_a_gain_is_shown_by_nine_tenths_of_the_pairs_and_the_parent_iqr(tmp_path):
+    repo = _repo(tmp_path, _values(GAIN_PARENT), _values(GAIN_CHANGE), GAIN_SPEC)
+    done = _run(tmp_path, repo, pairs=10)
+    assert done.returncode == 0, done.stdout
+    assert done.stdout.splitlines()[1:6] == [
+        "  all_ten [u, lower is better, bound 0.25]: parent 109 (IQR 9), change 89, "
+        "ratio 0.8165 (min 0.8000, max 0.8305), change worse in 0 and better in 10 of 10 pairs, "
+        "gain shown",
+        "  nine_past_iqr [u, lower is better, bound 0.25]: parent 109 (IQR 9), change 89, "
+        "ratio 0.8165 (min 0.8000, max 1.0169), change worse in 1 and better in 9 of 10 pairs, "
+        "gain shown",
+        "  nine_in_iqr [u, higher is better, bound 0.25]: parent 10 (IQR 2), change 11, "
+        "ratio 1.1000 (min 0.9167, max 1.1250), change worse in 1 and better in 9 of 10 pairs, "
+        "gain not shown",
+        "  eight_past_iqr [u, lower is better, bound 0.25]: parent 109 (IQR 9), change 89, "
+        "ratio 0.8165 (min 0.8000, max 1.0172), change worse in 2 and better in 8 of 10 pairs, "
+        "gain not shown",
+        "  tie [u, higher is better, bound 0.25]: parent 1 (IQR 0), change 1, "
+        "ratio 1.0000 (min 1.0000, max 1.0000), change worse in 0 and better in 0 of 10 pairs, "
+        "gain not shown",
+    ]
+    (report,) = json.loads((tmp_path / "out" / "BENCH_w1.json").read_text())
+    summary = report["summary"]
+    assert {name: (s["better_pairs"], s["ratio_min"], s["ratio_max"], s["gain_shown"])
+            for name, s in summary.items()} == {
+        "all_ten": (10, 80 / 100, 98 / 118, True),
+        "nine_past_iqr": (9, 80 / 100, 120 / 118, True),
+        "nine_in_iqr": (9, 11 / 12, 9 / 8, False),
+        "eight_past_iqr": (8, 80 / 100, 118 / 116, False),
+        "tie": (0, 1.0, 1.0, False),
+    }
 
 
 def test_a_file_of_one_entry_is_a_history_of_one(tmp_path):
@@ -193,7 +249,8 @@ def test_a_run_that_is_not_correct_fails(tmp_path):
     # Every run still ran; only the pairs of seeds 11 and 14 are compared.
     assert len((tmp_path / "log").read_text().split("\n")[:-1]) == 8
     assert ("  op_p50_ms [ms, lower is better, bound 0.25]: parent 115 (IQR 15), change 127.5, "
-            "ratio 1.1019, change worse in 2 of 2 pairs") in done.stdout.splitlines()
+            "ratio 1.1019 (min 1.0500, max 1.1538), change worse in 2 and better in 0 of 2 pairs, "
+            "gain not shown") in done.stdout.splitlines()
     change = _git(repo, "rev-parse", "HEAD")
     assert done.stdout.splitlines()[-1] == (
         f"w1 history 1/1, change {change[:12]}: op_p50_ms 127.5, ops_per_s 10, success_share 1")

@@ -66,7 +66,7 @@ def build_workspace(tmp_path: Path, n_pages: int = 4) -> dict:
     factual_texts = {}
     unfactual_texts = {}
     for row in rows:
-        page = Page(row["page_id"], row["title"], row["text"])
+        page = Page(row["page_id"], row["text"])
         for passage in page_passages(page):
             entries.append(
                 _chat_entry(build_unified_prompt(passage), step_json_for(passage))
@@ -1080,6 +1080,29 @@ def test_eval_reads_one_text_and_label_file_as_instances_and_few_shot(pipeline):
     assert (report["n_instances"], report["balanced_accuracy"]) == (2, 1.0)
 
 
+def test_eval_reads_task2_rows_without_record_id(pipeline, capsys):
+    evidence = "Ada wrote notes on the engine."
+    rows = [{"claim": "Ada wrote notes.", "evidence": evidence, "label": True},
+            {"claim": f"Ada wrote {MARKER} poems.", "evidence": evidence, "label": False}]
+    good = _write_rows(pipeline["dir"] / "task2_rows.jsonl", rows)
+    report_path = pipeline["dir"] / "report_task2_rows.json"
+    code = run(["eval", "--task", "2", "--mode", "zs", "--instances", good,
+                "--backend", "judge", "--seeds", 1, "--report", report_path,
+                "--config", pipeline["config"]])
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    assert (report["n_instances"], report["balanced_accuracy"]) == (2, 1.0)
+    # the fields eval reads are still checked
+    bad = _write_rows(pipeline["dir"] / "task2_bad.jsonl",
+                      [rows[0], {**rows[1], "label": "false"}])
+    capsys.readouterr()
+    code = run(["eval", "--task", "2", "--mode", "zs", "--instances", bad,
+                "--backend", "judge", "--seeds", 1, "--report", report_path,
+                "--config", pipeline["config"]])
+    err = capsys.readouterr().err
+    assert code == 1 and all(part in err for part in (bad.name, "row 2", "'label'"))
+
+
 def test_eval_few_shot_mode_requires_examples(pipeline):
     instances = _derive_task(pipeline, "task1")
     code = run(["eval", "--task", "1", "--mode", "fs", "--instances", instances,
@@ -1611,7 +1634,7 @@ def test_numpy_free_subcommands_start_without_numpy(tmp_path):
     """ingest, generate and derive never import numpy; index still works after them."""
     rows = page_rows(3)
     (tmp_path / "pages.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
-    passages = [sample_passage(Page(r["page_id"], r["title"], r["text"]), seed=0) for r in rows]
+    passages = [sample_passage(Page(r["page_id"], r["text"]), seed=0) for r in rows]
     (tmp_path / "gen_script.jsonl").write_text("".join(
         json.dumps(_chat_entry(build_unified_prompt(p), step_json_for(p))) + "\n"
         for p in passages))

@@ -165,7 +165,7 @@ def test_window_stride_one_covers_everything(n, window):
 
 def _page_with_windows(k: int) -> Page:
     # k windows at window=5, stride=1 needs k + 4 sentences
-    return Page("pg", "t", " ".join(f"Sentence number {i} ok." for i in range(k + 4)))
+    return Page("pg", " ".join(f"Sentence number {i} ok." for i in range(k + 4)))
 
 
 def test_sample_deterministic_per_seed():
@@ -187,13 +187,13 @@ def test_sample_uniform_over_windows():
 
 def test_sample_single_window_page():
     # a one-sentence page has exactly one candidate window
-    page = Page("pg", "t", "Only sentence here.")
+    page = Page("pg", "Only sentence here.")
     assert sample_passage(page, seed=0).start == 0
 
 
 def test_blank_page_rejected_at_construction():
     with pytest.raises(ValueError):
-        Page("pg2", "t", "   ")
+        Page("pg2", "   ")
 
 
 @given(st.text(min_size=1).filter(str.strip), st.integers(1, 8), st.integers(1, 8),
@@ -201,7 +201,7 @@ def test_blank_page_rejected_at_construction():
 def test_every_page_has_a_window_to_sample(text, window, stride, seed):
     # A page's text is never blank, and any non-blank text splits into at
     # least one sentence, so `ingest --sample-per-page` has no page to skip.
-    page = Page("pg", "t", text)
+    page = Page("pg", text)
     assert page_passages(page, window, stride)
     assert sample_passage(page, seed, window, stride) in page_passages(page, window, stride)
 
@@ -211,8 +211,7 @@ def test_every_page_has_a_window_to_sample(text, window, stride, seed):
 
 def test_page_required_fields():
     with pytest.raises(ValueError):
-        Page("", "t", "text here")
-    assert Page("p", "t", "text here").title == "t"
+        Page("", "text here")
 
 
 def test_pages_roundtrip_and_duplicate_detection(tmp_path):
@@ -245,6 +244,24 @@ def test_read_pages_skips_empty_text(tmp_path):
     assert [p.page_id for p in pages] == ["b"]
 
 
+def test_read_pages_ignores_the_title(tmp_path, caplog):
+    import json
+
+    path = tmp_path / "pages.jsonl"
+    rows = [
+        {"page_id": "a", "title": None, "text": "Alpha beta."},
+        {"page_id": "b", "title": 1984, "text": "Gamma delta."},
+        {"page_id": "c", "text": "Epsilon zeta."},
+        {"page_id": "d", "title": "D", "text": "  "},
+    ]
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    with caplog.at_level("WARNING"):
+        pages = read_pages(path)
+    assert pages == [Page("a", "Alpha beta."), Page("b", "Gamma delta."),
+                     Page("c", "Epsilon zeta.")]
+    assert len(caplog.records) == 1 and "text" in caplog.records[0].getMessage()
+
+
 def test_read_pages_from_directory(tmp_path, caplog):
     import json
 
@@ -256,17 +273,19 @@ def test_read_pages_from_directory(tmp_path, caplog):
         json.dumps({"schema": "pages", "version": 1}) + "\n"
         + json.dumps({"page_id": "three", "text": "K l. M n."}) + "\n"
     )
-    # files are read in name order; a header row is skipped without a warning,
-    # and a missing title reads as empty
+    (d / "four.ndjson").write_text(json.dumps({"page_id": "four", "text": "O p. Q r."}) + "\n")
+    (d / "notes.txt").write_text(json.dumps({"page_id": "notes", "text": "S t."}) + "\n")
+    # .json, .jsonl and .ndjson files are read in name order and other files
+    # are ignored; a header row is skipped without a warning
     with caplog.at_level("WARNING"):
         pages = read_pages(d)
-    assert [p.page_id for p in pages] == ["one", "three", "two"]
-    assert pages[1] == Page("three", "", "K l. M n.")
+    assert [p.page_id for p in pages] == ["four", "one", "three", "two"]
+    assert pages[2] == Page("three", "K l. M n.")
     assert caplog.records == []
 
 
 def test_passage_file_roundtrip(tmp_path):
-    page = Page("pg", "t", " ".join(f"Sentence number {i} ok." for i in range(8)))
+    page = Page("pg", " ".join(f"Sentence number {i} ok." for i in range(8)))
     passages = page_passages(page)
     path = tmp_path / "passages.jsonl"
     write_passages(path, passages)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -147,6 +148,18 @@ def test_scalar_fields_take_their_declared_types():
     assert type(recall) is float and recall == 1.0
     trace = {"claim": "c", "decision": False, "deciding_passage_id": None, "rank_examined": 0}
     assert from_row(ClaimTrace, trace).deciding_passage_id is None
+
+
+def test_a_field_type_without_a_codec_is_a_type_error():
+    @dataclasses.dataclass(frozen=True)
+    class Tally:
+        name: str
+        counts: dict[str, int]
+
+    with pytest.raises(TypeError, match=r"Tally\.counts"):
+        to_row(Tally("t", {"a": 1}))
+    with pytest.raises(TypeError, match=r"Tally\.counts"):
+        from_row(Tally, {"name": "t", "counts": {"a": 1}})
 
 
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])

@@ -336,8 +336,8 @@ def _demo_twins():
     spec = importlib.util.spec_from_file_location("run_pipeline_demo", path)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
-    for pid, title, sentences in demo.TOPICS:
-        for passage in page_passages(Page(pid, title, " ".join(sentences))):
+    for pid, _, sentences in demo.TOPICS:
+        for passage in page_passages(Page(pid, " ".join(sentences))):
             yield passage, demo.scripted_outputs(passage)
 
 

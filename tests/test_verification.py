@@ -455,7 +455,7 @@ def test_extraction_instructions_match_first_generation_step():
 
 def test_classify_validates_inputs():
     profile = BackendProfile(name="nli", kind="nli", transport="mock")
-    nli = RuleNliBackend(profile)
+    nli = RuleNliBackend(profile, ())
     with pytest.raises(ValueError):
         classify(nli, "", "hypothesis")
     with pytest.raises(ValueError):
