@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Paired benchmark runs: HEAD against a parent revision.
+"""Paired benchmark runs: HEAD against a parent revision, or against itself.
 
     python3 scripts/bench_pairs.py --workload pipeline_http --pairs 10 \\
         --seed 501 --parent HEAD^ --out .
+    python3 scripts/bench_pairs.py --workload pipeline_http --pairs 10 \\
+        --seed 501 --parent HEAD --out .
 
 Run it inside the repository, on a clean checkout: it refuses to run while
 tracked files differ from HEAD, so the revision it records is the code it
@@ -30,6 +32,16 @@ of one): every run's metrics, the seeds and order, both revisions, the CPU
 count and the Python version; it then prints the file's trajectory, one
 line per entry in file order: the entry's change revision and its change
 medians. The worktree is removed on every exit.
+
+`--parent HEAD` runs an A/A set: both sides run HEAD, with the
+same alternation and seeds, and its entry is marked `"aa": true` (every
+other entry `false`).
+Its within-pair ratios show how far apart two runs of the same code read
+on this host. So with `--out`, each report prints under each metric the
+ratio range of the latest A/A entry in the file from a host with the same
+CPU count and Python version, next to its own range, and says whether its
+median ratio lies inside the A/A range. That line informs the reader only:
+exit codes and bounds are as without it.
 """
 
 from __future__ import annotations
@@ -111,6 +123,15 @@ def compare(workload: str, args, repo: Path, parent_tree: Path, spec: dict, revs
     """Run the pairs of one workload, print the comparison and write its
     file; True when every run was correct and every metric within bound."""
     seeds = [args.seed + i for i in range(args.pairs)]
+    path = args.out / f"BENCH_{workload}.json" if args.out is not None else None
+    history = json.loads(path.read_text(encoding="utf-8")) if path and path.exists() else []
+    if isinstance(history, dict):
+        history = [history]
+    host = {"cpu_count": os.cpu_count(), "python": platform.python_version()}
+    aa_set = revs["parent"] == revs["change"]
+    # The latest A/A entry from a host like this one, whose ratios show the noise.
+    aa = next((entry for entry in reversed(history) if entry.get("aa") is True
+               and all(entry.get(key) == value for key, value in host.items())), {})
     runs = []
     for i, seed in enumerate(seeds):
         sides = [("parent", parent_tree), ("change", repo)]
@@ -136,7 +157,7 @@ def compare(workload: str, args, repo: Path, parent_tree: Path, spec: dict, revs
                  for name, s in summary.items() if not s["within_bound"]]
     print(f"{workload}: {len(seeds)} pairs, seeds {seeds[0]}-{seeds[-1]}, "
           f"{spec['run_seconds']:g} s runs, parent {revs['parent'][:12]} "
-          f"vs change {revs['change'][:12]}")
+          f"vs change {revs['change'][:12]}" + (" (A/A)" if aa_set else ""))
     for name, s in summary.items():
         print(f"  {name} [{s['unit']}, {s['better']} is better, bound {s['bound']:g}]: "
               f"parent {s['parent_median']:.6g} (IQR {s['parent_iqr']:.6g}), "
@@ -144,18 +165,21 @@ def compare(workload: str, args, repo: Path, parent_tree: Path, spec: dict, revs
               f"(min {ratio(s['ratio_min'])}, max {ratio(s['ratio_max'])}), "
               f"change worse in {s['worse_pairs']} and better in {s['better_pairs']} "
               f"of {s['pairs']} pairs, gain {'shown' if s['gain_shown'] else 'not shown'}")
+        same = aa.get("summary", {}).get(name, {})
+        if same.get("ratio_min") is not None and s["median_ratio"] is not None:
+            inside = same["ratio_min"] <= s["median_ratio"] <= same["ratio_max"]
+            print(f"    A/A ratios {ratio(same['ratio_min'])}-{ratio(same['ratio_max'])} "
+                  f"over {same['pairs']} pairs (change {aa['revs']['change'][:12]}), this set's "
+                  f"{ratio(s['ratio_min'])}-{ratio(s['ratio_max'])}: its median ratio "
+                  f"{ratio(s['median_ratio'])} lies {'inside' if inside else 'outside'} "
+                  f"the A/A range")
     for failure in failures:
         print(f"  FAIL {failure}")
-    if args.out is not None:
+    if path is not None:
         report = {
             "workload": workload, "seconds": spec["run_seconds"], "seeds": seeds,
-            "revs": revs, "cpu_count": os.cpu_count(), "python": platform.python_version(),
-            "runs": runs, "summary": summary,
+            "revs": revs, **host, "aa": aa_set, "runs": runs, "summary": summary,
         }
-        path = args.out / f"BENCH_{workload}.json"
-        history = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
-        if isinstance(history, dict):
-            history = [history]
         history.append(report)
         path.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         for n, entry in enumerate(history, 1):
@@ -175,7 +199,8 @@ def main() -> int:
                     help="a workload of BENCHMARK.json (repeatable; default: all of them)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1, help="the first pair's seed")
-    ap.add_argument("--parent", default="HEAD^", help="the revision to compare against")
+    ap.add_argument("--parent", default="HEAD^",
+                    help="the revision to compare against (HEAD runs an A/A set)")
     ap.add_argument("--out", type=Path, default=None,
                     help="directory of the BENCH_<workload>.json histories")
     args = ap.parse_args()

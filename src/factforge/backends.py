@@ -3,9 +3,11 @@
 Every call is identified by a fingerprint (a hash of its kind and wire
 body), which keys scripted mock replay and is attached to backend
 errors. HTTP transports speak the common chat-completions / embeddings
-wire shapes over stdlib `http.client`, on kept-alive connections pooled per
-backend, and retry transient failures after a random share of an exponential
-backoff (never less than a 429/503 reply's Retry-After).
+wire shapes on kept-alive connections pooled per backend: stdlib
+`http.client` opens each connection, and this module frames each exchange
+(RFC 9112), a request in one write and its reply through the connection's
+one reader. They retry transient failures after a random share of an
+exponential backoff (never less than a 429/503 reply's Retry-After).
 Deterministic mocks make the whole pipeline runnable offline.
 """
 
@@ -183,13 +185,97 @@ def fan_out(fn: Callable[[T], R], items: Iterable[T], width: int) -> Iterator[R]
 # connection is kept alive.
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
+_MAXLINE, _MAXHEADERS = 65536, 100  # http.client's limits on a reply's head
 
-def _send(conn, selector: str, data: bytes, headers: Mapping[str, str]):
-    """Send one POST on `conn` and return its reply once the headers are in."""
-    conn.request("POST", selector, data, headers)
-    if _QUICKACK is not None:
-        conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
-    return conn.getresponse()
+
+def _read_reply(reader) -> tuple[int, bytes | None, bytes, bool]:
+    """Read one reply (RFC 9112) from a connection's `reader`: its status,
+    raw Retry-After value and body, and whether the connection may carry
+    another request: only after an HTTP/1.1 reply, not marked
+    `Connection: close`, whose body did not run until the server closed.
+    Interim (1xx) replies are skipped. A fault raises http.client's own
+    exception for it, within http.client's limits on lines and headers, or
+    int's ValueError for a chunk size that is not hex."""
+    import http.client
+
+    def line(what: str) -> bytes:
+        text = reader.readline(_MAXLINE + 1)
+        if len(text) > _MAXLINE:
+            raise http.client.LineTooLong(what)
+        return text
+
+    def exactly(n: int) -> bytes:
+        data = reader.read(n)
+        if len(data) < n:
+            raise http.client.IncompleteRead(data, n - len(data))
+        return data
+
+    status = 100
+    while status < 200:
+        start = line("status line")
+        if not start:
+            raise http.client.RemoteDisconnected("Remote end closed connection without response")
+        parts = start.split(None, 2)
+        status = int(parts[1]) if len(parts) > 1 and parts[1].isdigit() else 0
+        if not (100 <= status <= 999 and parts[0].startswith(b"HTTP/")):
+            raise http.client.BadStatusLine(start.decode("latin-1"))
+        headers: dict[bytes, bytes] = {}  # the first value of each name
+        for _ in range(_MAXHEADERS):
+            field = line("header line")
+            if field in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = field.partition(b":")
+            headers.setdefault(name.strip().lower(), value.strip())
+        else:
+            raise http.client.HTTPException(f"got more than {_MAXHEADERS} headers")
+    framed, length = True, headers.get(b"content-length", b"")
+    if status in (204, 304):
+        body = b""
+    elif headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        chunks = []  # chunk extensions and trailer fields are read past
+        while (size := int(line("chunk size").partition(b";")[0], 16)) > 0:
+            chunks.append(exactly(size + 2)[:-2])
+        if size < 0:
+            raise http.client.IncompleteRead(b"".join(chunks))
+        while line("trailer line") not in (b"\r\n", b"\n", b""):
+            pass
+        body = b"".join(chunks)
+    elif length.isdigit():
+        body = exactly(int(length))
+    else:
+        body, framed = reader.read(), False  # the server closes to end it
+    reusable = (framed and parts[0] == b"HTTP/1.1"
+                and b"close" not in headers.get(b"connection", b"").lower())
+    return status, headers.get(b"retry-after"), body, reusable
+
+
+class _Connection:
+    """An open connection and the one buffered reader its replies are read
+    through, for as long as it lives. Closing it closes both: a reader left
+    open keeps the socket's descriptor open."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, conn):
+        """Open `conn`, an http.client connection, whose `connect` sets
+        TCP_NODELAY, opens a proxy's CONNECT tunnel and starts TLS."""
+        try:
+            conn.connect()
+        except BaseException:
+            conn.close()
+            raise
+        self.sock, self.reader = conn.sock, conn.sock.makefile("rb")
+
+    def exchange(self, request: bytes) -> tuple[int, bytes | None, bytes, bool]:
+        """Send `request` in one write and read its reply (see `_read_reply`)."""
+        self.sock.sendall(request)
+        if _QUICKACK is not None:
+            self.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+        return _read_reply(self.reader)
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
 
 
 def _close_all(connections: list) -> None:
@@ -200,6 +286,11 @@ def _close_all(connections: list) -> None:
 class _HttpBase:
     """Shared HTTP client: at most `max_in_flight` requests run at once, each
     on a kept-alive connection from the backend's idle list, else a new one.
+
+    http.client only opens connections; each exchange is framed here. A
+    request is one write of a head built mostly once per backend plus its
+    JSON body, and a reply is read through the connection's one reader
+    (`_read_reply`).
 
     Each subclass names its backend `kind` and URL `path`, builds the wire
     body and decodes the reply in `_decode(reply, body)`.
@@ -217,8 +308,8 @@ class _HttpBase:
         target = urlsplit(self._url)
         https = target.scheme == "https"
         self._new = http.client.HTTPSConnection if https else http.client.HTTPConnection
-        self._host, self._tunnel, self._proxy_auth = target.netloc, None, {}
-        self._selector = target.path + ("?" + target.query if target.query else "")
+        self._host, self._tunnel, self._proxy_auth = target.netloc, None, b""
+        selector = target.path + ("?" + target.query if target.query else "")
         # HTTP(S)_PROXY and NO_PROXY are read once, here. An http proxy is
         # sent the absolute URL; https goes through a CONNECT tunnel.
         proxy = urllib.request.getproxies().get(target.scheme)
@@ -231,23 +322,49 @@ class _HttpBase:
             if https:  # set_tunnel's host, port and headers
                 self._tunnel = (target.netloc, None, auth)
             else:
-                self._selector, self._proxy_auth = self._url, auth
+                selector = self._url
+                self._proxy_auth = "".join(f"{k}: {v}\r\n" for k, v in auth.items()).encode()
+        # The request line and the headers every request carries, up to
+        # Content-Length's value. A URL that no request line can carry (a
+        # space, a control or a non-ASCII character) is refused on each call,
+        # before any connection, as http.client refused it.
+        try:
+            if not (selector.isascii() and selector.isprintable() and " " not in selector):
+                raise ValueError(f"URL can't contain control characters, spaces or "
+                                 f"non-ASCII characters: {selector!r}")
+            self._start, self._refusal = (
+                b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\nContent-Length: "
+                % (selector.encode(), target.netloc.encode("idna"))), None
+        except ValueError as exc:  # a host name IDNA cannot encode included
+            self._start, self._refusal = b"", str(exc)
         # Idle kept-alive connections; the gate bounds them to max_in_flight.
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[_Connection] = []
         weakref.finalize(self, _close_all, self._idle)
 
-    def _headers(self, fingerprint: str) -> dict[str, str]:
-        headers = {"Content-Type": "application/json", **self._proxy_auth}
+    def _request(self, payload: Mapping[str, Any], fingerprint: str) -> bytes:
+        """The bytes of one call's request, its head and JSON body, which
+        each attempt sends as they are. An unset API key is an AuthFailure.
+        A ValueError refuses the rest: a URL no request line can carry, a
+        key holding CR or LF (it would start a header of its own) or a
+        character latin-1 lacks, and NaN or an infinity in the body."""
+        if self._refusal:
+            raise ValueError(self._refusal)
+        data = json.dumps(payload, allow_nan=False).encode()
+        head = [self._start, b"%d\r\nContent-Type: application/json\r\n" % len(data),
+                self._proxy_auth]
         if _QUICKACK is None:
-            headers["Connection"] = "close"
+            head.append(b"Connection: close\r\n")
         if self.profile.auth_env:
             key = os.environ.get(self.profile.auth_env)
             if not key:
                 raise AuthFailure(
                     f"environment variable {self.profile.auth_env!r} is not set", fingerprint
                 )
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
+            if "\r" in key or "\n" in key:
+                raise ValueError(f"environment variable {self.profile.auth_env!r} holds a CR or LF")
+            head.append(b"Authorization: Bearer %s\r\n" % key.encode("latin-1"))
+        head += (b"\r\n", data)
+        return b"".join(head)
 
     def _call(self, body: dict[str, Any]):
         """Send one request and decode its reply. The fingerprint is the hash
@@ -266,46 +383,45 @@ class _HttpBase:
             ) from exc
 
     def _connect(self):
-        """A new connection to the endpoint, or to its proxy. It opens on its
-        first request."""
+        """A new, unopened http.client connection to the endpoint, or to its
+        proxy; `_Connection` opens it."""
         conn = self._new(self._host, timeout=self.profile.timeout)
         if self._tunnel:
             conn.set_tunnel(*self._tunnel)
         return conn
 
-    def _exchange(self, data: bytes, headers: Mapping[str, str]) -> tuple[int, str | None, bytes]:
-        """POST `data` and read the whole reply: its status, Retry-After
+    def _exchange(self, request: bytes) -> tuple[int, bytes | None, bytes]:
+        """Send `request` and read the whole reply: its status, Retry-After
         header and body.
 
         The request goes on an idle connection, else a new one. After the
-        reply the connection is put back, unless the reply closes it or the
-        platform has no TCP_QUICKACK; any failure closes it. A reused
-        connection the server had closed fails before any reply byte; the
-        request is then sent again, once, on a new connection.
+        reply the connection is put back if `_read_reply` finds it reusable
+        and the platform has TCP_QUICKACK, else closed; any failure closes
+        it. A reused connection the server had closed fails before any
+        reply byte; the request is then sent again, once, on a new
+        connection.
         """
         try:
             conn, reused = self._idle.pop(), True
         except IndexError:
-            conn, reused = self._connect(), False
+            conn, reused = _Connection(self._connect()), False
         try:
             try:
-                reply = _send(conn, self._selector, data, headers)
+                status, retry_after, body, reusable = conn.exchange(request)
             except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected included
                 if not reused:
                     raise
                 conn.close()
-                conn = self._connect()
-                reply = _send(conn, self._selector, data, headers)
-            with reply:
-                raw = reply.read()
+                conn = _Connection(self._connect())
+                status, retry_after, body, reusable = conn.exchange(request)
         except BaseException:
             conn.close()
             raise
-        if _QUICKACK is None or reply.will_close:
-            conn.close()
-        else:
+        if reusable and _QUICKACK is not None:
             self._idle.append(conn)
-        return reply.status, reply.getheader("Retry-After"), raw
+        else:
+            conn.close()
+        return status, retry_after, body
 
     def _post(self, payload: Mapping[str, Any], fingerprint: str) -> Any:
         """POST with up to MAX_RETRIES retries on transient failures.
@@ -320,7 +436,10 @@ class _HttpBase:
         import http.client
 
         url = self._url
-        headers = self._headers(fingerprint)
+        try:
+            request = self._request(payload, fingerprint)
+        except ValueError as exc:  # refused before any connection
+            raise BackendError(f"{url}: {exc}", fingerprint) from exc
         last: BackendError | None = None
         asked = 0.0  # delay the last 429/503 reply asked for, in seconds
         for attempt in range(MAX_RETRIES + 1):
@@ -334,8 +453,7 @@ class _HttpBase:
                 )
             asked = 0.0
             try:
-                data = json.dumps(payload, allow_nan=False).encode()
-                status, retry_after, raw = self._exchange(data, headers)
+                status, retry_after, raw = self._exchange(request)
             except OSError as exc:  # timeouts, refused or reset connections
                 last = BackendTimeout(f"{url}: {exc}", fingerprint)
                 continue
@@ -361,10 +479,10 @@ class _HttpBase:
         raise last
 
 
-def _retry_after(value: str | None) -> float:
+def _retry_after(value: bytes | None) -> float:
     """Seconds a Retry-After header asks for (RFC 9110 §10.2.3). Only the
     delay-seconds form counts; an HTTP-date or a malformed value gives 0."""
-    value = (value or "").strip()
+    value = (value or b"").strip()
     return float(value) if value.isascii() and value.isdigit() else 0.0
 
 

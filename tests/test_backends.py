@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gc
 import hashlib
@@ -1204,6 +1205,192 @@ def test_http_calls_run_without_requests_installed(http_server):
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.split("\n")[:3] == ["Factual", "[0.6, 0.8]", "ENT"]
     assert len(recorder.requests) == 3
+
+
+def test_importing_the_cli_does_not_import_http_client():
+    script = ("import sys\n"
+              "import factforge.cli\n"
+              "print('http.client' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "False\n"
+
+
+# --- reply framing and the request head, against a raw socket server ---------------
+
+_BODY = json.dumps(_CHAT_OK).encode()
+_OK_REPLY = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_BODY), _BODY)
+
+
+@contextlib.contextmanager
+def _raw_server(replies):
+    """Serve on a loopback port: read each request whole (its head, then a
+    body of its Content-Length) and write the next of `replies`, each a
+    (raw bytes, close) pair, on the same connection, closing it after a reply
+    whose `close` is true; the last reply repeats. Yields the endpoint and a
+    record of the requests received (bytes) and the connections accepted."""
+    server = socket.create_server(("127.0.0.1", 0))
+    seen = types.SimpleNamespace(requests=[], connections=0)
+    replies = list(replies)
+
+    def answer(conn):
+        with conn, conn.makefile("rb") as reader:
+            while True:
+                head = b""
+                while not head.endswith(b"\r\n\r\n"):
+                    line = reader.readline()
+                    if not line:
+                        return
+                    head += line
+                length = int(head.lower().partition(b"content-length:")[2].split(b"\r\n")[0])
+                seen.requests.append(head + reader.read(length))
+                raw, close = replies.pop(0) if len(replies) > 1 else replies[0]
+                try:
+                    conn.sendall(raw)
+                except OSError:  # the client gave up on the reply
+                    return
+                if close:
+                    return
+
+    def serve():
+        while True:
+            try:
+                conn, _ = server.accept()
+            except OSError:  # the listener was shut down
+                return
+            seen.connections += 1
+            threading.Thread(target=answer, args=(conn,), daemon=True).start()
+
+    threading.Thread(target=serve, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.getsockname()[1]}", seen
+    finally:
+        server.shutdown(socket.SHUT_RDWR)
+        server.close()
+
+
+def _ask(endpoint, n=1, **kw):
+    """Make `n` chat calls on one backend; return their answers."""
+    chat = HttpChatBackend(_http_profile(endpoint, **kw))
+    return [chat.complete([{"role": "user", "content": f"q{i}"}]) for i in range(n)]
+
+
+def test_a_chunked_reply_with_an_extension_and_a_trailer_is_read_and_kept_alive():
+    half = len(_BODY) // 2
+    chunked = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+               b"%x;name=value\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n"
+               % (half, _BODY[:half], len(_BODY) - half, _BODY[half:]))
+    with _raw_server([(chunked, False)]) as (endpoint, seen):
+        assert _ask(endpoint, n=3) == ["Factual"] * 3
+    assert len(seen.requests) == 3
+    assert seen.connections == (1 if backends._QUICKACK is not None else 3)
+
+
+def test_an_interim_100_continue_is_skipped():
+    with _raw_server([(b"HTTP/1.1 100 Continue\r\n\r\n" + _OK_REPLY, False)]) as (endpoint, seen):
+        assert _ask(endpoint, n=2) == ["Factual"] * 2
+    assert len(seen.requests) == 2
+
+
+def test_a_204_without_length_on_a_kept_alive_connection_fails_at_once():
+    # Its body is empty by its status: reading until close would wait the 5 s timeout.
+    with _raw_server([(b"HTTP/1.1 204 No Content\r\n\r\n", False)]) as (endpoint, seen):
+        start = time.perf_counter()
+        with pytest.raises(MalformedResponse, match="HTTP 204"):
+            _ask(endpoint)
+        assert time.perf_counter() - start < 2.0
+    assert len(seen.requests) == 1
+
+
+def test_an_http_1_0_reply_without_length_is_read_until_close_and_not_reused():
+    reply = b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + _BODY
+    with _raw_server([(reply, True)]) as (endpoint, seen):
+        assert _ask(endpoint, n=3) == ["Factual"] * 3
+    assert len(seen.requests) == 3 and seen.connections == 3
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_BODY), _BODY[:10]),
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s" % (len(_BODY), _BODY[:10]),
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n%s\r\n0\r\n\r\n" % _BODY,
+    b"HTTP/1.1 200 OK\r\nX-Long: %s\r\n" % (b"a" * 65536) + _OK_REPLY[17:],
+    b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 100 + _OK_REPLY[17:],
+    b"HTTP/1.1 twenty OK\r\n" + _OK_REPLY[17:],
+    b"ICY 200 OK\r\n" + _OK_REPLY[17:],
+], ids=["body-cut-short", "chunk-cut-short", "chunk-size-not-hex", "header-line-over-64-kib",
+        "over-100-headers", "status-not-a-number", "not-http"])
+def test_a_broken_reply_is_a_backend_error_without_retry(reply):
+    with _raw_server([(reply, True)]) as (endpoint, seen):
+        chat = HttpChatBackend(_http_profile(endpoint))
+        messages = [{"role": "user", "content": "x"}]
+        with pytest.raises(BackendError) as info:
+            chat.complete(messages)
+    assert type(info.value) is BackendError
+    assert info.value.fingerprint == chat_fingerprint(chat.profile, messages)
+    assert len(seen.requests) == 1
+
+
+def _refused_before_connecting(monkeypatch, endpoint, **kw):
+    """The BackendError a chat call to `endpoint` raises, once no connection
+    was asked for."""
+    chat = HttpChatBackend(_http_profile(endpoint, **kw))
+    opened = []
+    monkeypatch.setattr(chat, "_connect", lambda: opened.append(1))
+    messages = [{"role": "user", "content": "x"}]
+    with pytest.raises(BackendError) as info:
+        chat.complete(messages)
+    assert opened == []
+    assert info.value.fingerprint == chat_fingerprint(chat.profile, messages)
+    return info.value
+
+
+@pytest.mark.parametrize("key", ["sk\r\nX-Injected: 1", "sk\nX-Injected: 1", "sk\rX: 1"])
+def test_an_api_key_holding_cr_or_lf_is_refused_before_any_byte(monkeypatch, key):
+    monkeypatch.setenv("CHAT_KEY", key)
+    with _raw_server([(_OK_REPLY, False)]) as (endpoint, seen):
+        error = _refused_before_connecting(monkeypatch, endpoint, auth_env="CHAT_KEY")
+    assert "X-Injected" not in str(error) and "X: 1" not in str(error)  # the key stays out
+    assert seen.connections == 0
+
+
+@pytest.mark.parametrize("path", ["/v1 x", "/v1\x00", "/v1\x1f", "/v1\x7f", "/vé"])
+def test_an_endpoint_path_no_request_line_can_carry_is_refused_before_any_byte(
+        monkeypatch, path):
+    with _raw_server([(_OK_REPLY, False)]) as (endpoint, seen):
+        _refused_before_connecting(monkeypatch, endpoint + path)
+    assert seen.connections == 0
+
+
+def test_a_request_is_one_send_of_its_exact_head_and_body(monkeypatch):
+    monkeypatch.setenv("CHAT_KEY", "sk-test")
+    sends = []
+    real_sendall = socket.socket.sendall
+    with _raw_server([(_OK_REPLY, False)]) as (endpoint, seen):
+        port = int(endpoint.rsplit(":", 1)[1])
+
+        def sendall(sock, data, *args):
+            if sock.getpeername()[1] == port:  # the client's sends, not the server's
+                sends.append(bytes(data))
+            return real_sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", sendall)
+        chat = HttpChatBackend(_http_profile(endpoint + "/v1", auth_env="CHAT_KEY"))
+        assert chat.complete([{"role": "user", "content": "x"}]) == "Factual"
+    body = json.dumps({"model": "test-model", "messages": [{"role": "user", "content": "x"}],
+                       "temperature": 0.0}).encode()
+    close = b"Connection: close\r\n" if backends._QUICKACK is None else b""
+    request = (b"POST /v1/chat/completions HTTP/1.1\r\n"
+               b"Host: 127.0.0.1:%d\r\n"
+               b"Accept-Encoding: identity\r\n"
+               b"Content-Length: %d\r\n"
+               b"Content-Type: application/json\r\n"
+               b"%sAuthorization: Bearer sk-test\r\n\r\n%s" % (port, len(body), close, body))
+    assert sends == [request]
+    assert seen.requests == [request]
 
 
 # --- bounded fan-out ----------------------------------------------------------

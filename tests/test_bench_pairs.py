@@ -15,8 +15,9 @@ import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 
-# Prints one human line and the result line for its seed from values.json,
-# after logging which tree ran which seed.
+# Prints one human line and the result line for its seed from values.json
+# (a row keyed "<tree> <seed>" before one keyed "<seed>"), after logging which
+# tree ran which seed.
 STUB = """\
 import json, os, sys, time
 from pathlib import Path
@@ -25,7 +26,8 @@ root = Path(__file__).resolve().parent.parent
 seed = sys.argv[sys.argv.index("--seed") + 1]
 with open(os.environ["STUB_LOG"], "a") as log:
     log.write(f"{root.name} {seed}\\n")
-values = json.loads((root / "values.json").read_text())[seed]
+rows = json.loads((root / "values.json").read_text())
+values = rows.get(f"{root.name} {seed}", rows[seed])
 if values.pop("crash", False):
     sys.exit(3)
 time.sleep(values.pop("sleep", 0))
@@ -80,13 +82,13 @@ def _repo(tmp_path: Path, parent: str, change: str, spec: dict = SPEC) -> Path:
     return repo
 
 
-def _run(tmp_path: Path, repo: Path, pairs: int = 4):
+def _run(tmp_path: Path, repo: Path, pairs: int = 4, *flags: str):
     (tmp_path / "tmp").mkdir(exist_ok=True)
     (tmp_path / "out").mkdir(exist_ok=True)
     env = {**os.environ, "STUB_LOG": str(tmp_path / "log"), "TMPDIR": str(tmp_path / "tmp")}
     done = subprocess.run(
         [sys.executable, str(SCRIPT), "--pairs", str(pairs), "--seed", "11",
-         "--out", str(tmp_path / "out")],
+         "--out", str(tmp_path / "out"), *flags],
         cwd=repo, env=env, capture_output=True, text=True, timeout=120)
     # The worktree is gone whatever the outcome.
     assert _git(repo, "worktree", "list", "--porcelain").count("worktree ") == 1
@@ -287,3 +289,72 @@ def test_a_terminated_run_removes_the_worktree(tmp_path):
         proc.communicate()
     assert _git(repo, "worktree", "list", "--porcelain").count("worktree ") == 1
     assert list((tmp_path / "tmp").iterdir()) == []
+
+
+def test_an_aa_set_runs_head_on_both_sides_and_later_sets_print_its_ratio_range(tmp_path):
+    # The worktree side reads the rows keyed "parent <seed>", so the two sides
+    # of an A/A set can read apart, as two runs of the same code do.
+    rows = json.loads(_values(CHANGE))
+    rows["parent 11"] = {**rows["11"], "op_p50_ms": 104}  # change / parent: 105 / 104
+    rows["parent 12"] = {**rows["12"], "op_p50_ms": 101}  # 100 / 101
+    rows["parent 13"] = {**rows["13"], "ops_per_s": 10}   # 11 / 10
+    repo = _repo(tmp_path, _values(PARENT), json.dumps(rows))
+    head = _git(repo, "rev-parse", "HEAD")
+
+    aa = _run(tmp_path, repo, 4, "--parent", "HEAD")
+    assert aa.returncode == 0, aa.stderr
+    lines = aa.stdout.splitlines()
+    assert lines[0] == (f"w1: 4 pairs, seeds 11-14, 1 s runs, parent {head[:12]} "
+                        f"vs change {head[:12]} (A/A)")
+    assert not [line for line in lines if "A/A ratios" in line]  # no earlier A/A set
+    # Same alternation and seeds; the worktree side is HEAD too.
+    assert (tmp_path / "log").read_text().split("\n")[:-1] == [
+        "parent 11", "repo 11", "repo 12", "parent 12",
+        "parent 13", "repo 13", "repo 14", "parent 14"]
+    (entry,) = json.loads((tmp_path / "out" / "BENCH_w1.json").read_text())
+    assert entry["aa"] is True and entry["revs"] == {"parent": head, "change": head}
+    assert (entry["summary"]["op_p50_ms"]["ratio_min"],
+            entry["summary"]["op_p50_ms"]["ratio_max"]) == (100 / 101, 105 / 104)
+
+    later = _run(tmp_path, repo)
+    assert later.returncode == 0, later.stderr
+    history = json.loads((tmp_path / "out" / "BENCH_w1.json").read_text())
+    assert [e["aa"] for e in history] == [True, False]
+    assert history[1]["revs"]["parent"] == _git(repo, "rev-parse", "HEAD^")
+    assert [line for line in later.stdout.splitlines() if line.startswith("    ")] == [
+        f"    A/A ratios 0.9901-1.0096 over 4 pairs (change {head[:12]}), this set's "
+        "0.9091-1.1538: its median ratio 1.0500 lies outside the A/A range",
+        f"    A/A ratios 1.0000-1.1000 over 4 pairs (change {head[:12]}), this set's "
+        "0.9000-1.1000: its median ratio 1.0000 lies inside the A/A range",
+        f"    A/A ratios 1.0000-1.0000 over 4 pairs (change {head[:12]}), this set's "
+        "1.0000-1.0000: its median ratio 1.0000 lies inside the A/A range",
+    ]
+
+
+def test_the_aa_range_comes_from_the_latest_aa_entry_of_the_same_host(tmp_path):
+    past_bound = [140, 143.8, 143.8, 150]
+    repo = _repo(tmp_path, _values(PARENT), _values({**CHANGE, "op_p50_ms": past_bound}))
+    host = {"cpu_count": os.cpu_count(), "python": platform.python_version()}
+
+    def entry(rev, aa, low, high, **other):
+        return {"workload": "w1", "revs": {"parent": rev * 40, "change": rev * 40}, "aa": aa,
+                **host, **other, "summary": {"op_p50_ms": {
+                    "pairs": 10, "ratio_min": low, "ratio_max": high, "change_median": 1}}}
+
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "BENCH_w1.json").write_text(json.dumps([
+        entry("a", True, 0.9, 1.1),
+        entry("b", True, 0.5, 2.0),                                  # the one that counts
+        entry("c", True, 0.99, 1.01, cpu_count=os.cpu_count() + 1),  # another host
+        entry("d", True, 0.99, 1.01, python="2.7.18"),              # another Python
+        entry("e", False, 0.99, 1.01),                               # not A/A
+        {"workload": "w1", "seeds": [1], "runs": [], "summary": {}},  # an older entry
+    ]))
+    done = _run(tmp_path, repo)
+    # The change is inside the A/A range yet past its bound: it still fails.
+    assert done.returncode == 1
+    assert [line for line in done.stdout.splitlines() if line.startswith("    ")] == [
+        "    A/A ratios 0.5000-2.0000 over 10 pairs (change bbbbbbbbbbbb), this set's "
+        "1.1538-1.4000: its median ratio 1.2528 lies inside the A/A range"]
+    assert "  FAIL op_p50_ms: change median 143.8 is worse than parent median 115 by more " \
+           "than 25%" in done.stdout.splitlines()
