@@ -283,88 +283,88 @@ def _close_all(connections: list) -> None:
         connections.pop().close()
 
 
+def _endpoint(profile: BackendProfile, path: str = "") -> tuple[str, str, str]:
+    """The scheme, target (path and query) and IDNA-encoded netloc of the
+    endpoint plus `path`. A ValueError naming the profile refuses a scheme
+    not http or https, no host, a port not a number in 0-65535, a space,
+    control or non-ASCII character in the path and a host IDNA cannot encode."""
+    from urllib.parse import urlsplit
+
+    endpoint = profile.endpoint
+    try:
+        if not endpoint.lower().startswith(("http://", "https://")):
+            raise ValueError("is not an http:// or https:// URL")
+        target = urlsplit(endpoint.rstrip("/") + path)
+        if not target.hostname:
+            raise ValueError("names no host")
+        target.port  # a ValueError for a port that is not a number in range
+        selector = target.path + ("?" + target.query if target.query else "")
+        if not (selector.isascii() and selector.isprintable() and " " not in selector):
+            raise ValueError("holds a space, a control or a non-ASCII character in its path")
+        return target.scheme, selector, target.netloc.encode("idna").decode()
+    except ValueError as exc:  # UnicodeError included
+        raise ValueError(f"profile {profile.name!r}: endpoint {endpoint!r}: {exc}") from None
+
+
 class _HttpBase:
     """Shared HTTP client: at most `max_in_flight` requests run at once, each
     on a kept-alive connection from the backend's idle list, else a new one.
 
     http.client only opens connections; each exchange is framed here. A
-    request is one write of a head built mostly once per backend plus its
-    JSON body, and a reply is read through the connection's one reader
-    (`_read_reply`).
+    request is one write of the head built in `__init__`, its Content-Length
+    and JSON body, and a reply is read through the connection's one reader.
 
     Each subclass names its backend `kind` and URL `path`, builds the wire
     body and decodes the reply in `_decode(reply, body)`.
     """
 
     def __init__(self, profile: BackendProfile):
+        """A ValueError naming the profile refuses an endpoint `_endpoint`
+        refuses and an API key unset or holding CR, LF or a non-latin-1 character."""
         import http.client
         import urllib.request  # costs ~35 ms; only HTTP profiles need it
         from urllib.parse import unquote, urlsplit
 
+        scheme, selector, netloc = _endpoint(profile, self.path)
         self.profile = profile
         self.max_in_flight = profile.max_in_flight
         self._gate = threading.BoundedSemaphore(profile.max_in_flight)
         self._url = profile.endpoint.rstrip("/") + self.path
-        target = urlsplit(self._url)
-        https = target.scheme == "https"
-        self._new = http.client.HTTPSConnection if https else http.client.HTTPConnection
-        self._host, self._tunnel, self._proxy_auth = target.netloc, None, b""
-        selector = target.path + ("?" + target.query if target.query else "")
+        self._new = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+        self._host, self._tunnel = netloc, None
+        # The headers every request carries, in order, before Content-Length.
+        head = {"Host": netloc, "Accept-Encoding": "identity", "Content-Type": "application/json"}
         # HTTP(S)_PROXY and NO_PROXY are read once, here. An http proxy is
         # sent the absolute URL; https goes through a CONNECT tunnel.
-        proxy = urllib.request.getproxies().get(target.scheme)
-        if proxy and not urllib.request.proxy_bypass(target.netloc):
+        proxy = urllib.request.getproxies().get(scheme)
+        if proxy and not urllib.request.proxy_bypass(netloc):
             via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
             self._host, auth = via.netloc.rpartition("@")[2], {}
             if via.username is not None:
                 user = f"{unquote(via.username)}:{unquote(via.password or '')}"
                 auth = {"Proxy-Authorization": "Basic " + base64.b64encode(user.encode()).decode()}
-            if https:  # set_tunnel's host, port and headers
-                self._tunnel = (target.netloc, None, auth)
+            if scheme == "https":  # set_tunnel's host, port and headers
+                self._tunnel = (netloc, None, auth)
             else:
-                selector = self._url
-                self._proxy_auth = "".join(f"{k}: {v}\r\n" for k, v in auth.items()).encode()
-        # The request line and the headers every request carries, up to
-        # Content-Length's value. A URL that no request line can carry (a
-        # space, a control or a non-ASCII character) is refused on each call,
-        # before any connection, as http.client refused it.
-        try:
-            if not (selector.isascii() and selector.isprintable() and " " not in selector):
-                raise ValueError(f"URL can't contain control characters, spaces or "
-                                 f"non-ASCII characters: {selector!r}")
-            self._start, self._refusal = (
-                b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\nContent-Length: "
-                % (selector.encode(), target.netloc.encode("idna"))), None
-        except ValueError as exc:  # a host name IDNA cannot encode included
-            self._start, self._refusal = b"", str(exc)
+                selector = f"http://{netloc}{selector}"
+                head.update(auth)
+        if _QUICKACK is None:
+            head["Connection"] = "close"
+        if profile.auth_env:  # the key is read once, here
+            key = os.environ.get(profile.auth_env, "")
+            fault = ("is not set" if not key
+                     else "holds a CR or LF" if "\r" in key or "\n" in key
+                     else "holds a character latin-1 lacks" if max(key) > "\xff" else "")
+            if fault:
+                raise ValueError(f"profile {profile.name!r}: environment variable "
+                                 f"{profile.auth_env!r} {fault}")
+            head["Authorization"] = "Bearer " + key
+        self._head = "".join([f"POST {selector} HTTP/1.1\r\n",
+                              *(f"{k}: {v}\r\n" for k, v in head.items()),
+                              "Content-Length: "]).encode("latin-1")
         # Idle kept-alive connections; the gate bounds them to max_in_flight.
         self._idle: list[_Connection] = []
         weakref.finalize(self, _close_all, self._idle)
-
-    def _request(self, payload: Mapping[str, Any], fingerprint: str) -> bytes:
-        """The bytes of one call's request, its head and JSON body, which
-        each attempt sends as they are. An unset API key is an AuthFailure.
-        A ValueError refuses the rest: a URL no request line can carry, a
-        key holding CR or LF (it would start a header of its own) or a
-        character latin-1 lacks, and NaN or an infinity in the body."""
-        if self._refusal:
-            raise ValueError(self._refusal)
-        data = json.dumps(payload, allow_nan=False).encode()
-        head = [self._start, b"%d\r\nContent-Type: application/json\r\n" % len(data),
-                self._proxy_auth]
-        if _QUICKACK is None:
-            head.append(b"Connection: close\r\n")
-        if self.profile.auth_env:
-            key = os.environ.get(self.profile.auth_env)
-            if not key:
-                raise AuthFailure(
-                    f"environment variable {self.profile.auth_env!r} is not set", fingerprint
-                )
-            if "\r" in key or "\n" in key:
-                raise ValueError(f"environment variable {self.profile.auth_env!r} holds a CR or LF")
-            head.append(b"Authorization: Bearer %s\r\n" % key.encode("latin-1"))
-        head += (b"\r\n", data)
-        return b"".join(head)
 
     def _call(self, body: dict[str, Any]):
         """Send one request and decode its reply. The fingerprint is the hash
@@ -437,9 +437,10 @@ class _HttpBase:
 
         url = self._url
         try:
-            request = self._request(payload, fingerprint)
-        except ValueError as exc:  # refused before any connection
+            data = json.dumps(payload, allow_nan=False).encode()
+        except ValueError as exc:  # NaN or an infinity, refused before any connection
             raise BackendError(f"{url}: {exc}", fingerprint) from exc
+        request = b"%s%d\r\n\r\n%s" % (self._head, len(data), data)
         last: BackendError | None = None
         asked = 0.0  # delay the last 429/503 reply asked for, in seconds
         for attempt in range(MAX_RETRIES + 1):
@@ -739,13 +740,12 @@ _BACKENDS = {
 
 def check_profile(profile: BackendProfile) -> tuple[str, Callable, set[str], Any]:
     """Check what building `profile` would read, without building it (an http
-    endpoint's scheme and empty options, a mock's name and its one option's key
-    and type). Returns its backend's name ("rules mock", "http nli transport"),
+    endpoint and empty options, a mock's name and its one option's key and
+    type). Returns its backend's name ("rules mock", "http nli transport"),
     builder and fields read, and the mock option's value (None for http)."""
     entries = _BACKENDS[profile.kind]
     if profile.transport == "http":
-        if not profile.endpoint.lower().startswith(("http://", "https://")):
-            raise ValueError(f"profile {profile.name!r} needs an http:// or https:// endpoint")
+        _endpoint(profile)
         if profile.options:
             raise ValueError(f"profile {profile.name!r}: the http transport does not read "
                              f"options {sorted(profile.options)}")

@@ -37,7 +37,7 @@ class BackendTimeout(BackendError):
 
 
 class AuthFailure(BackendError):
-    """Credentials missing or rejected."""
+    """The endpoint refused the credentials: an HTTP 401 or 403 reply."""
 
 
 class RateLimited(BackendError):

@@ -24,7 +24,7 @@ import threading
 import types
 import typing
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
 
 from .errors import MalformedRecord
 
@@ -148,63 +148,47 @@ def _codecs(hint: Any, field: str) -> tuple[Codec | None, Codec]:
     raise TypeError(f"field {field}: no row codec for type {hint!r}")
 
 
-class _Plan(NamedTuple):
-    encoders: tuple[tuple[str, Codec | None], ...]  # every field, in order
-    required: tuple[str, ...]  # fields without a default
-    optional: tuple[str, ...]
-    decoders: tuple[tuple[str, Codec], ...]
-
-
 @functools.cache
-def _plan(cls: type) -> _Plan:
-    """How each field of a record type is written and read, built once per type."""
+def _plan(cls: type) -> tuple[tuple[str, Codec | None, Codec, bool], ...]:
+    """How each field of a record type is written and read, in field order:
+    (name, encode, decode, required), built once per type. A field without
+    a default is required."""
     hints = typing.get_type_hints(cls)
-    encoders, required, optional, decoders = [], [], [], []
-    for f in dataclasses.fields(cls):
-        encode, decode = _codecs(hints[f.name], f"{cls.__name__}.{f.name}")
-        encoders.append((f.name, encode))
-        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            required.append(f.name)
-        else:
-            optional.append(f.name)
-        decoders.append((f.name, decode))
-    return _Plan(tuple(encoders), tuple(required), tuple(optional), tuple(decoders))
+    return tuple((f.name, *_codecs(hints[f.name], f"{cls.__name__}.{f.name}"),
+                  f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+                 for f in dataclasses.fields(cls))
 
 
 def to_row(record: Any) -> dict[str, Any]:
     """The row of a record: field name to value."""
     row = {}
-    for name, encode in _plan(type(record)).encoders:
+    for name, encode, _, _ in _plan(type(record)):
         value = getattr(record, name)
         row[name] = value if encode is None else encode(value)
     return row
 
 
 def from_row(cls: type[R], row: Any) -> R:
-    """Rebuild a `cls` record from its row.
+    """Rebuild a `cls` record from its row, one field at a time in field order.
 
     A missing field without a default, a tuple field that is not a list,
     a record field that is not an object and a scalar (or tuple item) that
-    is not of its declared type exactly are MalformedRecord; a float field
-    also takes an int, and an `X | None` field null. Absent fields with a
-    default take it; extra keys are ignored.
+    is not of its declared type exactly are MalformedRecord, naming the
+    first such field; a float field also takes an int, and an `X | None`
+    field null. Absent fields with a default take it; extra keys are ignored.
     """
     if not isinstance(row, dict):
         raise MalformedRecord(f"expected an object, got {type(row).__name__}")
-    plan = _plan(cls)
-    try:
-        kwargs = {name: row[name] for name in plan.required}
-    except KeyError as exc:
-        raise MalformedRecord(f"missing field {exc.args[0]!r}") from None
-    for name in plan.optional:
-        if name in row:
-            kwargs[name] = row[name]
-    for name, decode in plan.decoders:
-        if name in kwargs:
-            try:
-                kwargs[name] = decode(kwargs[name])
-            except MalformedRecord as exc:
-                raise MalformedRecord(f"field {name!r}: {exc}") from None
+    kwargs = {}
+    for name, _, decode, required in _plan(cls):
+        if name not in row:
+            if required:
+                raise MalformedRecord(f"missing field {name!r}")
+            continue
+        try:
+            kwargs[name] = decode(row[name])
+        except MalformedRecord as exc:
+            raise MalformedRecord(f"field {name!r}: {exc}") from None
     return cls(**kwargs)
 
 

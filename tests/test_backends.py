@@ -11,6 +11,7 @@ import json
 import math
 import os
 import random
+import re
 import socket
 import struct
 import subprocess
@@ -501,6 +502,21 @@ def test_http_profiles_need_an_http_endpoint(endpoint):
         build_backend(profile)
 
 
+@pytest.mark.parametrize("endpoint, fault", [
+    ("http://", "names no host"), ("http:///v1", "names no host"),
+    ("http://:8080", "names no host"), ("http://host:notaport", "Port could not be cast"),
+    ("http://host:65536", "Port out of range"), ("http://a..b", "idna"),
+    ("http://[::1", "Invalid IPv6 URL"), ("https://host/v1 x", "in its path"),
+])
+def test_the_profile_and_the_backend_refuse_an_endpoint_alike(endpoint, fault):
+    with pytest.raises(ValueError, match=re.escape(f"profile 'p': endpoint {endpoint!r}: ")
+                       + f".*{fault}") as at_load:
+        BackendProfile.from_dict("p", {"kind": "nli", "endpoint": endpoint})
+    with pytest.raises(ValueError) as when_built:
+        HttpNliBackend(BackendProfile(name="p", kind="nli", endpoint=endpoint))
+    assert str(when_built.value) == str(at_load.value)
+
+
 # --- HTTP transport against a local server ----------------------------------------
 
 
@@ -537,14 +553,15 @@ def test_http_auth_header_from_environment(http_server, monkeypatch):
 
 
 def test_http_missing_auth_env_fails_before_any_request(http_server, monkeypatch):
+    # The key is read when the backend is built, so no call is ever made.
     monkeypatch.delenv("FAKE_API_KEY", raising=False)
     endpoint, recorder = http_server([(200, _CHAT_OK)])
-    chat = HttpChatBackend(_http_profile(endpoint, auth_env="FAKE_API_KEY"))
-    messages = [{"role": "user", "content": "x"}]
-    with pytest.raises(AuthFailure) as info:
-        chat.complete(messages)
-    assert recorder.requests == []
-    assert info.value.fingerprint == chat_fingerprint(chat.profile, messages)
+    opened = []
+    monkeypatch.setattr(backends._HttpBase, "_connect", lambda self: opened.append(1))
+    with pytest.raises(ValueError, match=r"^profile 'live': environment variable "
+                                         r"'FAKE_API_KEY' is not set$"):
+        HttpChatBackend(_http_profile(endpoint, auth_env="FAKE_API_KEY"))
+    assert recorder.requests == [] and opened == []
 
 
 def test_http_401_no_retry(http_server):
@@ -953,6 +970,18 @@ def test_http_proxy_credentials_go_to_the_proxy(http_server, monkeypatch):
     assert recorder.requests[0]["path"] == "http://127.0.0.1:9/chat/completions"
 
 
+def test_an_idn_endpoint_through_an_http_proxy_sends_an_ascii_request_line(http_server,
+                                                                           monkeypatch):
+    proxy, recorder = http_server([(200, _CHAT_OK)])
+    for name in ("http_proxy", "no_proxy", "NO_PROXY", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", proxy)
+    chat = HttpChatBackend(_http_profile("http://bücher.example:8080/v1"))
+    assert chat.complete([{"role": "user", "content": "x"}]) == "Factual"
+    assert [r["path"] for r in recorder.requests] == [
+        "http://xn--bcher-kva.example:8080/v1/chat/completions"]
+
+
 def test_https_goes_through_a_proxy_tunnel(http_server, monkeypatch):
     proxy, recorder = http_server([(407, b"")])  # the proxy refuses the tunnel
     for name in ("https_proxy", "no_proxy", "NO_PROXY", "REQUEST_METHOD"):
@@ -1334,18 +1363,15 @@ def test_a_broken_reply_is_a_backend_error_without_retry(reply):
     assert len(seen.requests) == 1
 
 
-def _refused_before_connecting(monkeypatch, endpoint, **kw):
-    """The BackendError a chat call to `endpoint` raises, once no connection
-    was asked for."""
-    chat = HttpChatBackend(_http_profile(endpoint, **kw))
+def _refused_before_connecting(monkeypatch, endpoint, **kw) -> str:
+    """The message of the ValueError building a chat backend for `endpoint`
+    raises, once no connection was asked for."""
     opened = []
-    monkeypatch.setattr(chat, "_connect", lambda: opened.append(1))
-    messages = [{"role": "user", "content": "x"}]
-    with pytest.raises(BackendError) as info:
-        chat.complete(messages)
+    monkeypatch.setattr(backends._HttpBase, "_connect", lambda self: opened.append(1))
+    with pytest.raises(ValueError) as info:
+        HttpChatBackend(_http_profile(endpoint, **kw))
     assert opened == []
-    assert info.value.fingerprint == chat_fingerprint(chat.profile, messages)
-    return info.value
+    return str(info.value)
 
 
 @pytest.mark.parametrize("key", ["sk\r\nX-Injected: 1", "sk\nX-Injected: 1", "sk\rX: 1"])
@@ -1353,7 +1379,16 @@ def test_an_api_key_holding_cr_or_lf_is_refused_before_any_byte(monkeypatch, key
     monkeypatch.setenv("CHAT_KEY", key)
     with _raw_server([(_OK_REPLY, False)]) as (endpoint, seen):
         error = _refused_before_connecting(monkeypatch, endpoint, auth_env="CHAT_KEY")
-    assert "X-Injected" not in str(error) and "X: 1" not in str(error)  # the key stays out
+    assert error == "profile 'live': environment variable 'CHAT_KEY' holds a CR or LF"
+    assert seen.connections == 0
+
+
+def test_an_api_key_with_a_character_latin_1_lacks_is_refused_before_any_byte(monkeypatch):
+    monkeypatch.setenv("CHAT_KEY", "sk-\u0101")
+    with _raw_server([(_OK_REPLY, False)]) as (endpoint, seen):
+        error = _refused_before_connecting(monkeypatch, endpoint, auth_env="CHAT_KEY")
+    assert error == ("profile 'live': environment variable 'CHAT_KEY' holds a character "
+                     "latin-1 lacks")
     assert seen.connections == 0
 
 
@@ -1361,7 +1396,9 @@ def test_an_api_key_holding_cr_or_lf_is_refused_before_any_byte(monkeypatch, key
 def test_an_endpoint_path_no_request_line_can_carry_is_refused_before_any_byte(
         monkeypatch, path):
     with _raw_server([(_OK_REPLY, False)]) as (endpoint, seen):
-        _refused_before_connecting(monkeypatch, endpoint + path)
+        error = _refused_before_connecting(monkeypatch, endpoint + path)
+    assert error == (f"profile 'live': endpoint {endpoint + path!r}: holds a space, a control "
+                     f"or a non-ASCII character in its path")
     assert seen.connections == 0
 
 
@@ -1379,18 +1416,24 @@ def test_a_request_is_one_send_of_its_exact_head_and_body(monkeypatch):
 
         monkeypatch.setattr(socket.socket, "sendall", sendall)
         chat = HttpChatBackend(_http_profile(endpoint + "/v1", auth_env="CHAT_KEY"))
-        assert chat.complete([{"role": "user", "content": "x"}]) == "Factual"
-    body = json.dumps({"model": "test-model", "messages": [{"role": "user", "content": "x"}],
-                       "temperature": 0.0}).encode()
+        monkeypatch.delenv("CHAT_KEY")  # read when the backend was built
+        for content in ("x", "a longer question"):
+            assert chat.complete([{"role": "user", "content": content}]) == "Factual"
     close = b"Connection: close\r\n" if backends._QUICKACK is None else b""
-    request = (b"POST /v1/chat/completions HTTP/1.1\r\n"
-               b"Host: 127.0.0.1:%d\r\n"
-               b"Accept-Encoding: identity\r\n"
-               b"Content-Length: %d\r\n"
-               b"Content-Type: application/json\r\n"
-               b"%sAuthorization: Bearer sk-test\r\n\r\n%s" % (port, len(body), close, body))
-    assert sends == [request]
-    assert seen.requests == [request]
+    head = (b"POST /v1/chat/completions HTTP/1.1\r\n"
+            b"Host: 127.0.0.1:%d\r\n"
+            b"Accept-Encoding: identity\r\n"
+            b"Content-Type: application/json\r\n"
+            b"%sAuthorization: Bearer sk-test\r\n"
+            b"Content-Length: " % (port, close))
+    requests = []
+    for content in ("x", "a longer question"):
+        messages = [{"role": "user", "content": content}]
+        body = json.dumps({"model": "test-model", "messages": messages,
+                           "temperature": 0.0}).encode()
+        requests.append(b"%s%d\r\n\r\n%s" % (head, len(body), body))
+    assert sends == requests
+    assert seen.requests == requests
 
 
 # --- bounded fan-out ----------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 
 from factforge import backends, corpus, dataset
 from factforge.backends import BackendProfile, VerdictRuleChatBackend, chat_fingerprint
-from factforge.cli import SETTINGS, build_parser, main
+from factforge.cli import SETTINGS, RunConfig, build_parser, main
 from factforge.corpus import Page, Passage, page_passages, sample_passage
 from factforge.errors import BackendError
 from factforge.evalharness import RAG_INSTRUCTIONS, ZERO_SHOT_INSTRUCTIONS
@@ -326,6 +326,43 @@ def test_config_faults_are_domain_errors(ws, capsys, change, command):
     assert not (ws["dir"] / "o.jsonl").exists()
 
 
+@pytest.mark.parametrize("endpoint", ["http://", "http:///v1", "http://:8080",
+                                      "http://host:notaport", "http://a..b"])
+def test_an_endpoint_no_request_can_carry_is_refused_at_load(ws, capsys, endpoint):
+    # Refused for every subcommand, --dry-run too, though ingest never builds it.
+    config = json.loads(ws["config"].read_text())
+    config["profiles"]["nli"] = {"kind": "nli", "endpoint": endpoint}
+    cfg = ws["dir"] / "faulty.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["ingest", "--pages", ws["pages"], "--out", ws["dir"] / "o.jsonl",
+                "--dry-run", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}: profile 'nli': endpoint {endpoint!r}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_generate_with_an_unset_key_fails_once_before_any_passage(ws, capsys, caplog,
+                                                                  http_server, monkeypatch):
+    monkeypatch.delenv("FACTFORGE_TEST_KEY", raising=False)
+    endpoint, recorder = http_server([(200, {})])
+    config = json.loads(ws["config"].read_text())
+    config["profiles"]["gen"] = {"kind": "chat", "endpoint": endpoint,
+                                 "auth_env": "FACTFORGE_TEST_KEY"}
+    cfg = ws["dir"] / "keyed.json"
+    cfg.write_text(json.dumps(config))
+    passages = _write_rows(ws["dir"] / "p.jsonl", [
+        {"passage_id": f"p:{i}", "page_id": "p", "start": i, "sentences": ["A text."]}
+        for i in range(3)
+    ])
+    assert run(["generate", "--passages", passages, "--backend", "gen",
+                "--out", ws["dir"] / "o.jsonl", "--config", cfg]) == 1
+    assert capsys.readouterr().err == ("error: profile 'gen': environment variable "
+                                       "'FACTFORGE_TEST_KEY' is not set\n")
+    assert not any("dropping passage" in r.getMessage() for r in caplog.records)
+    assert recorder.requests == [] and not (ws["dir"] / "o.jsonl").exists()
+
+
 def _record_backend_calls(monkeypatch) -> list:
     """Record every call to a mock backend; the list of `Class.method` names."""
     calls = []
@@ -503,10 +540,15 @@ def test_each_config_key_has_one_type():
         assert least is None or ((default is None or default >= least) and refusal), key
 
 
-def test_readme_commands_parse_and_name_every_flag():
-    """Each command of README's typical run parses as written, and README
-    names every flag the parser defines."""
+def test_readme_commands_parse_and_name_every_flag(tmp_path):
+    """Each command of README's typical run parses as written, README names
+    every flag the parser defines, and its "Backend profiles" config loads."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    config = text.split("## Backend profiles", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    (tmp_path / "backends.json").write_text(config)
+    profiles = RunConfig.load(tmp_path / "backends.json").profiles
+    assert sorted(profiles) == ["embed", "gen", "judge", "nli"]
+    assert profiles["gen"].endpoint == "https://llm.example/v1"
     block = text.split("A typical run, end to end", 1)[1].split("```", 2)[1]
     commands = block.replace("\\\n", " ").strip().splitlines()
     assert commands

@@ -142,6 +142,12 @@ def test_rows_that_do_not_fit_are_malformed(cls, row, field):
         from_row(cls, row)
 
 
+def test_a_row_with_several_faults_names_its_first_faulty_field():
+    # 'claim' is not a string and 'evidence' is missing: fields are read in field order.
+    with pytest.raises(MalformedRecord, match=r"^field 'claim': expected a string, got 5$"):
+        from_row(Task2Instance, {"claim": 5, "label": True})
+
+
 def test_scalar_fields_take_their_declared_types():
     assert from_row(Passage, {**PASSAGE_ROW, "page_id": 12}).page_id == 12
     recall = from_row(SeedRun, {**SEED_RUN_ROW, "recall_true": 1}).recall_true
